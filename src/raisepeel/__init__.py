@@ -3,7 +3,8 @@
 The package studies a continuous-time adsorption/desorption interface
 whose stable shapes are cyclic nonnegative height profiles.  Avalanche
 currents and stationary observables are computed along three routes that
-never share code: exact rational stationary states of the finite chain,
+share the model (``profiles`` and its transition table) and never a
+solver: exact rational stationary states of the finite chain,
 tilted-generator cumulant functions, and closed-form polynomial
 identities of Baxter type, with a twisted spin-chain representation
 bridging the probabilistic and algebraic sides.  A kinetic Monte Carlo
@@ -11,7 +12,7 @@ sampler provides the statistical cross-check.
 
 Submodules:
 
-- ``profiles``   height-profile state space, move classification, counters
+- ``profiles``   height-profile state space, moves, counters, transition table
 - ``simulate``   continuous-time Monte Carlo sampling and batch statistics
 - ``stationary`` exact rational stationary vectors, drifts, peak means
 - ``scgf``       tilted generators and the cumulant generating function

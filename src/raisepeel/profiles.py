@@ -11,6 +11,10 @@ filling the last low valley triggers a global peel of the whole surface.
 Every move conserves the balance (reflected) + (evacuated) + (net stored)
 = 1 tile, which is what ties the stationary peak density to the evacuated
 tile current.
+
+``transition_table`` walks every move of every state once per ring length
+into integer arrays; the exact generator and the tilted generator are both
+assembled from it.
 """
 
 from __future__ import annotations
@@ -19,10 +23,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
+
+import numpy as np
+import scipy.sparse as sp
 
 HeightProfile = tuple[int, ...]
 
-DEFAULT_ENUMERATION_CAP = 16
+ENUMERATION_CAP = 16
 
 
 class MoveClass(Enum):
@@ -214,16 +222,16 @@ def transitions(heights: HeightProfile) -> list[TransitionRecord]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_states(length: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[HeightProfile, ...]:
+def enumerate_states(length: int) -> tuple[HeightProfile, ...]:
     """All admissible profiles of the given length, lexicographically sorted.
 
-    The count is C(L, L/2).  Enumeration is refused above the cap
-    (default 16) because the state space grows like 4^L / sqrt(L).
+    The count is C(L, L/2).  Enumeration is refused above length 16
+    because the state space grows like 4^L / sqrt(L).
     """
     _check_length(length)
-    if length > cap:
+    if length > ENUMERATION_CAP:
         raise ValueError(
-            f"enumeration of length {length} exceeds the cap {cap}")
+            f"enumeration of length {length} exceeds the cap {ENUMERATION_CAP}")
     states: list[HeightProfile] = []
     # heights[0] is even; the profile must close cyclically and touch
     # level <= 1 somewhere
@@ -249,3 +257,49 @@ def enumerate_states(length: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[H
     states.sort()
     assert len(states) == comb(length, length // 2)
     return tuple(states)
+
+
+class TransitionTable(NamedTuple):
+    """Every move of every enumerated state, as arrays indexed [state, site].
+
+    target holds the index of the state the move leads to (the state
+    itself for a reflection); d_peak, d_diamond and d_global are the
+    counters of the move record.  peak_count and omega are the per-state
+    peak count and avalanche-armed flag, computed from the profiles.
+    """
+    states: tuple[HeightProfile, ...]
+    target: np.ndarray
+    d_peak: np.ndarray
+    d_diamond: np.ndarray
+    d_global: np.ndarray
+    peak_count: np.ndarray
+    omega: np.ndarray
+
+    def rate_matrix(self, weights: np.ndarray) -> sp.csr_matrix:
+        """Generator with the given per-move weights, as a CSR matrix.
+
+        Entry (target, source) sums weights[source, site] over the sites
+        whose move realizes it, and L is subtracted on the diagonal (every
+        state has total rate L).  A reflection puts its weight on the
+        diagonal, so with unit weights the columns sum to zero.
+        """
+        n, length = self.target.shape
+        diagonal = np.arange(n)
+        rows = np.concatenate([self.target.ravel(), diagonal])
+        cols = np.concatenate([np.repeat(diagonal, length), diagonal])
+        values = np.concatenate([weights.ravel(), np.full(n, -length, weights.dtype)])
+        return sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+
+
+@lru_cache(maxsize=None)
+def transition_table(length: int) -> TransitionTable:
+    """The transition table of the ring, built by one walk of transitions()."""
+    states = enumerate_states(length)
+    index = {s: k for k, s in enumerate(states)}
+    table = np.array(
+        [[(index[r.target], r.delta_peak, r.delta_diamond, r.delta_global)
+          for r in transitions(state)] for state in states], dtype=np.int64)
+    return TransitionTable(
+        states, table[..., 0], table[..., 1], table[..., 2], table[..., 3],
+        np.array([count_peaks(s) for s in states], dtype=np.int64),
+        np.array([in_omega_global(s) for s in states], dtype=bool))

@@ -12,17 +12,11 @@ agreement of the two routes is a genuine cross-check, not a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import exp
 
 import numpy as np
+import scipy.sparse as sp
 
-from .profiles import (
-    DEFAULT_ENUMERATION_CAP,
-    MoveClass,
-    enumerate_states,
-    transitions,
-)
+from .profiles import transition_table
 
 _DENSE_FALLBACK_DIM = 512
 _DEFAULT_TOL = 1e-13
@@ -55,26 +49,9 @@ class SCGFResult:
     method: str = "power-iteration"
 
 
-@lru_cache(maxsize=None)
-def _move_table(length: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Per state: the non-reflecting moves as (target index, dDiamond, dGlobal)."""
-    states = enumerate_states(length, cap)
-    index = {s: k for k, s in enumerate(states)}
-    table = []
-    for state in states:
-        rows = []
-        for rec in transitions(state):
-            if rec.move_class is not MoveClass.REFLECTION:
-                rows.append(
-                    (index[rec.target], rec.delta_diamond, rec.delta_global))
-        table.append(tuple(rows))
-    return tuple(table)
-
-
 def build_deformed(length: int,
-                   params: DeformedParams = DeformedParams(),
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Dense tilted generator on the enumerated basis.
+                   params: DeformedParams = DeformedParams()) -> sp.csr_matrix:
+    """Tilted generator on the enumerated basis, a float64 CSR matrix.
 
     Entry (target, source) collects exp(alpha*dGlobal + beta*dDiamond)
     over the sites realizing that move; reflections stay weight one and
@@ -82,18 +59,12 @@ def build_deformed(length: int,
     number of non-reflecting sites.  At (0, 0) this is the plain forward
     generator, entry for entry.
     """
-    table = _move_table(length, cap)
-    n = len(table)
-    matrix = np.zeros((n, n))
-    for source, rows in enumerate(table):
-        for target, d_diamond, d_global in rows:
-            matrix[target, source] += exp(
-                params.alpha * d_global + params.beta * d_diamond)
-        matrix[source, source] -= len(rows)
-    return matrix
+    table = transition_table(length)
+    return table.rate_matrix(
+        np.exp(params.alpha * table.d_global + params.beta * table.d_diamond))
 
 
-def largest_eigenvalue(matrix: np.ndarray,
+def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray,
                        tol: float = _DEFAULT_TOL,
                        max_iterations: int = _DEFAULT_MAX_ITERATIONS) -> SCGFResult:
     """Perron root of a shifted-nonnegative matrix, with certified bounds.
@@ -104,15 +75,16 @@ def largest_eigenvalue(matrix: np.ndarray,
     enclosure stalls above tol, small problems fall back to a dense
     eigensolve; large ones raise ConvergenceError with diagnostics.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = sp.csr_matrix(matrix, dtype=float)
     n = a.shape[0]
+    entries = a.tocoo()
+    if (entries.data[entries.row != entries.col] < 0.0).any():
+        raise ValueError("matrix has negative off-diagonal entries")
     # the extra unit keeps the diagonal strictly positive: the shifted
     # matrix is then primitive, not merely irreducible, and the quotient
     # bounds pinch geometrically
     shift = max(0.0, -float(a.diagonal().min())) + 1.0
-    shifted = a + shift * np.eye(n)
-    if (shifted - np.diag(shifted.diagonal())).min() < 0.0:
-        raise ValueError("matrix has negative off-diagonal entries")
+    shifted = a + shift * sp.identity(n, format="csr")
     v = np.full(n, 1.0 / np.sqrt(n))
     best_width = np.inf
     stalled = 0
@@ -134,7 +106,7 @@ def largest_eigenvalue(matrix: np.ndarray,
                 break
         v = w / np.linalg.norm(w)
     if n < _DENSE_FALLBACK_DIM:
-        eigenvalues = np.linalg.eigvals(shifted)
+        eigenvalues = np.linalg.eigvals(shifted.toarray())
         top = eigenvalues[int(np.argmax(eigenvalues.real))]
         return SCGFResult(float(top.real) - shift, float(abs(top.imag)),
                           iterations, method="dense-fallback")
@@ -176,12 +148,12 @@ def scgf_derivatives(length: int, h_step: float = 1e-3,
     return richardson(0), richardson(1)
 
 
-def perron_gap(matrix: np.ndarray) -> float:
+def perron_gap(matrix: sp.spmatrix | np.ndarray) -> float:
     """Modulus gap between the two leading eigenvalues of the shifted matrix.
 
     Dense-only diagnostic confirming the Perron root is simple.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = sp.csr_matrix(matrix, dtype=float).toarray()
     n = a.shape[0]
     if n >= _DENSE_FALLBACK_DIM:
         raise ValueError("gap diagnostic is dense-only; matrix too large")

@@ -61,13 +61,14 @@ class SimConfig:
 class Estimate:
     """Point value with a batch-means standard error.
 
-    stderr is inf when fewer than two complete batches were available.
+    stderr is inf when fewer than two complete batches were available;
+    such an estimate is within no target.
     """
     value: float
     stderr: float
 
     def within(self, target: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.value - target) <= n_sigma * self.stderr
+        return isfinite(self.stderr) and abs(self.value - target) <= n_sigma * self.stderr
 
     def as_json_dict(self) -> dict:
         # a non-finite stderr (too few batches) serializes as null: strict
@@ -290,8 +291,8 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
             peak_integral / time_now,
             [batch_peak_integral[k] / batch_time[k] for k in complete])
     else:
-        # event-bounded runs do not slice the peak integral; reuse the
-        # full-run average with the drift batches' relative spread bound
+        # event-bounded runs do not slice the peak integral, so the
+        # full-run average carries no error bar
         peaks = Estimate(peak_integral / time_now, float("inf"))
     return TrajectorySummary(cfg, time_now, counters, diamond, global_, peaks, state)
 

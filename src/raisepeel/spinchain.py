@@ -11,8 +11,10 @@ ground-state energy of a Hermitian matrix.  At the stochastic point the
 ground energy is -3L/4 on the zero-magnetization sector.
 
 Basis conventions: site k of an L-site ring is bit k of an integer basis
-label, bit value 1 meaning spin up; the zero-magnetization sector is the
-set of labels with exactly L/2 set bits in increasing label order.
+label, bit value 1 meaning spin up; an S_z sector is the set of labels
+with a given number of set bits in increasing label order, and the
+zero-magnetization sector has L/2 of them.  Every operator conserves S_z
+and is built directly on one sector from 4x4 blocks on the bonds.
 Generator indices are 1-based (bond i couples sites i-1 and i mod L in
 bit positions) so that the even/odd alternating products read naturally.
 """
@@ -26,7 +28,7 @@ from cmath import exp as cexp, pi
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .scgf import ConvergenceError
 
@@ -56,113 +58,80 @@ class XXZParams:
 
 
 @lru_cache(maxsize=None)
-def sector_basis(length: int) -> tuple[int, ...]:
-    """Zero-magnetization basis labels (L/2 set bits), ascending."""
+def sector_basis(length: int, n_up: int | None = None) -> tuple[int, ...]:
+    """Basis labels with n_up set bits (default L/2, zero magnetization), ascending."""
     if length < 2 or length % 2:
         raise ValueError(f"chain length must be even and >= 2, got {length}")
-    n_up = length // 2
+    if n_up is None:
+        n_up = length // 2
+    if not 0 <= n_up <= length:
+        raise ValueError(f"up-spin count must lie in 0..{length}, got {n_up}")
     return tuple(b for b in range(1 << length) if bin(b).count("1") == n_up)
 
 
-def tl_generator_matrix(length: int, q: complex, u: complex, bond: int) -> sp.csr_matrix:
-    """Local generator on the full 2^L space, bond in 1..L (cyclic).
+def _tl_block(q: complex, u: complex) -> np.ndarray:
+    """Local generator [[q, u], [1/u, 1/q]] on the antiparallel pair states."""
+    block = np.zeros((4, 4), dtype=complex)
+    block[2, 2], block[1, 2] = q, 1 / u
+    block[1, 1], block[2, 1] = 1 / q, u
+    return block
+
+
+def _xxz_block(delta_aniso: float, hop: complex) -> np.ndarray:
+    """Two-site XXZ term: -delta/2 on parallel and +delta/2 on antiparallel
+    pairs; an up spin hops from site k+1 to k with amplitude -hop and from
+    k to k+1 with -1/hop."""
+    block = np.diag([-delta_aniso / 2, delta_aniso / 2, delta_aniso / 2,
+                     -delta_aniso / 2]).astype(complex)
+    block[1, 2], block[2, 1] = -1 / hop, -hop
+    return block
+
+
+def sector_operator(length: int, n_up: int,
+                    blocks: dict[int, np.ndarray]) -> sp.csr_matrix:
+    """Sum of two-site operators on the sector with n_up up spins.
+
+    blocks maps a bond k in 0..L-1, coupling bits k and k+1 mod L, to a
+    4x4 matrix block[out, in] on the local states 2*bit_k + bit_(k+1).
+    Blocks must conserve the number of up spins.
+    """
+    basis = np.array(sector_basis(length, n_up), dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for bond, block in blocks.items():
+        i, j = bond, (bond + 1) % length
+        local = 2 * ((basis >> i) & 1) + ((basis >> j) & 1)
+        for new, old in zip(*np.nonzero(block)):
+            if bin(new).count("1") != bin(old).count("1"):
+                raise ValueError(f"block on bond {bond} changes the up-spin count")
+            source = np.nonzero(local == old)[0]
+            diff = new ^ old
+            flip = (diff >> 1) << i | (diff & 1) << j
+            rows.append(np.searchsorted(basis, basis[source] ^ flip))
+            cols.append(source)
+            vals.append(np.full(source.size, block[new, old]))
+    n = len(basis)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n), dtype=complex)
+
+
+def tl_generator_matrix(length: int, q: complex, u: complex, bond: int,
+                        n_up: int) -> sp.csr_matrix:
+    """Local generator of bond 1..L (cyclic) on the sector with n_up up spins.
 
     On the antiparallel pair states (up,down)/(down,up) of the bond the
     operator is [[q, u], [1/u, 1/q]]; parallel pairs are annihilated.
     """
     if not 1 <= bond <= length:
         raise ValueError(f"bond index must lie in 1..{length}, got {bond}")
-    i = bond - 1
-    j = bond % length
-    dim = 1 << length
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    flip = (1 << i) | (1 << j)
-    for b in range(dim):
-        bi = (b >> i) & 1
-        bj = (b >> j) & 1
-        if bi == bj:
-            continue
-        if bi:
-            rows += [b, b ^ flip]
-            vals += [q, 1 / u]
-        else:
-            rows += [b, b ^ flip]
-            vals += [1 / q, u]
-        cols += [b, b]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-
-
-def restrict_to_sector(matrix: sp.spmatrix, length: int) -> np.ndarray:
-    """Dense restriction of a full-space operator to the S_z = 0 sector."""
-    basis = list(sector_basis(length))
-    return matrix.tocsr()[basis][:, basis].toarray()
-
-
-def build_xxz_full(length: int, delta_aniso: float, twist: complex,
-                   convention: str = "bond") -> sp.csr_matrix:
-    """Twisted Heisenberg Hamiltonian on the full 2^L space.
-
-    convention "bond" spreads the twist over every hopping term;
-    "boundary" concentrates twist**L on the wrap bond only.  The two are
-    related by a diagonal gauge and share their spectrum.
-    """
-    if convention not in ("bond", "boundary"):
-        raise ValueError(f"unknown twist convention {convention!r}")
-    dim = 1 << length
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    diag = np.zeros(dim, dtype=complex)
-    for bond in range(length):
-        i = bond
-        j = (bond + 1) % length
-        flip = (1 << i) | (1 << j)
-        if convention == "bond":
-            hop = twist
-        else:
-            hop = twist ** length if j < i else 1.0
-        for b in range(dim):
-            bi = (b >> i) & 1
-            bj = (b >> j) & 1
-            if bi == bj:
-                diag[b] += -delta_aniso / 2
-            else:
-                diag[b] += delta_aniso / 2
-                rows.append(b ^ flip)
-                cols.append(b)
-                vals.append(-1 / hop if bi else -hop)
-    h = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    return h + sp.diags(diag)
+    return sector_operator(length, n_up, {bond - 1: _tl_block(q, u)})
 
 
 def build_xxz(params: XXZParams) -> sp.csr_matrix:
-    """Hamiltonian on the zero-magnetization sector (bond-twist convention)."""
+    """Hamiltonian on the zero-magnetization sector, twist spread over every bond."""
+    block = _xxz_block(params.delta_aniso, params.resolved_twist())
     length = params.length
-    twist = params.resolved_twist()
-    basis = sector_basis(length)
-    index = {b: k for k, b in enumerate(basis)}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    diag = np.zeros(len(basis), dtype=complex)
-    for k, b in enumerate(basis):
-        for bond in range(length):
-            i = bond
-            j = (bond + 1) % length
-            bi = (b >> i) & 1
-            bj = (b >> j) & 1
-            if bi == bj:
-                diag[k] += -params.delta_aniso / 2
-                continue
-            diag[k] += params.delta_aniso / 2
-            rows.append(index[b ^ ((1 << i) | (1 << j))])
-            cols.append(k)
-            vals.append(-1 / twist if bi else -twist)
-    n = len(basis)
-    h = sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
-    return h + sp.diags(diag)
+    return sector_operator(length, length // 2, dict.fromkeys(range(length), block))
 
 
 def hermiticity_defect(matrix: sp.spmatrix) -> float:
@@ -193,7 +162,7 @@ def ground_energy(params: XXZParams, residual_tol: float = 1e-10) -> float:
         residual = float(np.linalg.norm(h @ vec - values[0] * vec))
         if residual <= residual_tol:
             return float(values[0])
-    except Exception:
+    except ArpackError:
         residual = float("inf")
     if n <= _DENSE_FALLBACK_DIM:
         return float(np.linalg.eigvalsh(h.toarray())[0])
@@ -241,15 +210,12 @@ def bridge_parameters(length: int, alpha: float, beta: float) -> BridgeParameter
     )
 
 
-def deformed_tl_operator(length: int, alpha: float, beta: float) -> np.ndarray:
+def deformed_tl_operator(length: int, alpha: float, beta: float) -> sp.csr_matrix:
     """Sector matrix e^beta * sum_i e_i - L, the tilted generator's spin image."""
     p = bridge_parameters(length, alpha, beta)
-    dim = 1 << length
-    total = sp.csr_matrix((dim, dim), dtype=complex)
-    for bond in range(1, length + 1):
-        total = total + tl_generator_matrix(length, p.q, p.twist, bond)
-    full = exp(beta) * total - length * sp.identity(dim, dtype=complex, format="csr")
-    return restrict_to_sector(full, length)
+    total = sector_operator(length, length // 2,
+                            dict.fromkeys(range(length), _tl_block(p.q, p.twist)))
+    return exp(beta) * total - length * sp.identity(total.shape[0], format="csr")
 
 
 def lambda_bridge(length: int, alpha: float = 0.0, beta: float = 0.0,
@@ -288,7 +254,9 @@ def tl_relations_check(length: int, q: complex | None = None,
     Defaults to the stochastic-point parameters; any unimodular (q, u)
     may be passed instead.  The quotient relations use the alternating
     products J = e1 e3 ... and I = e2 e4 ... with weight
-    kappa = (u^N + u^{-N})^2.
+    kappa = (u^N + u^{-N})^2.  Every generator conserves the number of up
+    spins, so the relations are checked on each S_z sector in turn, which
+    is the same as checking them on the full space.
     """
     if length > 12:
         raise ValueError("dense relation check is limited to length <= 12")
@@ -296,8 +264,6 @@ def tl_relations_check(length: int, q: complex | None = None,
         q = cexp(1j * pi / 3)
     if u is None:
         u = combinatorial_twist(length)
-    gens = [tl_generator_matrix(length, q, u, b).toarray()
-            for b in range(1, length + 1)]
     two_q = q + 1 / q
     n_half = length // 2
     kappa = (u ** n_half + u ** -n_half) ** 2
@@ -305,22 +271,29 @@ def tl_relations_check(length: int, q: complex | None = None,
     def worst(m: np.ndarray) -> float:
         return float(np.abs(m).max())
 
-    idem = max(worst(e @ e - two_q * e) for e in gens)
-    neigh = max(
-        worst(gens[i] @ gens[(i + d) % length] @ gens[i] - gens[i])
-        for i in range(length) for d in (1, -1))
-    comm = 0.0
-    for i in range(length):
-        for j in range(i + 2, length):
-            if i == 0 and j == length - 1:
-                continue
-            comm = max(comm, worst(gens[i] @ gens[j] - gens[j] @ gens[i]))
-    odd = gens[0]
-    for k in range(2, length, 2):
-        odd = odd @ gens[k]
-    even = gens[1]
-    for k in range(3, length, 2):
-        even = even @ gens[k]
-    quot = max(worst(odd @ even @ odd - kappa * odd),
-               worst(even @ odd @ even - kappa * even))
+    def sector_errors(n_up: int) -> tuple[float, float, float, float]:
+        gens = [tl_generator_matrix(length, q, u, b, n_up).toarray()
+                for b in range(1, length + 1)]
+        idem = max(worst(e @ e - two_q * e) for e in gens)
+        neigh = max(
+            worst(gens[i] @ gens[(i + d) % length] @ gens[i] - gens[i])
+            for i in range(length) for d in (1, -1))
+        comm = 0.0
+        for i in range(length):
+            for j in range(i + 2, length):
+                if i == 0 and j == length - 1:
+                    continue
+                comm = max(comm, worst(gens[i] @ gens[j] - gens[j] @ gens[i]))
+        odd = gens[0]
+        for k in range(2, length, 2):
+            odd = odd @ gens[k]
+        even = gens[1]
+        for k in range(3, length, 2):
+            even = even @ gens[k]
+        quot = max(worst(odd @ even @ odd - kappa * odd),
+                   worst(even @ odd @ even - kappa * even))
+        return idem, neigh, comm, quot
+
+    idem, neigh, comm, quot = (
+        max(errors) for errors in zip(*map(sector_errors, range(length + 1))))
     return TLReport(length, two_q, kappa, idem, neigh, comm, quot)

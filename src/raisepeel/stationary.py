@@ -18,7 +18,6 @@ which has a closed rational formula in the ring length to compare against.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,34 +25,15 @@ from math import gcd, isqrt, lcm
 from typing import Iterator, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from .profiles import (
-    DEFAULT_ENUMERATION_CAP,
-    HeightProfile,
-    count_peaks,
-    enumerate_states,
-    in_omega_global,
-    transitions,
-)
+from .profiles import HeightProfile, transition_table
 from .qfield import ExactRational
 
 # exact rational elimination below this dimension, modular arithmetic above
 _GTH_MAX_DIMENSION = 128
 _MIN_PRIMES = 4
 _MAX_PRIMES = 24
-
-
-@dataclass(frozen=True)
-class SparseRationalMatrix:
-    """Sparse exact matrix; entries maps (row, col) to a nonzero rational."""
-    dimension: int
-    entries: dict[tuple[int, int], Fraction]
-
-    def column_sums(self) -> list[Fraction]:
-        sums = [Fraction(0)] * self.dimension
-        for (_, col), value in self.entries.items():
-            sums[col] += value
-        return sums
 
 
 @dataclass(frozen=True)
@@ -79,12 +59,10 @@ class StationaryVector:
         return min(self.integer_form.values())
 
 
-class _ChainStructure(NamedTuple):
+class _Chain(NamedTuple):
+    """The stationary layer's view of the shared transition table."""
     states: tuple[HeightProfile, ...]
-    index: dict[HeightProfile, int]
-    out_edges: tuple[dict[int, int], ...]
-    in_edges: tuple[dict[int, int], ...]
-    out_degree: tuple[int, ...]
+    generator: sp.csr_matrix
     diamond_rate: tuple[int, ...]
     global_rate: tuple[int, ...]
     peak_count: tuple[int, ...]
@@ -92,65 +70,32 @@ class _ChainStructure(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _chain(length: int, cap: int = DEFAULT_ENUMERATION_CAP) -> _ChainStructure:
-    """Aggregate per-state transition data over the enumerated state space.
-
-    Reflection self-loops are dropped here: their gain and loss terms in
-    the generator cancel exactly, so they affect neither the kernel nor
-    the off-diagonal structure.  Their contribution to observables enters
-    through peak_count instead.
-    """
-    states = enumerate_states(length, cap)
-    index = {s: k for k, s in enumerate(states)}
-    out_edges: list[dict[int, int]] = []
-    in_edges: list[dict[int, int]] = [dict() for _ in states]
-    out_degree: list[int] = []
-    diamond_rate: list[int] = []
-    global_rate: list[int] = []
-    for k, state in enumerate(states):
-        edges: dict[int, int] = {}
-        dia = glo = 0
-        for rec in transitions(state):
-            dia += rec.delta_diamond
-            glo += rec.delta_global
-            if rec.target != state:
-                t = index[rec.target]
-                edges[t] = edges.get(t, 0) + 1
-        out_edges.append(edges)
-        out_degree.append(sum(edges.values()))
-        diamond_rate.append(dia)
-        global_rate.append(glo)
-        for t, c in edges.items():
-            in_edges[t][k] = c
-    return _ChainStructure(
-        states, index, tuple(out_edges), tuple(in_edges), tuple(out_degree),
-        tuple(diamond_rate), tuple(global_rate),
-        tuple(count_peaks(s) for s in states),
-        tuple(in_omega_global(s) for s in states))
+def _chain(length: int) -> _Chain:
+    """Generator and per-state rates of the ring, as exact Python integers."""
+    table = transition_table(length)
+    return _Chain(
+        table.states, build_generator(length),
+        tuple(table.d_diamond.sum(axis=1).tolist()),
+        tuple(table.d_global.sum(axis=1).tolist()),
+        tuple(table.peak_count.tolist()), tuple(table.omega.tolist()))
 
 
-def build_generator(length: int, cap: int = DEFAULT_ENUMERATION_CAP) -> SparseRationalMatrix:
-    """Forward generator on the enumerated basis; columns sum to zero.
+def build_generator(length: int) -> sp.csr_matrix:
+    """Forward generator on the enumerated basis, an int64 CSR matrix.
 
     Entry (row, col) for row != col counts the sites whose move sends
     state col to state row; the diagonal carries minus the number of
-    non-reflecting sites of col.
+    non-reflecting sites of col, so the columns sum to zero.
     """
-    st = _chain(length, cap)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for s, edges in enumerate(st.out_edges):
-        for t, c in edges.items():
-            entries[(t, s)] = Fraction(c)
-        if st.out_degree[s]:
-            entries[(s, s)] = Fraction(-st.out_degree[s])
-    return SparseRationalMatrix(len(st.states), entries)
+    table = transition_table(length)
+    return table.rate_matrix(np.ones(table.target.shape, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # kernel solvers
 
 
-def _solve_censoring(st: _ChainStructure) -> list[Fraction]:
+def _solve_censoring(st: _Chain) -> list[Fraction]:
     """Subtraction-free elimination (GTH ordering) in exact rationals.
 
     States are censored one by one from the top index down; the stored
@@ -158,10 +103,10 @@ def _solve_censoring(st: _ChainStructure) -> list[Fraction]:
     intermediate quantities are nonnegative, so no cancellation occurs.
     """
     n = len(st.states)
-    rate = [[Fraction(0)] * n for _ in range(n)]
-    for s, edges in enumerate(st.out_edges):
-        for t, c in edges.items():
-            rate[s][t] = Fraction(c)
+    # rate[s][t] counts the moves from s to t; self-loops play no part
+    counts = st.generator.T.toarray()
+    np.fill_diagonal(counts, 0)
+    rate = [[Fraction(c) for c in row] for row in counts.tolist()]
     for k in range(n - 1, 0, -1):
         row_k = rate[k]
         total = sum(row_k[:k])
@@ -251,14 +196,10 @@ def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _solve_modular(st: _ChainStructure) -> list[Fraction]:
+def _solve_modular(st: _Chain) -> list[Fraction]:
     """CRT kernel solve: replace the last balance equation by total mass 1."""
     n = len(st.states)
-    base = np.zeros((n, n), dtype=np.int64)
-    for s, edges in enumerate(st.out_edges):
-        for t, c in edges.items():
-            base[t, s] += c
-        base[s, s] -= st.out_degree[s]
+    base = st.generator.toarray()
     base[n - 1, :] = 1
     rhs = np.zeros(n, dtype=np.int64)
     rhs[n - 1] = 1
@@ -291,41 +232,42 @@ def _solve_modular(st: _ChainStructure) -> list[Fraction]:
         "rational reconstruction of the stationary vector did not stabilize")
 
 
-def _certify(st: _ChainStructure, pi: list[Fraction]) -> None:
+def _certify(st: _Chain, pi: list[Fraction]) -> None:
     """Exact post-hoc proof that pi is the unique stationary distribution."""
     n = len(st.states)
     if any(x <= 0 for x in pi):
         raise RuntimeError("stationary candidate has a nonpositive entry")
     if sum(pi) != 1:
         raise RuntimeError("stationary candidate mass differs from one")
+    gen = st.generator
+    indptr, indices, rates = gen.indptr.tolist(), gen.indices.tolist(), gen.data.tolist()
     for r in range(n):
-        acc = -st.out_degree[r] * pi[r]
-        for s, c in st.in_edges[r].items():
-            acc += c * pi[s]
-        if acc != 0:
+        span = range(indptr[r], indptr[r + 1])
+        if sum(rates[k] * pi[indices[k]] for k in span) != 0:
             raise RuntimeError(f"kernel residual nonzero in row {r}")
-    for edges in (st.out_edges, st.in_edges):
-        seen = {0}
-        frontier = deque([0])
-        while frontier:
-            here = frontier.popleft()
-            for t in edges[here]:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        if len(seen) != n:
+    # breadth-first search from state 0 along the rows (predecessors) and
+    # along the columns (successors) of the generator
+    for edges in (gen, gen.T.tocsr()):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = np.array([0])
+        while frontier.size:
+            reached = np.unique(edges[frontier].indices)
+            frontier = reached[~seen[reached]]
+            seen[frontier] = True
+        if not seen.all():
             raise RuntimeError("transition graph is not strongly connected")
 
 
 @lru_cache(maxsize=None)
-def stationary_distribution(length: int, cap: int = DEFAULT_ENUMERATION_CAP) -> StationaryVector:
+def stationary_distribution(length: int) -> StationaryVector:
     """Exact stationary distribution, certificate-checked.
 
     >>> v = stationary_distribution(2)
     >>> v.vector()
     (Fraction(1, 2), Fraction(1, 2))
     """
-    st = _chain(length, cap)
+    st = _chain(length)
     n = len(st.states)
     if n <= _GTH_MAX_DIMENSION:
         pi, method = _solve_censoring(st), "censoring-exact"

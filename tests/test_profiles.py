@@ -22,6 +22,7 @@ from raisepeel.profiles import (
     local_minima,
     substrate,
     tile_count,
+    transition_table,
     transitions,
 )
 
@@ -64,6 +65,8 @@ def test_state_counts():
         assert len(states) == comb(length, length // 2)
     assert len(enumerate_states(2)) == 2
     assert len(enumerate_states(8)) == 70
+    with pytest.raises(ValueError):
+        enumerate_states(18)     # above the enumeration cap
 
 
 def test_l4_states_frozen():
@@ -246,3 +249,21 @@ def test_irreducibility_exhaustive(length):
             seen.update(nxt := set().union(*(adjacency[k] for k in frontier)) - seen)
             frontier = list(nxt)
         assert len(seen) == len(states)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_transition_table_matches_apply_move(length):
+    # the shared table against the reference move, for every state and site
+    table = transition_table(length)
+    states = enumerate_states(length)
+    assert table.states == states
+    assert table.target.shape == (len(states), length)
+    for k, h in enumerate(states):
+        for site in range(length):
+            rec = apply_move(h, site)
+            assert states[table.target[k, site]] == rec.target
+            assert table.d_peak[k, site] == rec.delta_peak
+            assert table.d_diamond[k, site] == rec.delta_diamond
+            assert table.d_global[k, site] == rec.delta_global
+        assert table.peak_count[k] == count_peaks(h)
+        assert table.omega[k] == in_omega_global(h)

@@ -4,6 +4,7 @@ from math import exp
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from raisepeel.profiles import enumerate_states
 from raisepeel.scgf import (
@@ -36,10 +37,16 @@ def test_deformed_matches_generator_at_zero_tilt():
     for length in (2, 4, 6):
         m = build_deformed(length, DeformedParams())
         gen = build_generator(length)
-        dense = np.zeros((gen.dimension, gen.dimension))
-        for (row, col), rate in gen.entries.items():
-            dense[row, col] = float(rate)
-        assert np.max(np.abs(m - dense)) < 1e-14
+        assert m.dtype == np.float64
+        assert np.max(np.abs(m.toarray() - gen.toarray())) < 1e-14
+
+
+def test_negative_off_diagonal_rejected():
+    m = np.array([[-1.0, 0.5], [-0.2, -1.0]])
+    with pytest.raises(ValueError):
+        largest_eigenvalue(m)
+    with pytest.raises(ValueError):
+        largest_eigenvalue(sp.csr_matrix(m))
 
 
 def test_l2_closed_form():

@@ -137,6 +137,9 @@ def test_estimate_json_and_within():
     assert not est.within(1.9, n_sigma=3.0)
     assert est.as_json_dict() == {"value": 1.5, "stderr": 0.1}
     assert Estimate(2.0, float("inf")).as_json_dict()["stderr"] is None
+    # an estimate without an error bar agrees with nothing, not everything
+    assert not Estimate(2.0, float("inf")).within(2.0)
+    assert not Estimate(2.0, float("nan")).within(2.0)
     # zero spread demands exact agreement
     flat = Estimate(1.0, 0.0)
     assert flat.within(1.0)

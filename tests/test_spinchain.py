@@ -4,20 +4,22 @@ import cmath
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import raisepeel.spinchain as spinchain
 from raisepeel.scgf import DeformedParams, build_deformed, scgf_value
 from raisepeel.spinchain import (
     XXZParams,
+    _xxz_block,
     bridge_parameters,
     build_xxz,
-    build_xxz_full,
     combinatorial_twist,
     deformed_tl_operator,
     ground_energy,
     hermiticity_defect,
     lambda_bridge,
-    restrict_to_sector,
     sector_basis,
+    sector_operator,
     tl_generator_matrix,
     tl_relations_check,
 )
@@ -26,6 +28,10 @@ from raisepeel.spinchain import (
 def test_sector_basis_l4():
     assert sector_basis(4) == (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
     assert len(sector_basis(6)) == 20
+    assert sector_basis(4, 1) == (0b0001, 0b0010, 0b0100, 0b1000)
+    assert sum(len(sector_basis(6, n_up)) for n_up in range(7)) == 2 ** 6
+    with pytest.raises(ValueError):
+        sector_basis(4, 5)
 
 
 def test_combinatorial_twist():
@@ -36,13 +42,15 @@ def test_combinatorial_twist():
 
 def test_two_site_block_trace_and_rank():
     # each generator acts as [[q, u], [1/u, 1/q]] on one antiparallel
-    # pair: trace q + 1/q, determinant zero
+    # pair: trace q + 1/q, determinant zero; summed over the S_z sectors
+    # these are the trace and rank on the full 2^L space
     q = cmath.exp(0.9j)
     u = cmath.exp(0.31j)
-    e = tl_generator_matrix(4, q, u, 1).toarray()
-    assert np.trace(e) == pytest.approx(4 * (q + 1 / q))   # 4 pair states
-    assert np.linalg.matrix_rank(e) == 4
-    assert np.max(np.abs(e @ e - (q + 1 / q) * e)) < 1e-13
+    sectors = [tl_generator_matrix(4, q, u, 1, n_up).toarray() for n_up in range(5)]
+    assert sum(np.trace(e) for e in sectors) == pytest.approx(4 * (q + 1 / q))   # 4 pairs
+    assert sum(np.linalg.matrix_rank(e) for e in sectors) == 4
+    for e in sectors:
+        assert np.max(np.abs(e @ e - (q + 1 / q) * e)) < 1e-13
 
 
 @pytest.mark.parametrize("length", [4, 6, 8])
@@ -86,8 +94,11 @@ def test_gauge_equivalence_bond_vs_boundary():
     # spreading the twist per bond or lumping it on one boundary bond is
     # a gauge choice; the spectra agree
     twist = combinatorial_twist(4)
-    per_bond = restrict_to_sector(build_xxz_full(4, -0.5, twist, "bond"), 4)
-    boundary = restrict_to_sector(build_xxz_full(4, -0.5, twist ** 4, "boundary"), 4)
+    per_bond = build_xxz(XXZParams(4, -0.5, twist)).toarray()
+    # bond 3 couples sites 3 and 0, the wrap of the ring
+    boundary = sector_operator(4, 2, {bond: _xxz_block(-0.5, twist ** 4 if bond == 3 else 1.0)
+                                      for bond in range(4)}).toarray()
+    assert not np.allclose(per_bond, boundary)
     a = np.sort(np.linalg.eigvalsh(per_bond))
     b = np.sort(np.linalg.eigvalsh(boundary))
     assert np.max(np.abs(a - b)) < 1e-12
@@ -123,9 +134,9 @@ def test_bridge_against_tilted_generator(alpha, beta):
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.1, 0.05)])
 def test_sector_operator_is_isospectral_to_the_tilted_generator(alpha, beta):
     spin_side = np.sort(np.linalg.eigvals(
-        deformed_tl_operator(4, alpha, beta)).real)
+        deformed_tl_operator(4, alpha, beta).toarray()).real)
     pdp_side = np.sort(np.linalg.eigvals(
-        build_deformed(4, DeformedParams(alpha, beta))).real)
+        build_deformed(4, DeformedParams(alpha, beta)).toarray()).real)
     assert np.max(np.abs(spin_side - pdp_side)) < 1e-10
 
 
@@ -137,3 +148,28 @@ def test_nonunimodular_twist_rejected():
 def test_odd_length_rejected():
     with pytest.raises(ValueError):
         build_xxz(XXZParams(5))
+
+
+def test_sector_operator_rejects_blocks_that_change_sz():
+    block = np.zeros((4, 4))
+    block[3, 0] = 1.0          # down-down to up-up
+    with pytest.raises(ValueError):
+        sector_operator(4, 2, {0: block})
+
+
+def test_arpack_no_convergence_falls_back_to_dense(monkeypatch):
+    def stall(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spinchain, "eigsh", stall)
+    # L = 8 has sector dimension 70, above the dense-only threshold
+    assert abs(ground_energy(XXZParams(8)) + 6.0) <= 1e-10
+
+
+def test_other_eigensolver_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(spinchain, "eigsh", broken)
+    with pytest.raises(RuntimeError, match="unexpected"):
+        ground_energy(XXZParams(8))

@@ -154,7 +154,7 @@ def test_difference_identity():
         assert a1_seq(n) - a2_seq(n) == 1
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, *range(13, 21)])
 def test_roots_and_energies(n):
     report = lambda_from_roots(n)
     assert report.passed
