@@ -3,9 +3,10 @@
 Solves the master equation in rational arithmetic for rings up to
 length 12 and compares the peak mean, the wrapping-avalanche
 probability, and both avalanche currents against their closed forms.
-The length-12 chain has 924 states and is solved by two independent
-methods (rational elimination and a modular reconstruct) that must
-agree exactly.
+The length-12 chain has 924 states; its rotation and reflection
+symmetries lump them into 56 orbits, the small orbit chain is solved by
+rational elimination, and the result is certified exactly on the full
+924-state chain.
 """
 
 import time

@@ -265,9 +265,8 @@ def cmd_scgf(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
     return payload, fd_passed
 
 
-def _tq_lambda_payload(n: int) -> tuple[dict[str, Any], bool]:
-    alpha = tq.lambda_alpha(n)
-    beta = tq.lambda_beta(n)
+def _tq_lambda_payload(n: int, alpha: Fraction,
+                       beta: Fraction) -> tuple[dict[str, Any], bool]:
     alpha_formula = tq.lambda_alpha_formula(n)
     beta_formula = tq.lambda_beta_formula(n)
     passed = alpha == alpha_formula and beta == beta_formula
@@ -303,7 +302,7 @@ def cmd_tq(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
         elif name == "bethe":
             report = tq.lambda_from_roots(n)
         elif name == "lambda":
-            return _tq_lambda_payload(n)
+            return _tq_lambda_payload(n, tq.lambda_alpha(n), tq.lambda_beta(n))
         else:  # pragma: no cover - argparse restricts the choices
             raise UsageError(f"unknown check {name}")
         return _jsonable(report), bool(report.passed)
@@ -409,8 +408,11 @@ def _verify_rows(lmax: int, nmax: int) -> list[dict[str, Any]]:
             "tilted-generator gradient vs exact currents",
             f"rel err <= {_FD_TOLERANCE:g}", f"{rel:.2e}", rel <= _FD_TOLERANCE)
 
+    # (alpha, beta) growth rates, each evaluated once per N
+    rates = {n: (tq.lambda_alpha(n), tq.lambda_beta(n))
+             for n in range(1, max(nmax, lmax // 2) + 1)}
     for n in range(1, nmax + 1):
-        lam_payload, lam_ok = _tq_lambda_payload(n)
+        lam_payload, lam_ok = _tq_lambda_payload(n, *rates[n])
         add(f"tq-lambda-N{n:02d}",
             "growth rates assembled from polynomial data vs closed forms",
             f"{lam_payload['alpha_formula']}, {lam_payload['beta_formula']}",
@@ -427,12 +429,12 @@ def _verify_rows(lmax: int, nmax: int) -> list[dict[str, Any]]:
     for n in range(1, lmax // 2 + 1):
         length = 2 * n
         drift_diamond, drift_global = stationary.exact_drifts(length)
-        cross_ok = (tq.lambda_beta(n) == drift_diamond
-                    and tq.lambda_alpha(n) == drift_global)
+        alpha, beta = rates[n]
+        cross_ok = beta == drift_diamond and alpha == drift_global
         add(f"route-cross-N{n:02d}",
             "algebraic growth rates equal stationary currents at L=2N",
             f"{_frac(drift_diamond)}, {_frac(drift_global)}",
-            f"{_frac(tq.lambda_beta(n))}, {_frac(tq.lambda_alpha(n))}", cross_ok)
+            f"{_frac(beta)}, {_frac(alpha)}", cross_ok)
 
     recur = tq.recurrence_check(n_max=30)
     add("tq-recurrences",

@@ -11,7 +11,7 @@ gcd-reduced invariant we need.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import Iterable, Union
 
 ExactRational = Fraction
@@ -274,10 +274,9 @@ class Polynomial:
         return acc
 
     def derivative(self, order: int = 1) -> "Polynomial":
-        p = self
-        for _ in range(order):
-            p = Polynomial([c * k for k, c in enumerate(p.coeffs)][1:])
-        return p
+        """The order-th derivative in one pass: x^k -> k!/(k-order)! x^(k-order)."""
+        return Polynomial([c * perm(k, order)
+                           for k, c in enumerate(self.coeffs[order:], order)])
 
     def scale_argument(self, c: Scalar) -> "Polynomial":
         """Return p(c*x)."""

@@ -1,14 +1,15 @@
 """Exact stationary states of the raise-and-peel ring.
 
 The forward generator of the tile process is assembled over the enumerated
-state space and its kernel vector is computed exactly.  Small systems go
-through a subtraction-free censoring elimination in rational arithmetic;
-larger ones solve the normalized kernel system modulo several word-sized
-primes and reassemble the rational answer by Chinese remaindering and
-rational reconstruction.  Either way the result is sealed by an exact
-certificate (kernel residual zero over the rationals, positivity, total
-mass one, strong connectivity of the transition graph), so the reported
-vector is the stationary distribution, not a numerical approximation.
+state space and its kernel vector is computed exactly.  The chain commutes
+with rotation of the ring (with a height shift) and with reflection, so the
+generator is lumped onto the orbits of these two maps and the small lumped
+chain is solved by a subtraction-free censoring elimination in rational
+arithmetic; each orbit's mass is spread evenly over its states.  The result
+is then sealed by an exact certificate on the full chain (kernel residual
+zero over the rationals, positivity, total mass one, strong connectivity of
+the transition graph), so the reported vector is the stationary
+distribution, not a numerical approximation.
 
 Stationary observables follow by exact summation: the mean peak count,
 the probability of the avalanche-armed set, and the two long-run currents
@@ -21,19 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
-from typing import Iterator, NamedTuple
+from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .profiles import HeightProfile, transition_table
 from .qfield import ExactRational
-
-# exact rational elimination below this dimension, modular arithmetic above
-_GTH_MAX_DIMENSION = 128
-_MIN_PRIMES = 4
-_MAX_PRIMES = 24
 
 
 @dataclass(frozen=True)
@@ -92,19 +88,54 @@ def build_generator(length: int) -> sp.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# kernel solvers
+# kernel solver
 
 
-def _solve_censoring(st: _Chain) -> list[Fraction]:
-    """Subtraction-free elimination (GTH ordering) in exact rationals.
+def _orbits(states: tuple[HeightProfile, ...]) -> np.ndarray:
+    """Orbit label of each state under the two symmetries of the ring.
+
+    The maps are rotation by one site followed by a height shift of +1 or
+    -1 that restores the parity rule and the bottom level, and reflection
+    through site 1.  Both commute with the generator.  Orbits are numbered
+    in order of their first state.
+    """
+    length = len(states[0])
+    index = {s: k for k, s in enumerate(states)}
+
+    def images(h: HeightProfile) -> tuple[HeightProfile, HeightProfile]:
+        rotated = h[1:] + h[:1]
+        shift = 1 if min(rotated) == 0 else -1
+        return (tuple(x + shift for x in rotated),
+                tuple(h[(2 - i) % length] for i in range(length)))
+
+    label = np.full(len(states), -1, dtype=np.int64)
+    count = 0
+    for k in range(len(states)):
+        if label[k] >= 0:
+            continue
+        label[k] = count
+        frontier = [k]
+        while frontier:
+            for image in images(states[frontier.pop()]):
+                j = index[image]
+                if label[j] < 0:
+                    label[j] = count
+                    frontier.append(j)
+        count += 1
+    return label
+
+
+def _solve_censoring(generator: sp.spmatrix) -> list[Fraction]:
+    """Kernel vector of a generator, by subtraction-free elimination (GTH
+    ordering) in exact rationals, normalized to total one.
 
     States are censored one by one from the top index down; the stored
     ratios then rebuild the stationary weights from state 0 upward.  All
     intermediate quantities are nonnegative, so no cancellation occurs.
     """
-    n = len(st.states)
-    # rate[s][t] counts the moves from s to t; self-loops play no part
-    counts = st.generator.T.toarray()
+    n = generator.shape[0]
+    # rate[s][t] is the rate from s to t; self-loops play no part
+    counts = generator.T.toarray()
     np.fill_diagonal(counts, 0)
     rate = [[Fraction(c) for c in row] for row in counts.tolist()]
     for k in range(n - 1, 0, -1):
@@ -128,108 +159,22 @@ def _solve_censoring(st: _Chain) -> list[Fraction]:
     return [w / total for w in weight]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+def _solve_lumped(generator: sp.csr_matrix, orbit: np.ndarray) -> list[Fraction]:
+    """Stationary candidate from the chain lumped onto the given orbits.
 
-
-def _prime_stream() -> Iterator[int]:
-    # descending odd candidates below 2^21 keep every product of two
-    # residues, and dot products of length < 2000, inside int64
-    candidate = (1 << 21) - 1
-    while candidate > 2:
-        if _is_prime(candidate):
-            yield candidate
-        candidate -= 2
-
-
-def _solve_mod_p(base: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """Solve base*x = rhs over GF(p); None when the matrix is singular mod p."""
-    a = (base % p).astype(np.int64)
-    b = (rhs % p).astype(np.int64)
-    n = a.shape[0]
-    for k in range(n):
-        nz = np.nonzero(a[k:, k])[0]
-        if nz.size == 0:
-            return None
-        piv = k + int(nz[0])
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        inv = pow(int(a[k, k]), p - 2, p)
-        a[k, k:] = a[k, k:] * inv % p
-        b[k] = b[k] * inv % p
-        f = a[k + 1:, k].copy()
-        if f.size:
-            a[k + 1:, k:] = (a[k + 1:, k:] - f[:, None] * a[k, k:]) % p
-            b[k + 1:] = (b[k + 1:] - f * b[k]) % p
-    x = np.zeros(n, dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        acc = int(b[k])
-        if k + 1 < n:
-            acc -= int(a[k, k + 1:] @ x[k + 1:])
-        x[k] = acc % p
-    return x
-
-
-def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
-    """Smallest fraction congruent to value mod modulus (Wang's bound)."""
-    bound = isqrt(modulus // 2)
-    r0, r1 = modulus, value % modulus
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    num = r1 if s1 > 0 else -r1
-    den = abs(s1)
-    if gcd(num, den) != 1 or (num - value * den) % modulus != 0:
-        return None
-    return Fraction(num, den)
-
-
-def _solve_modular(st: _Chain) -> list[Fraction]:
-    """CRT kernel solve: replace the last balance equation by total mass 1."""
-    n = len(st.states)
-    base = st.generator.toarray()
-    base[n - 1, :] = 1
-    rhs = np.zeros(n, dtype=np.int64)
-    rhs[n - 1] = 1
-
-    residue = np.zeros(n, dtype=object)
-    modulus = 1
-    used = 0
-    for p in _prime_stream():
-        x = _solve_mod_p(base, rhs, p)
-        if x is None:
-            continue
-        if used == 0:
-            residue = x.astype(object)
-            modulus = p
-        else:
-            inv = pow(modulus, -1, p)
-            for i in range(n):
-                t = ((int(x[i]) - int(residue[i])) * inv) % p
-                residue[i] = int(residue[i]) + modulus * t
-            modulus *= p
-        used += 1
-        if used < _MIN_PRIMES:
-            continue
-        pi = [_rational_reconstruct(int(c), modulus) for c in residue]
-        if all(v is not None for v in pi):
-            return pi  # type: ignore[return-value]
-        if used >= _MAX_PRIMES:
-            break
-    raise RuntimeError(
-        "rational reconstruction of the stationary vector did not stabilize")
+    With P the state-to-orbit indicator and D the orbit sizes, the lumped
+    generator is P^T G P D^-1 when the symmetries make the chain strongly
+    lumpable.  Its kernel vector is the orbit mass, so the kernel of the
+    integer matrix P^T G P is the mass per state of each orbit, which is
+    spread over the orbit's states and normalized.  Nothing here proves
+    the lumping; the full-chain certificate does.
+    """
+    n = generator.shape[0]
+    member = sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), orbit)))
+    per_state = _solve_censoring(member.T @ generator @ member)
+    pi = [per_state[o] for o in orbit.tolist()]
+    total = sum(pi)
+    return [x / total for x in pi]
 
 
 def _certify(st: _Chain, pi: list[Fraction]) -> None:
@@ -268,13 +213,9 @@ def stationary_distribution(length: int) -> StationaryVector:
     (Fraction(1, 2), Fraction(1, 2))
     """
     st = _chain(length)
-    n = len(st.states)
-    if n <= _GTH_MAX_DIMENSION:
-        pi, method = _solve_censoring(st), "censoring-exact"
-    else:
-        pi, method = _solve_modular(st), "modular-crt"
+    pi = _solve_lumped(st.generator, _orbits(st.states))
     _certify(st, pi)
-    common = lcm(*(x.denominator for x in pi)) if n > 1 else pi[0].denominator
+    common = lcm(*(x.denominator for x in pi))
     ints = [int(x * common) for x in pi]
     shrink = gcd(*ints)
     ints = [v // shrink for v in ints]
@@ -284,7 +225,7 @@ def stationary_distribution(length: int) -> StationaryVector:
         probabilities=dict(zip(st.states, pi)),
         integer_form=dict(zip(st.states, ints)),
         integer_sum=sum(ints),
-        method=method,
+        method="lumped-censoring-exact",
     )
 
 

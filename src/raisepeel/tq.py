@@ -297,14 +297,9 @@ def boundary_values(n: int) -> BoundaryReport:
     are only applicable for N >= 2; at N = 1 the direct values are checked
     against zero instead.
     """
-    qp, pp = q_poly(n), p_poly(n)
     closed = _boundary_closed_forms(n)
-    direct = {}
-    for name, poly in (("Q", qp), ("P", pp)):
-        for order, marks in enumerate(("", "'", "''")):
-            d = poly.derivative(order)
-            direct[f"{name}{marks}(-1)"] = d(-1)
-            direct[f"{name}{marks}(q^-1)"] = d(QI)
+    direct = {name.replace("qi", "q^-1"): value
+              for name, value in _boundary_atoms(n).items()}
 
     entries = []
     for name in closed:
@@ -322,15 +317,16 @@ def boundary_values(n: int) -> BoundaryReport:
 
     # Q^(k)(-1) relates to f_Q^(2N+k)(-1) through division by (1+x)^2N.
     f = f_q_poly(n)
+    f_m1 = [f.derivative(2 * n + k)(-1) for k in range(3)]
     descent = all(
-        qp.derivative(k)(-1) == f.derivative(2 * n + k)(-1) * Fraction(fact(k), fact(2 * n + k))
-        for k in range(3)
+        direct[f"Q{marks}(-1)"] == f_m1[k] * Fraction(fact(k), fact(2 * n + k))
+        for k, marks in enumerate(("", "'", "''"))
     )
     c = c_constant(n)
     idents = (
-        f.derivative(2 * n)(-1) == c,
-        f.derivative(2 * n + 1)(-1) == -c * n * (n + 1),
-        f.derivative(2 * n + 2)(-1) == c * Fraction(n * (n * n - 1) * (3 * n + 4), 6),
+        f_m1[0] == c,
+        f_m1[1] == -c * n * (n + 1),
+        f_m1[2] == c * Fraction(n * (n * n - 1) * (3 * n + 4), 6),
     )
     return BoundaryReport(
         n=n, entries=tuple(entries),
@@ -343,7 +339,9 @@ def boundary_values(n: int) -> BoundaryReport:
 # the two current derivatives
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _boundary_atoms(n: int) -> dict[str, QFieldElement]:
+    """Q, P and their first two derivatives at x = -1 and x = q^-1 (qi)."""
     qp, pp = q_poly(n), p_poly(n)
     return {
         "Q(-1)": qp(-1), "Q'(-1)": qp.derivative()(-1), "Q''(-1)": qp.derivative(2)(-1),

@@ -7,6 +7,7 @@ import pytest
 
 import raisepeel.qfield
 from raisepeel.qfield import Polynomial, Q_GEN, QFieldElement, fact, poch
+from raisepeel.tq import f_q_poly
 
 Q = Q_GEN
 HALF = Fraction(1, 2)
@@ -102,6 +103,17 @@ def test_polynomial_derivative_leibniz():
     assert lhs == rhs
     # second derivative through the order argument
     assert a.derivative(2) == a.derivative().derivative()
+    assert a.derivative(0) == a
+    # the order 2N+2 that the boundary descent takes on f_Q, against the
+    # derivative iterated one order at a time
+    f = f_q_poly(4)
+    iterated = f
+    for _ in range(10):
+        iterated = iterated.derivative()
+    assert iterated and f.derivative(10) == iterated
+    # beyond the degree the derivative vanishes
+    assert not a.derivative(4)
+    assert not a.derivative(7)
 
 
 def test_polynomial_argument_scaling_and_reversal():

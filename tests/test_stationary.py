@@ -10,8 +10,8 @@ import pytest
 import raisepeel.stationary
 from raisepeel.stationary import (
     _chain,
+    _orbits,
     _solve_censoring,
-    _solve_modular,
     build_generator,
     diamond_current_formula,
     exact_drifts,
@@ -27,7 +27,8 @@ F = Fraction
 
 # denominators of the stationary distributions, i.e. the totals of the
 # coprime integer forms
-INTEGER_SUMS = {2: 2, 4: 10, 6: 140, 8: 5544, 10: 622908}
+INTEGER_SUMS = {2: 2, 4: 10, 6: 140, 8: 5544, 10: 622908, 12: 198846076,
+                14: 180473355920}
 
 L4_WEIGHTS = {
     (0, 1, 0, 1): F(3, 10),
@@ -81,6 +82,51 @@ def test_reflection_symmetry(length):
         assert vec.probabilities[mirrored] == weight
 
 
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+def test_shifted_rotation_symmetry(length):
+    # turning the ring by one site and shifting the heights by one, so
+    # that parity and the bottom level hold, leaves the law alone
+    vec = stationary_distribution(length)
+    for state, weight in vec.probabilities.items():
+        rotated = state[1:] + state[:1]
+        shift = 1 if min(rotated) == 0 else -1
+        assert vec.probabilities[tuple(h + shift for h in rotated)] == weight
+
+
+ORBIT_COUNTS = {2: 1, 4: 2, 6: 4, 8: 9, 10: 21, 12: 56}
+
+
+@pytest.mark.parametrize("length,count", sorted(ORBIT_COUNTS.items()))
+def test_orbit_counts(length, count):
+    orbit = _orbits(_chain(length).states)
+    assert sorted(set(orbit.tolist())) == list(range(count))
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8])
+def test_lumped_solve_matches_full_elimination(length):
+    vec = stationary_distribution(length)
+    assert vec.method == "lumped-censoring-exact"
+    assert list(vec.vector()) == _solve_censoring(build_generator(length))
+
+
+def test_corrupted_orbits_fail_the_certificate(monkeypatch):
+    # merging two orbits breaks the lumping; the full-chain certificate,
+    # not the solver, has to catch it
+    def merged(states):
+        orbit = _orbits(states).copy()
+        orbit[orbit == 1] = 0
+        orbit[orbit > 1] -= 1
+        return orbit
+
+    monkeypatch.setattr(raisepeel.stationary, "_orbits", merged)
+    stationary_distribution.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="kernel residual"):
+            stationary_distribution(6)
+    finally:
+        stationary_distribution.cache_clear()
+
+
 @pytest.mark.parametrize("length,total", sorted(INTEGER_SUMS.items()))
 def test_integer_form(length, total):
     vec = stationary_distribution(length)
@@ -94,16 +140,6 @@ def test_integer_form(length, total):
         assert weight == F(vec.integer_form[state], total)
 
 
-def test_solver_method_switch():
-    assert stationary_distribution(8).method == "censoring-exact"
-    assert stationary_distribution(10).method == "modular-crt"
-
-
-def test_solvers_agree_l6():
-    st = _chain(6)
-    assert _solve_censoring(st) == _solve_modular(st)
-
-
 def test_observable_spot_values():
     assert expected_peaks(2) == 1
     assert expected_peaks(4) == F(8, 5)
@@ -115,7 +151,7 @@ def test_observable_spot_values():
     assert exact_drifts(8) == (F(104, 21), F(2, 21))
 
 
-@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10, 12, 14])
 def test_formulas_match_enumeration(length):
     drift_diamond, drift_global = exact_drifts(length)
     assert drift_diamond == diamond_current_formula(length)
@@ -124,7 +160,7 @@ def test_formulas_match_enumeration(length):
     assert prob_omega_global(length) == omega_probability_formula(length)
 
 
-@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10, 12, 14])
 def test_tile_balance_and_trigger_identity(length):
     drift_diamond, drift_global = exact_drifts(length)
     assert drift_diamond + expected_peaks(length) == length
