@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -174,13 +175,16 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]
         def writer(record: dict) -> None:
             print(json.dumps(record), file=handle)
 
+    started = time.perf_counter()
     try:
         summary = simulate_mod.simulate(cfg, log_writer=writer)
     finally:
         if handle is not None:
             handle.close()
-    log.info("simulated %d events over time %.6g", summary.counters.n_total,
-             summary.elapsed_time)
+    wall = time.perf_counter() - started
+    n_events = summary.counters.n_total
+    log.info("simulated %d events over time %.6g in %.3f s wall (%.0f events/s)",
+             n_events, summary.elapsed_time, wall, n_events / wall if wall > 0 else 0.0)
     return {"summary": summary.as_json_dict()}, None
 
 

@@ -1,28 +1,39 @@
 """Kinetic Monte Carlo for the tile process.
 
 All L site clocks carry unit rate, so the superposition samples the next
-event as an exponential wait with rate L plus a uniformly chosen site;
-waits and sites are drawn in blocks from a single PCG64 stream, which
-makes every run bitwise reproducible from its seed.  Time averages use
-exact piecewise-constant integration between events.  Point estimates
-are always full-run counters over elapsed time; standard errors come
-from batch means (30 equal batches after a 5% burn-in), time-sliced when
-the run is bounded by a horizon and event-sliced when it is bounded by
-an event budget.
+event as an exponential wait with rate L plus a uniformly chosen site.
+Waits and sites are drawn in blocks of 2^14 from a single PCG64 stream
+(a block of waits, then a block of sites), which makes every run bitwise
+reproducible from its seed; the event times are a sequential cumulative
+sum from the carried time, so they are the floats an event-by-event loop
+produces, and a seed always gives the same trajectory.
+
+Each block of sites goes through ``_Ring``, a mutable-heights stepper
+that applies a drop in O(1 + avalanche length) and keeps the peak count
+and the number of sites at height <= 1 up to date.  The accounting is
+then vectorized over the block: the peak count is piecewise constant
+between events, so its running integral F(t) is a cumulative sum at the
+event times plus a linear piece up to any later instant, and a batch's
+peak integral is F at its closing boundary minus F at its opening one.
+Point estimates are full-run counters (or F) over elapsed time; standard
+errors come from batch means (30 equal batches after a 5% burn-in),
+time-sliced when the run is bounded by a horizon and event-sliced when
+it is bounded by an event budget.  Progress-log ticks read the same
+block arrays.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from math import isfinite, sqrt
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .profiles import (
     EventCounters,
     HeightProfile,
-    apply_move,
     count_peaks,
     substrate,
     tile_count,
@@ -104,33 +115,108 @@ class TrajectorySummary:
         }
 
 
-class _BlockSampler:
-    """Amortized draws of (wait, site) pairs from one generator stream."""
+class _Ring:
+    """Mutable heights of the ring with its peak count and low-site count.
 
-    def __init__(self, seed: int, length: int) -> None:
-        self._rng = np.random.default_rng(seed)
-        self._scale = 1.0 / length
-        self._length = length
-        self._waits = np.empty(0)
-        self._sites = np.empty(0, dtype=np.int64)
-        self._cursor = 0
+    ``drop`` applies tile drops in place, each in O(1 + avalanche length).
+    A move is classified from the heights at the site and its two
+    neighbours.  A local avalanche walks only the peeled segment.  A
+    valley at height 1 triggers a global avalanche exactly when it is the
+    only site at height <= 1 (``low`` counts those sites); it lowers every
+    other height, which is O(L) but rare.  The peak count is updated from
+    the sites whose status can change: the site, its neighbours and the
+    far end of a peeled segment.
+    """
 
-    def draw(self) -> tuple[float, int]:
-        if self._cursor == len(self._waits):
-            self._waits = self._rng.exponential(self._scale, size=_BLOCK)
-            self._sites = self._rng.integers(0, self._length, size=_BLOCK)
-            self._cursor = 0
-        k = self._cursor
-        self._cursor += 1
-        return float(self._waits[k]), int(self._sites[k])
+    __slots__ = ("heights", "peaks", "low")
+
+    def __init__(self, heights: HeightProfile) -> None:
+        self.heights = list(heights)
+        self.peaks = count_peaks(heights)
+        self.low = sum(x <= 1 for x in heights)
+
+    def drop(self, sites: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """Drop a tile at each site in turn.
+
+        Returns per-drop arrays dPeak, dDiamond, dGlobal and the peak
+        count after the drop.
+        """
+        h = self.heights
+        length = len(h)
+        peaks = self.peaks
+        low = self.low
+        n = len(sites)
+        # compact typed buffers: a block's outputs stay a few hundred kB
+        d_peak = array("b", bytes(n))
+        d_diamond = array("i", bytes(4 * n))
+        d_global = array("b", bytes(n))
+        peaks_after = array("i", bytes(4 * n))
+        for i, s in enumerate(sites):
+            here = h[s]
+            left = h[s - 1]
+            # negative indices wrap, so s + 1 - length is the right
+            # neighbour even at the last site
+            right = h[s + 1 - length]
+            if left < here and right < here:
+                d_peak[i] = 1
+            elif left > here and right > here:
+                # the valley becomes a peak, and a neighbour whose outer
+                # neighbour sits at the valley's height stops being one; at
+                # L=2 the two neighbours are one site
+                peaks += (1 - (h[s - 2] == here)
+                          - (length > 2 and h[s + 2 - length] == here))
+                if here == 1 and low == 1:
+                    # global avalanche: lift the site by 2, then lower all
+                    h[:] = [x - 2 for x in h]
+                    h[s] = here
+                    low = sum(x <= 1 for x in h)
+                    d_diamond[i] = length
+                    d_global[i] = 1
+                else:
+                    h[s] = here + 2
+                    if here <= 1:
+                        low -= 1
+            else:
+                # local avalanche: peel the segment uphill of the site up to
+                # the first return to its height; j walks in negative or
+                # in-range indices, so it never needs a modulo
+                step = 1 if right > here else -1
+                start = j = s + 1 - length if step == 1 else s - 1
+                x = h[j]
+                while x != here:
+                    h[j] = x - 2
+                    if x < 4:
+                        low += 1
+                    j += step
+                    x = h[j]
+                peeled = (j - start) * step
+                # the site becomes a peak, a single peeled site was one,
+                # and the far end becomes one if its outer neighbour is low
+                peaks += 1 - (peeled == 1) + (h[j + step] == here - 1)
+                d_diamond[i] = 1 + peeled
+            peaks_after[i] = peaks
+        self.peaks = peaks
+        self.low = low
+        return (np.frombuffer(d_peak, np.int8), np.frombuffer(d_diamond, np.intc),
+                np.frombuffer(d_global, np.int8), np.frombuffer(peaks_after, np.intc))
 
 
-def _batch_estimate(full_value: float, batch_values: list[float]) -> Estimate:
+def _integral_at(times: np.ndarray, integral: np.ndarray, held: np.ndarray,
+                 instants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Events before each instant and the peak integral F up to it.
+
+    times[k] carries F = integral[k], and the peak count held[k] holds
+    until times[k + 1]; every instant lies in (times[0], times[-1]].
+    """
+    before = np.searchsorted(times, instants) - 1
+    return before, integral[before] + held[before] * (instants - times[before])
+
+
+def _batch_estimate(full_value: float, batch_values: np.ndarray) -> Estimate:
     if len(batch_values) < 2:
         return Estimate(full_value, float("inf"))
-    arr = np.asarray(batch_values)
     return Estimate(full_value,
-                    float(arr.std(ddof=1) / sqrt(len(arr))))
+                    float(batch_values.std(ddof=1) / sqrt(len(batch_values))))
 
 
 def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectorySummary:
@@ -140,161 +226,133 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
     the running counters and drifts is emitted at every report tick.
     """
     length = cfg.length
-    sampler = _BlockSampler(cfg.seed, length)
-    state = substrate(length)
-    peaks_now = count_peaks(state)
-
-    time_now = 0.0
-    n_total = n_peak = n_diamond = n_global = n_tiles = 0
-    peak_integral = 0.0
-
+    rng = np.random.default_rng(cfg.seed)
+    ring = _Ring(substrate(length))
     time_mode = cfg.t_max is not None
-    horizon = cfg.t_max if time_mode else None
-    budget = cfg.max_events if not time_mode else None
+    horizon = cfg.t_max
+    budget = cfg.max_events
 
-    # batch bookkeeping: slices of equal time (horizon runs) or equal
-    # event count (budget runs) after the burn-in
-    if time_mode and horizon > 0:
+    if (horizon if time_mode else budget) == 0:
+        return TrajectorySummary(cfg, 0.0, EventCounters(), None, None, None,
+                                 tuple(ring.heights))
+
+    # batch k runs from boundary k to boundary k + 1.  Horizon runs cut
+    # the time after the burn-in into equal slices; budget runs cut the
+    # events after the burn-in into equal counts, and a boundary is the
+    # time of the event that closes the previous batch.
+    bound_time = np.full(_N_BATCHES + 1, np.nan)
+    bound_integral = np.full(_N_BATCHES + 1, np.nan)
+    if time_mode:
         burn_time = _BURN_FRACTION * horizon
         batch_span = (horizon - burn_time) / _N_BATCHES
+        bound_time[:] = burn_time + np.arange(_N_BATCHES + 1) * batch_span
+        bound_time[-1] = horizon
+        next_bound = 0
     else:
-        burn_time = batch_span = 0.0
-    if not time_mode and budget > 0:
         burn_events = int(_BURN_FRACTION * budget)
         events_per_batch = max(1, (budget - burn_events) // _N_BATCHES)
-    else:
-        burn_events = events_per_batch = 0
-    batch_diamond = [0.0] * _N_BATCHES
-    batch_global = [0.0] * _N_BATCHES
-    batch_peak_integral = [0.0] * _N_BATCHES
-    batch_time = [0.0] * _N_BATCHES
-    # event-mode batch clock: opens at the event preceding the batch's
-    # first counted event so every batch spans exactly its own waits
-    batch_open_time: float | None = None
-    prev_event_time = 0.0
+        bound_event = burn_events + np.arange(_N_BATCHES + 1) * events_per_batch
+    batch_diamond = np.zeros(_N_BATCHES)
+    batch_global = np.zeros(_N_BATCHES)
 
-    def time_batch(instant: float) -> int:
-        if batch_span <= 0 or instant < burn_time:
-            return -1
-        return min(_N_BATCHES - 1, int((instant - burn_time) / batch_span))
+    next_report = cfg.report_every if log_writer is not None else None
 
-    def add_peak_interval(start: float, stop: float) -> None:
-        # spread peaks_now * dt across the time batches the interval covers
-        nonlocal peak_integral
-        peak_integral += peaks_now * (stop - start)
-        if not time_mode or batch_span <= 0:
-            return
-        a = max(start, burn_time)
-        while a < stop:
-            k = time_batch(a)
-            edge = min(stop, burn_time + (k + 1) * batch_span)
-            if edge <= a:
-                # rounding in time_batch can leave a sitting on (or one ulp
-                # past) the batch edge; step to the next boundary so the
-                # loop always advances
-                k = min(k + 1, _N_BATCHES - 1)
-                edge = min(stop, burn_time + (k + 1) * batch_span)
-                if edge <= a:
-                    edge = stop
-            batch_peak_integral[k] += peaks_now * (edge - a)
-            batch_time[k] += edge - a
-            a = edge
-
-    def event_batch(event_index: int) -> int:
-        # event_index is zero-based among post-burn-in events
-        if events_per_batch == 0:
-            return -1
-        k = event_index // events_per_batch
-        return k if k < _N_BATCHES else -1
-
-    next_report = cfg.report_every if cfg.report_every else None
-
-    def emit_reports(upto: float) -> None:
-        nonlocal next_report
-        if next_report is None or log_writer is None:
-            return
-        while next_report <= upto:
-            elapsed = next_report
-            log_writer({
-                "time": elapsed,
-                "counters": EventCounters(
-                    n_total, n_peak, n_diamond, n_global, n_tiles).as_json_dict(),
-                "drift_diamond": n_diamond / elapsed,
-                "drift_global": n_global / elapsed,
-                "mean_peaks": peak_integral_at(elapsed),
-            })
-            next_report += cfg.report_every
-
-    def peak_integral_at(instant: float) -> float:
-        # integrals are updated only at event times; extend to the tick
-        return (peak_integral + peaks_now * (instant - time_now)) / instant
-
-    while True:
-        if not time_mode and n_total >= budget:
-            break
-        wait, site = sampler.draw()
-        event_time = time_now + wait
-        if time_mode and event_time >= horizon:
-            emit_reports(horizon)
-            add_peak_interval(time_now, horizon)
-            time_now = horizon
-            break
-        emit_reports(event_time)
-        add_peak_interval(time_now, event_time)
-        time_now = event_time
-
-        record = apply_move(state, site)
-        state = record.target
-        n_total += 1
-        n_peak += record.delta_peak
-        n_diamond += record.delta_diamond
-        n_global += record.delta_global
-        n_tiles += record.delta_tiles
-        peaks_now = count_peaks(state)
-
+    time_now = integral_now = 0.0
+    peaks_now = ring.peaks
+    n_total = n_peak = n_diamond = n_global = 0
+    done = False
+    while not done:
+        waits = rng.exponential(1.0 / length, size=_BLOCK)
+        sites = rng.integers(0, length, size=_BLOCK)
+        # sequential sums from the carried time: bitwise the times of an
+        # event-by-event loop
+        times = np.cumsum(np.concatenate(([time_now], waits)))
         if time_mode:
-            k = time_batch(event_time)
-            if k >= 0:
-                batch_diamond[k] += record.delta_diamond
-                batch_global[k] += record.delta_global
+            n = int(np.searchsorted(times[1:], horizon))
+            done = n < _BLOCK
         else:
-            idx = n_total - 1 - burn_events
-            if idx >= 0:
-                k = event_batch(idx)
-                if k >= 0:
-                    if batch_open_time is None:
-                        batch_open_time = prev_event_time
-                    batch_diamond[k] += record.delta_diamond
-                    batch_global[k] += record.delta_global
-                    # close the batch clock on its last event
-                    if (idx + 1) % events_per_batch == 0:
-                        batch_time[k] += time_now - batch_open_time
-                        batch_open_time = time_now
-        prev_event_time = time_now
+            n = min(_BLOCK, budget - n_total)
+            done = n_total + n == budget
+        # a memoryview yields Python ints, which index a list fast
+        d_peak, d_diamond, d_global, peaks = ring.drop(memoryview(sites[:n]))
+        # held[k] is the peak count from times[k] on; a horizon cut ends
+        # the block at the horizon itself
+        held = np.concatenate(([peaks_now], peaks))
+        times = times[:n + 1]
+        if time_mode and done:
+            times = np.append(times, horizon)
+        else:
+            held = held[:-1]
+        integral = np.cumsum(np.concatenate(([integral_now], held * np.diff(times))))
 
-    counters = EventCounters(n_total, n_peak, n_diamond, n_global, n_tiles)
-    assert counters.balanced
-    assert n_tiles == tile_count(state)
+        event_times = times[1:n + 1]
+        if time_mode:
+            counted = event_times >= burn_time
+            batch = np.minimum(
+                _N_BATCHES - 1,
+                ((event_times[counted] - burn_time) / batch_span).astype(np.int64))
+            first = next_bound
+            next_bound = int(np.searchsorted(bound_time, times[-1], side="right"))
+            _, bound_integral[first:next_bound] = _integral_at(
+                times, integral, held, bound_time[first:next_bound])
+        else:
+            index = np.arange(n_total, n_total + n) - burn_events
+            counted = (index >= 0) & (index < _N_BATCHES * events_per_batch)
+            batch = index[counted] // events_per_batch
+            reached = (bound_event >= n_total) & (bound_event <= n_total + n)
+            bound_time[reached] = times[bound_event[reached] - n_total]
+            bound_integral[reached] = integral[bound_event[reached] - n_total]
+        batch_diamond += np.bincount(batch, d_diamond[counted], _N_BATCHES)
+        batch_global += np.bincount(batch, d_global[counted], _N_BATCHES)
 
-    if time_now <= 0.0:
-        return TrajectorySummary(cfg, time_now, counters, None, None, None, state)
+        if next_report is not None and next_report <= times[-1]:
+            ticks = []
+            while next_report <= times[-1]:
+                ticks.append(next_report)
+                next_report += cfg.report_every
+            before, tick_integral = _integral_at(times, integral, held, np.array(ticks))
+            # running (n_total, n_peak, n_diamond, n_global) after each event
+            running = np.cumsum(np.column_stack(
+                (np.ones(n, np.int64), d_peak, d_diamond, d_global)), axis=0)
+            running = np.vstack(([0, 0, 0, 0], running)) + (n_total, n_peak, n_diamond, n_global)
+            for tick, k, tick_f in zip(ticks, before, tick_integral):
+                total, peak, diamond, global_ = (int(x) for x in running[k])
+                log_writer({
+                    "time": tick,
+                    "counters": EventCounters(
+                        total, peak, diamond, global_, total - peak - diamond).as_json_dict(),
+                    "drift_diamond": diamond / tick,
+                    "drift_global": global_ / tick,
+                    "mean_peaks": float(tick_f) / tick,
+                })
 
-    complete = [k for k in range(_N_BATCHES) if batch_time[k] > 0]
-    diamond = _batch_estimate(
-        n_diamond / time_now,
-        [batch_diamond[k] / batch_time[k] for k in complete])
-    global_ = _batch_estimate(
-        n_global / time_now,
-        [batch_global[k] / batch_time[k] for k in complete])
-    if time_mode:
-        peaks = _batch_estimate(
-            peak_integral / time_now,
-            [batch_peak_integral[k] / batch_time[k] for k in complete])
-    else:
-        # event-bounded runs do not slice the peak integral, so the
-        # full-run average carries no error bar
-        peaks = Estimate(peak_integral / time_now, float("inf"))
-    return TrajectorySummary(cfg, time_now, counters, diamond, global_, peaks, state)
+        n_total += n
+        n_peak += int(d_peak.sum())
+        n_diamond += int(d_diamond.sum())
+        n_global += int(d_global.sum())
+        time_now = float(times[-1])
+        integral_now = float(integral[-1])
+        peaks_now = ring.peaks
+
+    state = tuple(ring.heights)
+    counters = EventCounters(n_total, n_peak, n_diamond, n_global,
+                             n_total - n_peak - n_diamond)
+    # the stepper's evacuation counts must match the heights it left
+    assert counters.n_tiles == tile_count(state)
+
+    batch_time = np.diff(bound_time)
+    complete = batch_time > 0
+    batch_time = batch_time[complete]
+
+    def estimate(total: float, batch_totals: np.ndarray) -> Estimate:
+        return _batch_estimate(total / time_now, batch_totals[complete] / batch_time)
+
+    return TrajectorySummary(
+        cfg, time_now, counters,
+        estimate(n_diamond, batch_diamond),
+        estimate(n_global, batch_global),
+        estimate(integral_now, np.diff(bound_integral)),
+        state)
 
 
 def mean_peaks_time_average(cfg: SimConfig, log_writer: LogWriter | None = None) -> Estimate:

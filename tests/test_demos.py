@@ -1,4 +1,4 @@
-"""The demos that drive the profile, tilted-generator and spin-chain modules run clean."""
+"""Every demo runs clean."""
 
 import os
 import subprocess
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["ring_moves", "tilted_generator", "spin_chain_bridge"])
+@pytest.mark.parametrize("demo", ["ring_moves", "tilted_generator", "spin_chain_bridge",
+                                  "exact_stationary", "monte_carlo", "polynomial_pipeline"])
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],

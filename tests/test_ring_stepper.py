@@ -1,0 +1,205 @@
+"""The incremental ring stepper and the block-vectorized sampler against
+the reference path: apply_move on tuples, one event at a time."""
+
+from bisect import bisect_left, bisect_right
+from math import isinf, sqrt
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from raisepeel import simulate as simulate_mod
+from raisepeel.profiles import (
+    EventCounters,
+    apply_move,
+    check_profile,
+    count_peaks,
+    enumerate_states,
+    substrate,
+)
+from raisepeel.simulate import SimConfig, _Ring, simulate
+
+
+def _assert_drop_matches(ring, state, site):
+    """Drop one tile on both paths; return the reference target."""
+    record = apply_move(state, site)
+    d_peak, d_diamond, d_global, peaks = ring.drop([site])
+    assert tuple(ring.heights) == record.target
+    assert (d_peak[0], d_diamond[0], d_global[0]) == (
+        record.delta_peak, record.delta_diamond, record.delta_global)
+    assert peaks[0] == ring.peaks == count_peaks(record.target)
+    assert ring.low == sum(h <= 1 for h in record.target)
+    return record.target
+
+
+@st.composite
+def profiles_and_sites(draw):
+    half = draw(st.integers(1, 100))
+    steps = draw(st.permutations([1] * half + [-1] * half))
+    walk = np.concatenate(([0], np.cumsum(steps[:-1])))
+    # an even shift keeps the parity rule and leaves the minimum at 0 or 1
+    low = int(walk.min())
+    heights = tuple(int(h) for h in walk - (low - low % 2))
+    sites = draw(st.lists(st.integers(0, 2 * half - 1), min_size=1, max_size=60))
+    return heights, sites
+
+
+@settings(max_examples=150, deadline=None)
+@given(profiles_and_sites())
+def test_stepper_matches_apply_move(case):
+    state, sites = case
+    check_profile(state)
+    ring = _Ring(state)
+    for site in sites:
+        state = _assert_drop_matches(ring, state, site)
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+def test_stepper_every_state_and_site(length):
+    for state in enumerate_states(length):
+        for site in range(length):
+            _assert_drop_matches(_Ring(state), state, site)
+
+
+def test_stepper_l2_neighbours_are_one_site():
+    # both neighbours of a site are the same site at L=2, so a valley
+    # filled there must not uncount that neighbour's peak twice
+    state = substrate(2)
+    ring = _Ring(state)
+    for site in [0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0]:
+        state = _assert_drop_matches(ring, state, site)
+    assert ring.peaks == 1
+
+
+# ---------------------------------------------------------------------------
+# reference trajectory: apply_move plus the same block draws
+
+
+def _reference(cfg, block):
+    """Event-by-event trajectory with its estimates and log records."""
+    length = cfg.length
+    rng = np.random.default_rng(cfg.seed)
+    state = substrate(length)
+    counters = EventCounters()
+    times, peaks, trail = [0.0], [count_peaks(state)], [counters]
+    waits = sites = ()
+    cursor = 0
+    while cfg.max_events is None or counters.n_total < cfg.max_events:
+        if cursor == len(waits):
+            waits = rng.exponential(1.0 / length, size=block)
+            sites = rng.integers(0, length, size=block)
+            cursor = 0
+        wait, site = float(waits[cursor]), int(sites[cursor])
+        cursor += 1
+        if cfg.t_max is not None and times[-1] + wait >= cfg.t_max:
+            break
+        record = apply_move(state, site)
+        state = record.target
+        counters = counters.advanced(record)
+        times.append(times[-1] + wait)
+        peaks.append(count_peaks(state))
+        trail.append(counters)
+    end = cfg.t_max if cfg.t_max is not None else times[-1]
+
+    def peak_integral(a, b):
+        total, j = 0.0, bisect_right(times, a) - 1
+        while j < len(times) and times[j] < b:
+            stop = times[j + 1] if j + 1 < len(times) else end
+            total += peaks[j] * max(0.0, min(b, stop) - max(a, times[j]))
+            j += 1
+        return total
+
+    # batch k: (open time, close time, events in it)
+    if cfg.t_max is not None:
+        burn = 0.05 * end
+        span = (end - burn) / 30
+        edges = [burn + k * span for k in range(30)] + [end]
+        members = [[] for _ in range(30)]
+        for i, t in enumerate(times[1:]):
+            if t >= burn:
+                members[min(29, int((t - burn) / span))].append(i)
+        batches = [(edges[k], edges[k + 1], members[k]) for k in range(30)]
+    else:
+        burn = int(0.05 * cfg.max_events)
+        per = max(1, (cfg.max_events - burn) // 30)
+        batches = [(times[burn + k * per], times[burn + (k + 1) * per],
+                    range(burn + k * per, burn + (k + 1) * per))
+                   for k in range(30) if burn + (k + 1) * per <= counters.n_total]
+
+    deltas = [(b.n_diamond - a.n_diamond, b.n_global - a.n_global)
+              for a, b in zip(trail, trail[1:])]
+    estimates = {}
+    for name, per_event, total in (
+            ("drift_diamond_hat", lambda i: deltas[i][0], counters.n_diamond),
+            ("drift_global_hat", lambda i: deltas[i][1], counters.n_global),
+            ("mean_peaks_hat", None, peak_integral(0.0, end))):
+        values = []
+        for lo, hi, events in batches:
+            if hi > lo:
+                amount = (peak_integral(lo, hi) if per_event is None
+                          else sum(per_event(i) for i in events))
+                values.append(amount / (hi - lo))
+        spread = (float(np.std(values, ddof=1)) / sqrt(len(values))
+                  if len(values) >= 2 else float("inf"))
+        estimates[name] = (total / end, spread)
+
+    records = []
+    if cfg.report_every is not None:
+        tick = cfg.report_every
+        while tick <= end:
+            seen = trail[bisect_left(times, tick) - 1]
+            records.append({"time": tick, "counters": seen.as_json_dict(),
+                            "mean_peaks": peak_integral(0.0, tick) / tick})
+            tick += cfg.report_every
+    return state, counters, end, estimates, records
+
+
+def _assert_same_trajectory(cfg, block):
+    records = []
+    summary = simulate(cfg, log_writer=records.append)
+    state, counters, end, estimates, reference_records = _reference(cfg, block)
+    assert summary.counters == counters
+    assert summary.final_state == state
+    assert summary.elapsed_time == end
+    for name, (value, spread) in estimates.items():
+        got = getattr(summary, name)
+        assert got.value == pytest.approx(value, rel=1e-9)
+        if isinf(spread):
+            assert isinf(got.stderr)
+        else:
+            assert got.stderr == pytest.approx(spread, rel=1e-9)
+    assert len(records) == len(reference_records)
+    for got, want in zip(records, reference_records):
+        assert got["time"] == want["time"]
+        assert got["counters"] == want["counters"]
+        assert got["drift_diamond"] == want["counters"]["n_diamond"] / want["time"]
+        assert got["drift_global"] == want["counters"]["n_global"] / want["time"]
+        assert got["mean_peaks"] == pytest.approx(want["mean_peaks"], rel=1e-9)
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10, 64])
+@pytest.mark.parametrize("mode", ["time", "events"])
+def test_trajectory_matches_reference(monkeypatch, length, mode):
+    # a short block puts many block edges inside a run of a few thousand
+    # events; the reference draws with the same block length
+    block = 997
+    monkeypatch.setattr(simulate_mod, "_BLOCK", block)
+    stop = (dict(t_max=6000.0 / length + 0.37) if mode == "time"
+            else dict(max_events=5000 + length))
+    cfg = SimConfig(length=length, seed=length + 3, report_every=41.0 / length, **stop)
+    _assert_same_trajectory(cfg, block)
+
+
+@pytest.mark.parametrize("cfg", [
+    # past one block edge
+    SimConfig(length=4, t_max=4500.0, seed=7, report_every=250.0),
+    SimConfig(length=4, max_events=20000, seed=7, report_every=250.0),
+    # fewer events than batches, and a horizon shorter than most waits
+    SimConfig(length=6, max_events=1, seed=1, report_every=0.05),
+    SimConfig(length=6, max_events=29, seed=1, report_every=0.05),
+    SimConfig(length=6, max_events=61, seed=1, report_every=0.05),
+    SimConfig(length=6, t_max=0.01, seed=1, report_every=0.05),
+])
+def test_trajectory_matches_reference_full_blocks(cfg):
+    _assert_same_trajectory(cfg, simulate_mod._BLOCK)
