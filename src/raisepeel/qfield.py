@@ -2,16 +2,19 @@
 
 Everything downstream of the functional-equation pipeline runs over the
 quadratic number field generated by a primitive sixth root of unity ``q``,
-the root of ``x^2 = x - 1``.  Elements are stored as ``a + b*q`` with
-``a, b`` rational, so all identities can be checked with zero tolerance.
-``ExactRational`` is the stdlib ``Fraction``; it already carries the
-gcd-reduced invariant we need.
+the root of ``x^2 = x - 1``.  Scalars (``QFieldElement``) are stored as
+``a + b*q`` with ``a, b`` rational ``Fraction``s; they are the reference
+path for single values.  Polynomials keep their coefficients as integer
+numerators over one common positive denominator, so a product or a
+division step is integer arithmetic with one gcd reduction per result.
+Every identity is checked with zero tolerance.  ``ExactRational`` is the
+stdlib ``Fraction``; it already carries the gcd-reduced invariant we need.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, gcd, lcm, perm
 from typing import Iterable, Union
 
 ExactRational = Fraction
@@ -75,18 +78,26 @@ class QFieldElement:
         raise TypeError(f"cannot coerce {type(value).__name__} into QFieldElement")
 
     # -- ring structure -------------------------------------------------
+    # Operands other than scalars give NotImplemented, so that a
+    # Polynomial on the right gets its reflected method.
 
     def __add__(self, other: Scalar) -> "QFieldElement":
+        if not isinstance(other, (QFieldElement, int, Fraction)):
+            return NotImplemented
         o = QFieldElement.coerce(other)
         return QFieldElement(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> "QFieldElement":
+        if not isinstance(other, (QFieldElement, int, Fraction)):
+            return NotImplemented
         o = QFieldElement.coerce(other)
         return QFieldElement(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other: Scalar) -> "QFieldElement":
+        if not isinstance(other, (QFieldElement, int, Fraction)):
+            return NotImplemented
         o = QFieldElement.coerce(other)
         return QFieldElement(o.a - self.a, o.b - self.b)
 
@@ -94,6 +105,8 @@ class QFieldElement:
         return QFieldElement(-self.a, -self.b)
 
     def __mul__(self, other: Scalar) -> "QFieldElement":
+        if not isinstance(other, (QFieldElement, int, Fraction)):
+            return NotImplemented
         o = QFieldElement.coerce(other)
         # (a + b q)(c + d q) = ac + (ad + bc) q + bd (q - 1)
         a, b, c, d = self.a, self.b, o.a, o.b
@@ -115,9 +128,13 @@ class QFieldElement:
         return QFieldElement((self.a + self.b) / n, -self.b / n)
 
     def __truediv__(self, other: Scalar) -> "QFieldElement":
+        if not isinstance(other, (QFieldElement, int, Fraction)):
+            return NotImplemented
         return self * QFieldElement.coerce(other).inverse()
 
     def __rtruediv__(self, other: Scalar) -> "QFieldElement":
+        if not isinstance(other, (QFieldElement, int, Fraction)):
+            return NotImplemented
         return QFieldElement.coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "QFieldElement":
@@ -142,7 +159,8 @@ class QFieldElement:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # a rational element equals, so hashes as, its Fraction
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
@@ -175,13 +193,42 @@ class QFieldElement:
 
 Q_GEN = QFieldElement.gen()
 
+# q^k for k = 0..5 as (rational part, q part); q^6 = 1, so these are all
+# the powers of q, and they are units of Z[q]
+_Q_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+_Q_LOG = {unit: k for k, unit in enumerate(_Q_POWERS)}
+
+
+def _split(value: Scalar) -> tuple[int, int, int]:
+    """Integers (a, b, d), d > 0, with value = (a + b*q) / d."""
+    if isinstance(value, int):
+        return value, 0, 1
+    e = QFieldElement.coerce(value)
+    d = lcm(e.a.denominator, e.b.denominator)
+    return (e.a.numerator * (d // e.a.denominator),
+            e.b.numerator * (d // e.b.denominator), d)
+
+
+def _convolve(x: Iterable[int], y: tuple[int, ...], out: list[int]) -> list[int]:
+    """Add the coefficient convolution of x and y into out."""
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y, i):
+                out[j] += xi * yj
+    return out
+
 
 class Polynomial:
-    """Dense univariate polynomial over Q(q).
+    """Dense univariate polynomial over Q(q), on integer numerators.
 
-    Coefficients are stored lowest degree first and coerced to
-    QFieldElement, so a polynomial with plain rational coefficients and
-    one with field coefficients share the same arithmetic.
+    The coefficient of x^k is (a[k] + b[k]*q) / den: two tuples of Python
+    ints, rational parts and q parts, lowest degree first, over one
+    positive int denominator.  The form is canonical: trailing zero
+    coefficients are trimmed and gcd(a, b, den) = 1, so equality, hashing
+    and the degree compare ints.  Every operation works on the numerators
+    and reduces once per result.  The constructor accepts ints, Fractions
+    and field elements; ``coeffs`` reads the coefficients back as
+    QFieldElements.
 
     >>> x = Polynomial.x()
     >>> ((1 + x) ** 2)(Fraction(1, 2))
@@ -190,67 +237,118 @@ class Polynomial:
     True
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_a", "_b", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = [QFieldElement.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        parts = [_split(c) for c in coeffs]
+        den = lcm(*(d for _, _, d in parts))
+        self._set([a * (den // d) for a, _, d in parts],
+                  [b * (den // d) for _, b, d in parts], den)
+
+    def _set(self, a: list[int], b: list[int], den: int) -> None:
+        """Store (a + b*q) / den in canonical form; den must be positive."""
+        n = len(a)
+        while n and not a[n - 1] and not b[n - 1]:
+            n -= 1
+        g = gcd(den, *a[:n], *b[:n])
+        if g != 1:
+            a = [c // g for c in a[:n]]
+            b = [c // g for c in b[:n]]
+            den //= g
+        self._a, self._b, self._den = tuple(a[:n]), tuple(b[:n]), den
+
+    @classmethod
+    def _from_ints(cls, a: list[int], b: list[int], den: int) -> "Polynomial":
+        out = cls.__new__(cls)
+        out._set(a, b, den)
+        return out
 
     @classmethod
     def x(cls) -> "Polynomial":
         return cls([0, 1])
 
     @property
+    def coeffs(self) -> tuple[QFieldElement, ...]:
+        """Coefficients, lowest degree first, as field elements."""
+        d = self._den
+        return tuple(QFieldElement(Fraction(a, d), Fraction(b, d))
+                     for a, b in zip(self._a, self._b))
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._a) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._a)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, QFieldElement)):
-            other = Polynomial([other])
-        if not isinstance(other, Polynomial):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self._den == other._den and self._a == other._a
+                and self._b == other._b)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant equals, so hashes as, its field element
+        if self.degree <= 0:
+            return hash(self.coeffs[0] if self else 0)
+        return hash((self._a, self._b, self._den))
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the least common denominator."""
+        den = lcm(self._den, other._den)
+        ms, mo = den // self._den, sign * (den // other._den)
+        n = max(len(self._a), len(other._a))
+        a, b = [0] * n, [0] * n
+        for i, (x, y) in enumerate(zip(self._a, self._b)):
+            a[i], b[i] = x * ms, y * ms
+        for i, (x, y) in enumerate(zip(other._a, other._b)):
+            a[i] += x * mo
+            b[i] += y * mo
+        return Polynomial._from_ints(a, b, den)
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction, QFieldElement)):
-            other = Polynomial([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [QFieldElement()] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [QFieldElement()] * (n - len(other.coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)])
+        other = _lift(other)
+        if other is None:
+            return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._from_ints([-c for c in self._a], [-c for c in self._b],
+                                     self._den)
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction, QFieldElement)):
-            other = Polynomial([other])
-        return self + (-other)
+        other = _lift(other)
+        if other is None:
+            return NotImplemented
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
+        other = _lift(other)
+        if other is None:
+            return NotImplemented
+        return other._combine(self, -1)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction, QFieldElement)):
-            return Polynomial([c * other for c in self.coeffs])
-        out = [QFieldElement()] * (len(self.coeffs) + len(other.coeffs) - 1) if self and other else []
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return Polynomial(out)
+        other = _lift(other)
+        if other is None:
+            return NotImplemented
+        a, b, c, d = self._a, self._b, other._a, other._b
+        n = len(a) + len(c) - 1
+        # (a + b q)(c + d q) = (ac - bd) + ((a + b)(c + d) - ac) q, using q^2 = q - 1
+        ac = _convolve(a, c, [0] * n)
+        if any(b) or any(d):
+            bd = _convolve(b, d, [0] * n)
+            cross = _convolve([x + y for x, y in zip(a, b)],
+                              tuple(x + y for x, y in zip(c, d)), [0] * n)
+            rat = [u - v for u, v in zip(ac, bd)]
+            irr = [u - v for u, v in zip(cross, ac)]
+        else:
+            rat, irr = ac, [0] * n
+        return Polynomial._from_ints(rat, irr, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -267,30 +365,50 @@ class Polynomial:
         return out
 
     def __call__(self, x: Scalar) -> QFieldElement:
-        acc = QFieldElement()
-        xe = QFieldElement.coerce(x)
-        for c in reversed(self.coeffs):
-            acc = acc * xe + c
-        return acc
+        """Horner evaluation on the numerators, homogenised in the
+        denominator of x, with one field element built at the end."""
+        p, r, s = _split(x)
+        acc_a = acc_b = 0
+        s_pow = 1
+        for ca, cb in zip(reversed(self._a), reversed(self._b)):
+            acc_a, acc_b = (acc_a * p - acc_b * r + ca * s_pow,
+                            acc_a * r + acc_b * (p + r) + cb * s_pow)
+            s_pow *= s
+        den = self._den * s ** max(self.degree, 0)
+        return QFieldElement(Fraction(acc_a, den), Fraction(acc_b, den))
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """The order-th derivative in one pass: x^k -> k!/(k-order)! x^(k-order)."""
-        return Polynomial([c * perm(k, order)
-                           for k, c in enumerate(self.coeffs[order:], order)])
+        scale = [perm(k, order) for k in range(order, len(self._a))]
+        return Polynomial._from_ints([c * m for c, m in zip(self._a[order:], scale)],
+                                     [c * m for c, m in zip(self._b[order:], scale)],
+                                     self._den)
 
     def scale_argument(self, c: Scalar) -> "Polynomial":
-        """Return p(c*x)."""
-        ce = QFieldElement.coerce(c)
-        power = QFieldElement(1)
-        out = []
-        for coeff in self.coeffs:
-            out.append(coeff * power)
-            power = power * ce
-        return Polynomial(out)
+        """Return p(c*x).
+
+        With c = (p + r q)/s, x^k picks up (p + r q)^k s^(deg-k) over a
+        common s^deg.  A power q^j of q is a unit of Z[q] (s = 1), and its
+        powers are read off the period-6 table as q^(jk mod 6).
+        """
+        p, r, s = _split(c)
+        deg = self.degree
+        if s == 1 and (p, r) in _Q_LOG:
+            j = _Q_LOG[p, r]
+            powers = [_Q_POWERS[j * k % 6] for k in range(deg + 1)]
+        else:
+            powers, u, v = [], 1, 0
+            for k in range(deg + 1):
+                powers.append((u * s ** (deg - k), v * s ** (deg - k)))
+                u, v = u * p - v * r, u * r + v * (p + r)
+        a = [ca * u - cb * v for ca, cb, (u, v) in zip(self._a, self._b, powers)]
+        b = [ca * v + cb * (u + v) for ca, cb, (u, v) in zip(self._a, self._b, powers)]
+        return Polynomial._from_ints(a, b, self._den * s ** max(deg, 0))
 
     def reversed_coeffs(self) -> "Polynomial":
         """Return x^deg * p(1/x)."""
-        return Polynomial(list(reversed(self.coeffs)))
+        return Polynomial._from_ints(list(reversed(self._a)), list(reversed(self._b)),
+                                     self._den)
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Exact polynomial quotient; raises if the division leaves a remainder."""
@@ -300,21 +418,49 @@ class Polynomial:
         return quot
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder, on integer numerators for every divisor.
+
+        The divisor is made monic once, as m(x)/E with integer numerators
+        m whose leading entry is E.  Each step that clears a leading
+        numerator c scales the running remainder and quotient numerators
+        by E, subtracts c x^k m(x) from the remainder and records c x^k in
+        the quotient.  After s such steps, with den the denominator of
+        self, E^s self = (quot/den) m + rem/den, reduced at the end.
+        """
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = self.degree - other.degree
         if dq < 0:
             return Polynomial([]), self
-        quot = [QFieldElement()] * (dq + 1)
-        lead = other.coeffs[-1].inverse()
+        # the leading coefficient is (u + v q)/den, and
+        # 1/(u + v q) = (u + v - v q) / (u^2 + u v + v^2)
+        u, v, den = other._a[-1], other._b[-1], other._den
+        inv_lead = Polynomial._from_ints([(u + v) * den], [-v * den], u * u + u * v + v * v)
+        monic = other * inv_lead
+        ma, mb, big_e = monic._a, monic._b, monic._den
+        top = len(ma) - 1
+        ra, rb = list(self._a), list(self._b)
+        qa, qb = [0] * (dq + 1), [0] * (dq + 1)
+        steps = 0
         for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] * lead
-            quot[k] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * oc
-        return Polynomial(quot), Polynomial(rem)
+            ca, cb = ra[k + top], rb[k + top]
+            if not ca and not cb:
+                continue
+            if big_e != 1:
+                ra = [c * big_e for c in ra]
+                rb = [c * big_e for c in rb]
+                qa = [c * big_e for c in qa]
+                qb = [c * big_e for c in qb]
+            steps += 1
+            qa[k], qb[k] = ca, cb
+            for j in range(top + 1):
+                xa, xb = ma[j], mb[j]
+                ra[k + j] -= ca * xa - cb * xb
+                rb[k + j] -= ca * xb + cb * (xa + xb)
+        scale = self._den * big_e ** steps
+        quot = Polynomial._from_ints(qa, qb, scale)
+        # m = E * monic and monic = other * inv_lead
+        return quot * inv_lead * big_e, Polynomial._from_ints(ra[:top], rb[:top], scale)
 
     def rational_coeffs(self) -> tuple[Fraction, ...]:
         return tuple(c.as_fraction() for c in self.coeffs)
@@ -323,13 +469,22 @@ class Polynomial:
         return tuple(complex(c) for c in self.coeffs)
 
     def is_monic(self) -> bool:
-        return bool(self) and self.coeffs[-1] == 1
+        return bool(self) and self._a[-1] == self._den and self._b[-1] == 0
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self:
             return "Polynomial([])"
         terms = ", ".join(str(c) for c in self.coeffs)
         return f"Polynomial([{terms}])"
+
+
+def _lift(value: object) -> Polynomial | None:
+    """A Polynomial operand as is, a scalar as a constant, anything else None."""
+    if isinstance(value, Polynomial):
+        return value
+    if isinstance(value, (int, Fraction, QFieldElement)):
+        return Polynomial([value])
+    return None
 
 
 def fact(n: int) -> int:

@@ -26,6 +26,7 @@ Q(q), q^2 = q - 1:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -616,28 +617,46 @@ def hypergeometric_check(n: int) -> HypergeometricReport:
 # derivative sums and their recurrences
 # ---------------------------------------------------------------------------
 
+def _poch_thirds(c: int, n: int) -> int:
+    """3^n (c/3)_n = c (c+3) ... (c+3(n-1)), an integer."""
+    out = 1
+    for i in range(n):
+        out *= c + 3 * i
+    return out
+
+
+def _exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Sum of integer (numerator, denominator) pairs, reduced once."""
+    num, den = 0, 1
+    for t_num, t_den in terms:
+        num, den = num * t_den + t_num * den, den * t_den
+    return Fraction(num, den)
+
+
 def t1_sum(m: int, n: int) -> Fraction:
     """First derivative sum: 3^-2N times the m-th derivative at -1 of the
-    exponent-class-0 part of f_Q, divided by c_N."""
-    total = Fraction(0)
-    for k in range(n + 1):
-        if 3 * k < m:
-            continue
-        total += (Fraction((-1) ** (3 * k - m)) * fact(3 * k)
-                  / (poch(2 * THIRD - k, n) * fact(n - k) * fact(k) * fact(3 * k - m)))
-    return total / Fraction(3 ** (2 * n))
+    exponent-class-0 part of f_Q, divided by c_N.
+
+    With (2/3 - k)_N = 3^-N (2 - 3k)(5 - 3k)...(3N - 1 - 3k), each term
+    is a ratio of integers over 3^N.
+    """
+    return _exact_sum(
+        ((-1) ** (3 * k - m) * fact(3 * k),
+         _poch_thirds(2 - 3 * k, n) * fact(n - k) * fact(k) * fact(3 * k - m) * 3 ** n)
+        for k in range(n + 1) if 3 * k >= m)
 
 
 def t2_sum(m: int, n: int) -> Fraction:
-    """Companion sum for the exponent-class-2 part of f_Q."""
-    total = Fraction(0)
-    for k in range(n):
-        if 3 * k + 2 < m:
-            continue
-        total += (Fraction((-1) ** (3 * k + 2 - m)) * fact(3 * k + 2)
-                  / (poch(-k - 2 * THIRD, n + 1) * fact(n - k - 1) * fact(k)
-                     * fact(3 * k + 2 - m)))
-    return total / Fraction(3 ** (2 * n))
+    """Companion sum for the exponent-class-2 part of f_Q.
+
+    With (-k - 2/3)_{N+1} = 3^-(N+1) (-3k - 2)(1 - 3k)...(3N - 3k - 2),
+    each term is 3 times a ratio of integers over 3^N.
+    """
+    return _exact_sum(
+        ((-1) ** (3 * k + 2 - m) * fact(3 * k + 2) * 3,
+         _poch_thirds(-3 * k - 2, n + 1) * fact(n - k - 1) * fact(k)
+         * fact(3 * k + 2 - m) * 3 ** n)
+        for k in range(n) if 3 * k + 2 >= m)
 
 
 def a1_seq(n: int) -> Fraction:

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -242,7 +243,9 @@ def test_memory_failure_exits_3(monkeypatch, capsys):
 
 
 def test_module_invocation_and_env_logging():
-    env = dict(os.environ, RPM_LOG="info")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, RPM_LOG="info", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "raisepeel.cli", "tq", "--n", "1",
          "--check", "lambda"],

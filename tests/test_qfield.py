@@ -134,3 +134,46 @@ def test_factorials_and_pochhammer():
 def test_docstring_examples():
     failures, _ = doctest.testmod(raisepeel.qfield, verbose=False)
     assert failures == 0
+
+
+def test_field_element_defers_to_polynomial_operands():
+    x = Polynomial.x()
+    assert Q * x == x * Q == Polynomial([0, Q])
+    assert Q + x == x + Q == Polynomial([Q, 1])
+    assert Q - x == Polynomial([Q, -1])
+    assert x - Q == Polynomial([-Q, 1])
+    for name in ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__"):
+        assert getattr(Q, name)(x) is NotImplemented, name
+        assert getattr(Q, name)(1.5) is NotImplemented, name
+    with pytest.raises(TypeError):
+        Q * 1.5
+    with pytest.raises(TypeError):
+        1.5 - Q
+    with pytest.raises(TypeError):
+        Q / x
+    with pytest.raises(TypeError):
+        x * 1.5
+
+
+def test_coerce_still_rejects_non_scalars():
+    with pytest.raises(TypeError, match="cannot coerce Polynomial"):
+        QFieldElement.coerce(Polynomial.x())
+    with pytest.raises(TypeError, match="cannot coerce float"):
+        QFieldElement.coerce(1.5)
+    with pytest.raises(TypeError):
+        Polynomial([1.5])
+
+
+def test_hash_agrees_with_equality():
+    assert QFieldElement(1) == 1 and hash(QFieldElement(1)) == hash(1)
+    assert len({QFieldElement(1), 1}) == 1
+    assert len({QFieldElement(HALF), HALF}) == 1
+    assert Polynomial([2]) == 2 and hash(Polynomial([2])) == hash(2)
+    assert len({Polynomial([2]), 2, QFieldElement(2), Fraction(2)}) == 1
+    assert Polynomial([]) == 0 and hash(Polynomial([])) == hash(0)
+    assert len({Polynomial([Q - HALF]), Q - HALF}) == 1
+    # equal polynomials built from different scalar types hash alike
+    x = Polynomial.x()
+    built = [Polynomial([HALF, 0, 3]), Polynomial([QFieldElement(HALF), Fraction(0), 3, 0]),
+             3 * x ** 2 + HALF]
+    assert len(set(built)) == 1

@@ -2,6 +2,7 @@
 
 import doctest
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -74,6 +75,32 @@ def test_relation_breaks_under_perturbation():
     assert lhs != rhs
     intact = poly(q.inverse()) == q * (q - 1) ** n * poly(q)
     assert intact
+
+
+def _bumped_by_smallest_step(poly, in_q_part):
+    """poly with its middle coefficient moved by 1/den, den the common
+    denominator of the coefficients: the smallest step the numerators allow."""
+    coeffs = list(poly.coeffs)
+    den = lcm(*(part.denominator for c in coeffs for part in (c.a, c.b)))
+    step = Fraction(1, den)
+    i = poly.degree // 2
+    coeffs[i] = coeffs[i] + (Q_GEN * step if in_q_part else step)
+    return type(poly)(coeffs)
+
+
+@pytest.mark.parametrize("n", [2, 7, 12])
+@pytest.mark.parametrize("in_q_part", [False, True])
+@pytest.mark.parametrize("which", ["q", "p"])
+def test_identities_fail_on_smallest_bump(monkeypatch, which, in_q_part, n):
+    # negative control: normalisation of the integer numerators must not
+    # let a nonzero residual test as zero
+    poly = getattr(raisepeel.tq, f"{which}_poly")(n)
+    bumped = _bumped_by_smallest_step(poly, in_q_part)
+    assert bumped != poly and bumped.is_monic() and bumped.degree == n
+    monkeypatch.setattr(raisepeel.tq, f"{which}_poly", lambda m: bumped)
+    assert raisepeel.tq.tq_residual(n, which)
+    assert not raisepeel.tq.verify_tq(n).passed
+    assert not raisepeel.tq.verify_wronskian(n).passed
 
 
 @pytest.mark.parametrize("n", ORDERS)
