@@ -193,11 +193,6 @@ class QFieldElement:
 
 Q_GEN = QFieldElement.gen()
 
-# q^k for k = 0..5 as (rational part, q part); q^6 = 1, so these are all
-# the powers of q, and they are units of Z[q]
-_Q_POWERS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-_Q_LOG = {unit: k for k, unit in enumerate(_Q_POWERS)}
-
 
 def _split(value: Scalar) -> tuple[int, int, int]:
     """Integers (a, b, d), d > 0, with value = (a + b*q) / d."""
@@ -340,14 +335,11 @@ class Polynomial:
         n = len(a) + len(c) - 1
         # (a + b q)(c + d q) = (ac - bd) + ((a + b)(c + d) - ac) q, using q^2 = q - 1
         ac = _convolve(a, c, [0] * n)
-        if any(b) or any(d):
-            bd = _convolve(b, d, [0] * n)
-            cross = _convolve([x + y for x, y in zip(a, b)],
-                              tuple(x + y for x, y in zip(c, d)), [0] * n)
-            rat = [u - v for u, v in zip(ac, bd)]
-            irr = [u - v for u, v in zip(cross, ac)]
-        else:
-            rat, irr = ac, [0] * n
+        bd = _convolve(b, d, [0] * n)
+        cross = _convolve([x + y for x, y in zip(a, b)],
+                          tuple(x + y for x, y in zip(c, d)), [0] * n)
+        rat = [u - v for u, v in zip(ac, bd)]
+        irr = [u - v for u, v in zip(cross, ac)]
         return Polynomial._from_ints(rat, irr, self._den * other._den)
 
     __rmul__ = __mul__
@@ -388,19 +380,15 @@ class Polynomial:
         """Return p(c*x).
 
         With c = (p + r q)/s, x^k picks up (p + r q)^k s^(deg-k) over a
-        common s^deg.  A power q^j of q is a unit of Z[q] (s = 1), and its
-        powers are read off the period-6 table as q^(jk mod 6).
+        common s^deg.  For a power of q, s = 1 and the (p + r q)^k are
+        units of Z[q], so every factor stays in {-1, 0, 1}.
         """
         p, r, s = _split(c)
         deg = self.degree
-        if s == 1 and (p, r) in _Q_LOG:
-            j = _Q_LOG[p, r]
-            powers = [_Q_POWERS[j * k % 6] for k in range(deg + 1)]
-        else:
-            powers, u, v = [], 1, 0
-            for k in range(deg + 1):
-                powers.append((u * s ** (deg - k), v * s ** (deg - k)))
-                u, v = u * p - v * r, u * r + v * (p + r)
+        powers, u, v = [], 1, 0
+        for k in range(deg + 1):
+            powers.append((u * s ** (deg - k), v * s ** (deg - k)))
+            u, v = u * p - v * r, u * r + v * (p + r)
         a = [ca * u - cb * v for ca, cb, (u, v) in zip(self._a, self._b, powers)]
         b = [ca * v + cb * (u + v) for ca, cb, (u, v) in zip(self._a, self._b, powers)]
         return Polynomial._from_ints(a, b, self._den * s ** max(deg, 0))
