@@ -7,6 +7,11 @@ Exact rational quantities serialize as fraction strings such as "12/5",
 never as floats; floating-point numbers appear only where the quantity
 itself is one (Monte Carlo estimates, eigenvalues, residuals).
 
+Each claim is checked by one function below: the verdicts of the
+stationary checks, the scgf fd_check, the xxz energy and bridge_check and
+every tq check are the same comparisons as the verify-all rows for that
+L or N, at the same tolerances.
+
 Exit codes: 0 everything asked for passed (or nothing was checked),
 1 a verification row failed, 2 usage error, 3 convergence or resource
 failure.  The only environment variable consulted is RPM_LOG, which
@@ -40,13 +45,10 @@ _LOG_LEVELS = {
     "error": logging.ERROR,
 }
 
-_TQ_CHECKS = ("all", "tq", "wronskian", "boundary", "worksheet", "lambda",
-              "hyper", "recurrences", "bethe")
-
+_FD_STEP = 1e-3
 _FD_TOLERANCE = 1e-6
 _ORIGIN_TOLERANCE = 1e-12
 _ENERGY_TOLERANCE = 1e-10
-_TL_TOLERANCE = 1e-12
 _BRIDGE_TOLERANCE = 1e-8
 _BRIDGE_GRID = (-0.1, 0.0, 0.1)
 
@@ -133,6 +135,143 @@ def _require_even_length(length: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
+# claim checks: each computes its values once, compares them at one tolerance
+# and yields verify-all's rows; the subcommands build their verdicts from them
+
+
+@dataclass(frozen=True)
+class Row:
+    """One verdict of the verification matrix, keyed by its row name."""
+
+    row: str
+    detail: str
+    expected: str
+    actual: str
+    passed: bool
+
+
+def _stationary_checks(length: int) -> dict[str, Row]:
+    """The five closed-form checks of the exact stationary state, by payload name."""
+    drift_diamond, drift_global = stationary.exact_drifts(length)
+    peaks = stationary.expected_peaks(length)
+
+    def exact(key: str, detail: str, formula: Fraction | int, value: Fraction) -> Row:
+        return Row(f"{key}-L{length:02d}", detail, _frac(formula), _frac(value),
+                   value == formula)
+
+    return {
+        "drift_diamond": exact("drift-diamond", "exact evacuated-tile current vs closed form",
+                               stationary.diamond_current_formula(length), drift_diamond),
+        "drift_global": exact("drift-global", "exact two-layer-removal current vs closed form",
+                              stationary.global_current_formula(length), drift_global),
+        "expected_peaks": exact("conjecture-peaks", "stationary mean peak count vs closed form",
+                                stationary.peak_mean_formula(length), peaks),
+        "prob_omega_global": exact(
+            "conjecture-omega", "probability of the two-layer-removal window vs closed form",
+            stationary.omega_probability_formula(length), stationary.prob_omega_global(length)),
+        "tile_balance": exact("tile-balance",
+                              "evacuation current plus peak mean equals ring length",
+                              length, drift_diamond + peaks),
+    }
+
+
+def _slope_check(length: int, step: float) -> tuple[dict[str, Any], list[Row]]:
+    """Tilted generator zero at the origin, gradient equal to the exact currents:
+    the scgf fd_check block and the origin and slope rows."""
+    d_alpha, d_beta = scgf.scgf_derivatives(length, h_step=step)
+    origin = scgf.scgf_value(length, scgf.DeformedParams()).lambda_value
+    exact_alpha = stationary.global_current_formula(length)
+    exact_beta = stationary.diamond_current_formula(length)
+    rel_alpha = abs(d_alpha - float(exact_alpha)) / float(exact_alpha)
+    rel_beta = abs(d_beta - float(exact_beta)) / float(exact_beta)
+    rows = [
+        Row(f"scgf-origin-L{length:02d}", "cumulant generating function vanishes at zero tilt",
+            f"|value| <= {_ORIGIN_TOLERANCE:g}", f"{abs(origin):.2e}",
+            abs(origin) <= _ORIGIN_TOLERANCE),
+        Row(f"scgf-slope-L{length:02d}", "tilted-generator gradient vs exact currents",
+            f"rel err <= {_FD_TOLERANCE:g}", f"{max(rel_alpha, rel_beta):.2e}",
+            rel_alpha <= _FD_TOLERANCE and rel_beta <= _FD_TOLERANCE),
+    ]
+    block = {
+        "step": step,
+        "lambda_origin": origin,
+        "derivative_alpha": d_alpha,
+        "derivative_beta": d_beta,
+        "exact_alpha": _frac(exact_alpha),
+        "exact_beta": _frac(exact_beta),
+        "relative_error_alpha": rel_alpha,
+        "relative_error_beta": rel_beta,
+        "origin_tolerance": _ORIGIN_TOLERANCE,
+        "relative_tolerance": _FD_TOLERANCE,
+        "passed": all(row.passed for row in rows),
+    }
+    return block, rows
+
+
+def _energy_check(length: int, energy: float) -> tuple[dict[str, Any], Row]:
+    """Zero-tilt ground energy against -3L/4: the xxz energy fields and the row."""
+    target = -0.75 * length
+    error = abs(energy - target)
+    fields = {"reference_energy": target, "energy_error": error,
+              "energy_tolerance": _ENERGY_TOLERANCE}
+    return fields, Row(f"xxz-energy-L{length:02d}", "twisted-sector ground energy equals -3L/4",
+                       f"{target}", f"{energy:.12f}", error <= _ENERGY_TOLERANCE)
+
+
+def _bridge_check(length: int, spin: dict[tuple[float, float], float]
+                  ) -> tuple[list[dict[str, Any]], Row]:
+    """Spin-chain cumulant values by tilt (alpha, beta) against the tilted generator:
+    one bridge_check block per tilt and the row for the largest difference."""
+    blocks = []
+    for (alpha, beta), lam_spin in spin.items():
+        lam_scgf = scgf.scgf_value(length, scgf.DeformedParams(alpha, beta)).lambda_value
+        diff = abs(lam_spin - lam_scgf)
+        blocks.append({"lambda_scgf": lam_scgf, "difference": diff,
+                       "tolerance": _BRIDGE_TOLERANCE, "passed": diff <= _BRIDGE_TOLERANCE})
+    worst = max(block["difference"] for block in blocks)
+    return blocks, Row(f"xxz-bridge-L{length:02d}",
+                       "spin-chain energy bridge matches the cumulant function on a grid",
+                       f"diff <= {_BRIDGE_TOLERANCE:g}", f"{worst:.2e}",
+                       all(block["passed"] for block in blocks))
+
+
+@dataclass(frozen=True)
+class _LambdaReport:
+    """Growth rates assembled from polynomial data, beside their closed forms."""
+
+    alpha: Fraction
+    beta: Fraction
+    alpha_formula: Fraction
+    beta_formula: Fraction
+
+    @property
+    def passed(self) -> bool:
+        return self.alpha == self.alpha_formula and self.beta == self.beta_formula
+
+
+def _tq_lambda(n: int) -> _LambdaReport:
+    return _LambdaReport(tq.lambda_alpha(n), tq.lambda_beta(n),
+                         tq.lambda_alpha_formula(n), tq.lambda_beta_formula(n))
+
+
+# tq check name -> (report at order n, part of verify-all's tq-suite row).
+# Each entry looks its route function up when called, so a function replaced
+# after import (by a tracer or a test) is the one that runs.  lambda and
+# recurrences have rows of their own; the floating-point Bethe roots stay out
+# of the exact matrix.
+_TQ_CHECKS: dict[str, tuple[Callable[[int], Any], bool]] = {
+    "tq": (lambda n: tq.verify_tq(n), True),
+    "wronskian": (lambda n: tq.verify_wronskian(n), True),
+    "boundary": (lambda n: tq.boundary_values(n), True),
+    "worksheet": (lambda n: tq.derivative_worksheet(n), True),
+    "lambda": (_tq_lambda, False),
+    "hyper": (lambda n: tq.hypergeometric_check(n), True),
+    "recurrences": (lambda n: tq.recurrence_check(n_max=max(n, 3)), False),
+    "bethe": (lambda n: tq.lambda_from_roots(n), False),
+}
+
+
+# ---------------------------------------------------------------------------
 # subcommand handlers: each returns (payload, passed) where passed may be
 # None when the run produced data but verified nothing
 
@@ -191,32 +330,15 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]
 def cmd_stationary(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
     length = _require_even_length(args.length)
     vec = stationary.stationary_distribution(length)
-    drift_diamond, drift_global = stationary.exact_drifts(length)
-    peaks = stationary.expected_peaks(length)
-    omega = stationary.prob_omega_global(length)
-
-    checks = {
-        "drift_diamond": drift_diamond == stationary.diamond_current_formula(length),
-        "drift_global": drift_global == stationary.global_current_formula(length),
-        "expected_peaks": peaks == stationary.peak_mean_formula(length),
-        "prob_omega_global": omega == stationary.omega_probability_formula(length),
-        "tile_balance": drift_diamond + peaks == length,
-    }
+    checks = _stationary_checks(length)
+    observed = [name for name in checks if name != "tile_balance"]
     payload: dict[str, Any] = {
         "length": length,
         "state_count": len(vec.states),
         "method": vec.method,
-        "drift_diamond": _frac(drift_diamond),
-        "drift_global": _frac(drift_global),
-        "expected_peaks": _frac(peaks),
-        "prob_omega_global": _frac(omega),
-        "formulas": {
-            "drift_diamond": _frac(stationary.diamond_current_formula(length)),
-            "drift_global": _frac(stationary.global_current_formula(length)),
-            "expected_peaks": _frac(stationary.peak_mean_formula(length)),
-            "prob_omega_global": _frac(stationary.omega_probability_formula(length)),
-        },
-        "checks": checks,
+        **{name: checks[name].actual for name in observed},
+        "formulas": {name: checks[name].expected for name in observed},
+        "checks": {name: row.passed for name, row in checks.items()},
         "probabilities": {
             _state_key(s): _frac(vec.probabilities[s]) for s in vec.states
         },
@@ -226,7 +348,7 @@ def cmd_stationary(args: argparse.Namespace) -> tuple[dict[str, Any], bool | Non
             _state_key(s): int(vec.integer_form[s]) for s in vec.states
         }
         payload["integer_sum"] = int(vec.integer_sum)
-    return payload, all(checks.values())
+    return payload, all(payload["checks"].values())
 
 
 def cmd_scgf(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
@@ -243,44 +365,8 @@ def cmd_scgf(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
     }
     if not args.fd_check:
         return payload, None
-
-    d_alpha, d_beta = scgf.scgf_derivatives(length, h_step=args.step)
-    origin = scgf.scgf_value(length, scgf.DeformedParams()).lambda_value
-    exact_alpha = stationary.global_current_formula(length)
-    exact_beta = stationary.diamond_current_formula(length)
-    rel_alpha = abs(d_alpha - float(exact_alpha)) / float(exact_alpha)
-    rel_beta = abs(d_beta - float(exact_beta)) / float(exact_beta)
-    fd_passed = (abs(origin) <= _ORIGIN_TOLERANCE
-                 and rel_alpha <= _FD_TOLERANCE
-                 and rel_beta <= _FD_TOLERANCE)
-    payload["fd_check"] = {
-        "step": args.step,
-        "lambda_origin": origin,
-        "derivative_alpha": d_alpha,
-        "derivative_beta": d_beta,
-        "exact_alpha": _frac(exact_alpha),
-        "exact_beta": _frac(exact_beta),
-        "relative_error_alpha": rel_alpha,
-        "relative_error_beta": rel_beta,
-        "origin_tolerance": _ORIGIN_TOLERANCE,
-        "relative_tolerance": _FD_TOLERANCE,
-        "passed": fd_passed,
-    }
-    return payload, fd_passed
-
-
-def _tq_lambda_payload(n: int, alpha: Fraction,
-                       beta: Fraction) -> tuple[dict[str, Any], bool]:
-    alpha_formula = tq.lambda_alpha_formula(n)
-    beta_formula = tq.lambda_beta_formula(n)
-    passed = alpha == alpha_formula and beta == beta_formula
-    return {
-        "alpha": _frac(alpha),
-        "beta": _frac(beta),
-        "alpha_formula": _frac(alpha_formula),
-        "beta_formula": _frac(beta_formula),
-        "passed": passed,
-    }, passed
+    payload["fd_check"], _ = _slope_check(length, args.step)
+    return payload, payload["fd_check"]["passed"]
 
 
 def cmd_tq(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
@@ -290,37 +376,12 @@ def cmd_tq(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
 
-    def run_one(name: str) -> tuple[Any, bool]:
-        if name == "tq":
-            report = tq.verify_tq(n)
-        elif name == "wronskian":
-            report = tq.verify_wronskian(n)
-        elif name == "boundary":
-            report = tq.boundary_values(n)
-        elif name == "worksheet":
-            report = tq.derivative_worksheet(n)
-        elif name == "hyper":
-            report = tq.hypergeometric_check(n)
-        elif name == "recurrences":
-            report = tq.recurrence_check(n_max=max(n, 3))
-        elif name == "bethe":
-            report = tq.lambda_from_roots(n)
-        elif name == "lambda":
-            return _tq_lambda_payload(n, tq.lambda_alpha(n), tq.lambda_beta(n))
-        else:  # pragma: no cover - argparse restricts the choices
-            raise UsageError(f"unknown check {name}")
-        return _jsonable(report), bool(report.passed)
-
-    names = [c for c in _TQ_CHECKS if c != "all"] if args.check == "all" else [args.check]
-    payload: dict[str, Any] = {"n": n, "checks": {}}
-    all_ok = True
-    for name in names:
-        body, ok = run_one(name)
-        payload["checks"][name] = body
-        all_ok = all_ok and ok
-        log.info("tq %s at n=%d: %s", name, n, "pass" if ok else "FAIL")
-    payload["passed"] = all_ok
-    return payload, all_ok
+    checks: dict[str, Any] = {}
+    for name in list(_TQ_CHECKS) if args.check == "all" else [args.check]:
+        checks[name] = _jsonable(_TQ_CHECKS[name][0](n))
+        log.info("tq %s at n=%d: %s", name, n, "pass" if checks[name]["passed"] else "FAIL")
+    all_ok = all(block["passed"] for block in checks.values())
+    return {"n": n, "checks": checks, "passed": all_ok}, all_ok
 
 
 def cmd_xxz(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
@@ -341,139 +402,76 @@ def cmd_xxz(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
 
     passed: bool | None = None
     if args.alpha == 0.0 and args.beta == 0.0:
-        target = -0.75 * length
-        error = abs(energy - target)
-        passed = error <= _ENERGY_TOLERANCE
-        payload["reference_energy"] = target
-        payload["energy_error"] = error
-        payload["energy_tolerance"] = _ENERGY_TOLERANCE
+        fields, row = _energy_check(length, energy)
+        payload.update(fields)
+        passed = row.passed
 
     if args.bridge_check:
-        other = scgf.scgf_value(length, scgf.DeformedParams(args.alpha, args.beta))
-        diff = abs(lam - other.lambda_value)
-        ok = diff <= _BRIDGE_TOLERANCE
-        payload["bridge_check"] = {
-            "lambda_scgf": other.lambda_value,
-            "difference": diff,
-            "tolerance": _BRIDGE_TOLERANCE,
-            "passed": ok,
-        }
-        passed = ok if passed is None else (passed and ok)
+        blocks, row = _bridge_check(length, {(args.alpha, args.beta): lam})
+        payload["bridge_check"] = blocks[0]
+        passed = row.passed if passed is None else (passed and row.passed)
     return payload, passed
 
 
-def _verify_rows(lmax: int, nmax: int) -> list[dict[str, Any]]:
-    rows: list[dict[str, Any]] = []
+def _verify_rows(lmax: int, nmax: int) -> list[Row]:
+    rows: list[Row] = []
 
-    def add(key: str, detail: str, expected: str, actual: str, ok: bool) -> None:
-        rows.append({"row": key, "detail": detail, "expected": expected,
-                     "actual": actual, "passed": bool(ok)})
-        log.info("row %-24s %s", key, "pass" if ok else "FAIL")
+    def add(*new: Row) -> None:
+        for row in new:
+            rows.append(row)
+            log.info("row %-24s %s", row.row, "pass" if row.passed else "FAIL")
 
     for length in range(2, lmax + 1, 2):
-        drift_diamond, drift_global = stationary.exact_drifts(length)
-        peaks = stationary.expected_peaks(length)
-        omega = stationary.prob_omega_global(length)
-        f_diamond = stationary.diamond_current_formula(length)
-        f_global = stationary.global_current_formula(length)
-        f_peaks = stationary.peak_mean_formula(length)
-        f_omega = stationary.omega_probability_formula(length)
-        add(f"conjecture-peaks-L{length:02d}",
-            "stationary mean peak count vs closed form",
-            _frac(f_peaks), _frac(peaks), peaks == f_peaks)
-        add(f"conjecture-omega-L{length:02d}",
-            "probability of the two-layer-removal window vs closed form",
-            _frac(f_omega), _frac(omega), omega == f_omega)
-        add(f"drift-diamond-L{length:02d}",
-            "exact evacuated-tile current vs closed form",
-            _frac(f_diamond), _frac(drift_diamond), drift_diamond == f_diamond)
-        add(f"drift-global-L{length:02d}",
-            "exact two-layer-removal current vs closed form",
-            _frac(f_global), _frac(drift_global), drift_global == f_global)
-        add(f"tile-balance-L{length:02d}",
-            "evacuation current plus peak mean equals ring length",
-            str(length), _frac(drift_diamond + peaks),
-            drift_diamond + peaks == length)
+        add(*_stationary_checks(length).values())
 
     for length in range(2, min(lmax, 10) + 1, 2):
-        origin = scgf.scgf_value(length, scgf.DeformedParams()).lambda_value
-        add(f"scgf-origin-L{length:02d}",
-            "cumulant generating function vanishes at zero tilt",
-            f"|value| <= {_ORIGIN_TOLERANCE:g}", f"{abs(origin):.2e}",
-            abs(origin) <= _ORIGIN_TOLERANCE)
-        d_alpha, d_beta = scgf.scgf_derivatives(length)
-        rel = max(
-            abs(d_alpha - float(stationary.global_current_formula(length)))
-            / float(stationary.global_current_formula(length)),
-            abs(d_beta - float(stationary.diamond_current_formula(length)))
-            / float(stationary.diamond_current_formula(length)),
-        )
-        add(f"scgf-slope-L{length:02d}",
-            "tilted-generator gradient vs exact currents",
-            f"rel err <= {_FD_TOLERANCE:g}", f"{rel:.2e}", rel <= _FD_TOLERANCE)
+        add(*_slope_check(length, _FD_STEP)[1])
 
-    # (alpha, beta) growth rates, each evaluated once per N
-    rates = {n: (tq.lambda_alpha(n), tq.lambda_beta(n))
-             for n in range(1, max(nmax, lmax // 2) + 1)}
+    # growth rates, each evaluated once per N
+    rates = {n: _tq_lambda(n) for n in range(1, max(nmax, lmax // 2) + 1)}
+    suite = [report for report, in_suite in _TQ_CHECKS.values() if in_suite]
     for n in range(1, nmax + 1):
-        lam_payload, lam_ok = _tq_lambda_payload(n, *rates[n])
-        add(f"tq-lambda-N{n:02d}",
-            "growth rates assembled from polynomial data vs closed forms",
-            f"{lam_payload['alpha_formula']}, {lam_payload['beta_formula']}",
-            f"{lam_payload['alpha']}, {lam_payload['beta']}", lam_ok)
-        suite_ok = (tq.verify_tq(n).passed
-                    and tq.verify_wronskian(n).passed
-                    and tq.boundary_values(n).passed
-                    and tq.derivative_worksheet(n).passed
-                    and tq.hypergeometric_check(n).passed)
-        add(f"tq-suite-N{n:02d}",
-            "functional relations, wronskians, boundary table, worksheets",
-            "all identities exact", "pass" if suite_ok else "FAIL", suite_ok)
+        lam = rates[n]
+        add(Row(f"tq-lambda-N{n:02d}",
+                "growth rates assembled from polynomial data vs closed forms",
+                f"{lam.alpha_formula}, {lam.beta_formula}", f"{lam.alpha}, {lam.beta}",
+                lam.passed))
+        suite_ok = all(report(n).passed for report in suite)
+        add(Row(f"tq-suite-N{n:02d}",
+                "functional relations, wronskians, boundary table, worksheets",
+                "all identities exact", "pass" if suite_ok else "FAIL", suite_ok))
 
     for n in range(1, lmax // 2 + 1):
-        length = 2 * n
-        drift_diamond, drift_global = stationary.exact_drifts(length)
-        alpha, beta = rates[n]
-        cross_ok = beta == drift_diamond and alpha == drift_global
-        add(f"route-cross-N{n:02d}",
-            "algebraic growth rates equal stationary currents at L=2N",
-            f"{_frac(drift_diamond)}, {_frac(drift_global)}",
-            f"{_frac(beta)}, {_frac(alpha)}", cross_ok)
+        drift_diamond, drift_global = stationary.exact_drifts(2 * n)
+        lam = rates[n]
+        add(Row(f"route-cross-N{n:02d}",
+                "algebraic growth rates equal stationary currents at L=2N",
+                f"{_frac(drift_diamond)}, {_frac(drift_global)}",
+                f"{_frac(lam.beta)}, {_frac(lam.alpha)}",
+                lam.beta == drift_diamond and lam.alpha == drift_global))
 
-    recur = tq.recurrence_check(n_max=30)
-    add("tq-recurrences",
-        "six holonomic sequences, their recurrences and seeds, to order 30",
-        "all exact", "pass" if recur.passed else "FAIL", recur.passed)
+    recur = _TQ_CHECKS["recurrences"][0](30)
+    add(Row("tq-recurrences",
+            "six holonomic sequences, their recurrences and seeds, to order 30",
+            "all exact", "pass" if recur.passed else "FAIL", recur.passed))
 
     for length in range(4, min(lmax, 14) + 1, 2):
         energy = spinchain.ground_energy(spinchain.XXZParams(length))
-        target = -0.75 * length
-        add(f"xxz-energy-L{length:02d}",
-            "twisted-sector ground energy equals -3L/4",
-            f"{target}", f"{energy:.12f}", abs(energy - target) <= _ENERGY_TOLERANCE)
+        add(_energy_check(length, energy)[1])
 
     for length in (4, 6, 8):
         if length > lmax:
             continue
-        rep = spinchain.tl_relations_check(length)
-        worst = max(rep.idempotent_error, rep.neighbor_error,
-                    rep.commutation_error, rep.quotient_error)
-        add(f"xxz-tl-L{length:02d}",
-            "loop-algebra generator relations at the combinatorial twist",
-            f"errors <= {_TL_TOLERANCE:g}", f"{worst:.2e}", rep.passed(_TL_TOLERANCE))
-        diff = 0.0
-        for alpha in _BRIDGE_GRID:
-            for beta in _BRIDGE_GRID:
-                lam_spin = spinchain.lambda_bridge(length, alpha, beta)
-                lam_pdp = scgf.scgf_value(
-                    length, scgf.DeformedParams(alpha, beta)).lambda_value
-                diff = max(diff, abs(lam_spin - lam_pdp))
-        add(f"xxz-bridge-L{length:02d}",
-            "spin-chain energy bridge matches the cumulant function on a grid",
-            f"diff <= {_BRIDGE_TOLERANCE:g}", f"{diff:.2e}", diff <= _BRIDGE_TOLERANCE)
+        relations = spinchain.tl_relations_check(length)
+        add(Row(f"xxz-tl-L{length:02d}",
+                "loop-algebra generator relations at the combinatorial twist",
+                f"errors <= {spinchain.TL_TOLERANCE:g}", f"{relations.worst_error:.2e}",
+                relations.passed()))
+        spin = {(alpha, beta): spinchain.lambda_bridge(length, alpha, beta)
+                for alpha in _BRIDGE_GRID for beta in _BRIDGE_GRID}
+        add(_bridge_check(length, spin)[1])
 
-    rows.sort(key=lambda r: r["row"])
-    return rows
+    return sorted(rows, key=lambda row: row.row)
 
 
 def cmd_verify_all(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
@@ -481,7 +479,7 @@ def cmd_verify_all(args: argparse.Namespace) -> tuple[dict[str, Any], bool | Non
         raise UsageError(f"--lmax must be an even integer >= 2, got {args.lmax}")
     if args.nmax < 1:
         raise UsageError(f"--nmax must be >= 1, got {args.nmax}")
-    rows = _verify_rows(args.lmax, args.nmax)
+    rows = [dataclasses.asdict(row) for row in _verify_rows(args.lmax, args.nmax)]
     failures = [r["row"] for r in rows if not r["passed"]]
 
     width = max(len(r["row"]) for r in rows)
@@ -567,14 +565,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     help="tilt conjugate to evacuated tiles")
     sc.add_argument("--fd-check", dest="fd_check", action="store_true",
                     help="compare finite-difference slopes with exact currents")
-    sc.add_argument("--step", type=float, default=1e-3,
+    sc.add_argument("--step", type=float, default=_FD_STEP,
                     help="base step for the finite-difference check")
     by_name["scgf"] = sc
 
     tqp = subs.add_parser("tq", parents=[common],
                           help="polynomial functional relations and growth rates")
     tqp.add_argument("--n", type=int, help="half the ring length")
-    tqp.add_argument("--check", choices=_TQ_CHECKS, default="all",
+    tqp.add_argument("--check", choices=("all", *_TQ_CHECKS), default="all",
                      help="which identity family to verify")
     by_name["tq"] = tqp
 

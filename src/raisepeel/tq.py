@@ -568,12 +568,15 @@ class HypergeometricReport:
 
 
 def _gauss_sum_at_one(minus_n: int, b: Fraction, c: Fraction) -> Fraction:
-    """Terminating 2F1(-n, b; c; 1) evaluated term by term."""
+    """Terminating 2F1(-n, b; c; 1) evaluated term by term.
+
+    Term k+1 is term k times (k - n)(b + k) / ((c + k)(k + 1)).
+    """
     n = -minus_n
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += (poch(Fraction(minus_n), k) * poch(b, k)
-                  / (poch(c, k) * fact(k)))
+    term = total = Fraction(1)
+    for k in range(n):
+        term *= (k - n) * (b + k) / ((c + k) * (k + 1))
+        total += term
     return total
 
 

@@ -138,6 +138,23 @@ def test_verify_all_small():
     assert "12/5" in l4
 
 
+def test_verify_all_default_matrix(tmp_path):
+    # every row of the default matrix: key, detail, expected value and pass
+    # flag, plus the actual value wherever it is exact (floating-point
+    # residuals vary between runs and are not pinned)
+    fixture = json.loads(
+        (Path(__file__).parent / "data" / "verify_all_default.json").read_text())
+    out_path = tmp_path / "report.json"
+    code, _ = run_cli(["verify-all", "--out", str(out_path)])
+    doc = json.loads(out_path.read_text())
+    assert code == 0
+    assert (doc["lmax"], doc["nmax"]) == (fixture["lmax"], fixture["nmax"])
+    assert len(doc["rows"]) == len(fixture["rows"]) == 75
+    got = [{k: v for k, v in row.items() if k != "actual" or "actual" in pinned}
+           for row, pinned in zip(doc["rows"], fixture["rows"])]
+    assert got == fixture["rows"]
+
+
 def test_verify_all_out_file(tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["verify-all", "--lmax", "2", "--nmax", "1",
@@ -181,6 +198,7 @@ def test_config_defaults_and_override(tmp_path):
     ["tq", "--check", "lambda"],
     ["tq", "--n", "0"],
     ["xxz", "--length", "6", "--beta", "-5.0"],
+    ["xxz", "--length", "40"],
     ["verify-all", "--lmax", "3"],
     ["no-such-command"],
 ])

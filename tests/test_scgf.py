@@ -122,20 +122,28 @@ def test_dense_fallback_when_iteration_stalls():
     assert reference.method == "power-iteration"
 
 
-def test_route_is_independent_of_the_stationary_solver():
-    # the eigenvalue route must not lean on the exact stationary module:
-    # the only cross-checks live in the tests and the verification driver
+@pytest.mark.parametrize("route, forbidden", [
+    ("stationary", {"scgf", "spinchain", "tq"}),
+    ("scgf", {"stationary", "spinchain", "tq"}),
+    ("tq", {"stationary", "scgf", "spinchain"}),
+    # the spin chain reuses the eigenvalue route's ConvergenceError only
+    ("spinchain", {"stationary", "tq"}),
+], ids=["stationary", "scgf", "tq", "spinchain"])
+def test_route_is_independent_of_the_other_routes(route, forbidden):
+    # the solvers share no code: the only cross-checks live in the tests
+    # and the verification driver
     import ast
-    import raisepeel.scgf as module
+    import importlib
+    module = importlib.import_module(f"raisepeel.{route}")
     tree = ast.parse(open(module.__file__).read())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+            imported.update(part for alias in node.names for part in alias.name.split("."))
         elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
+            imported.update((node.module or "").split("."))
             imported.update(alias.name for alias in node.names)
-    assert not any("stationary" in name for name in imported)
+    assert not imported & forbidden
 
 
 def test_convergence_error_is_a_runtime_error():

@@ -34,6 +34,23 @@ def test_sector_basis_l4():
         sector_basis(4, 5)
 
 
+def test_sector_basis_matches_bit_counting():
+    for length in range(2, 13, 2):
+        for n_up in range(length + 1):
+            assert sector_basis(length, n_up) == tuple(
+                b for b in range(1 << length) if bin(b).count("1") == n_up)
+
+
+def test_sector_basis_length_cap():
+    cap = spinchain.MAX_CHAIN_LENGTH
+    assert cap == 20
+    assert len(sector_basis(cap, 1)) == cap
+    with pytest.raises(ValueError, match=f"cap of {cap}"):
+        sector_basis(cap + 2, 1)
+    with pytest.raises(ValueError, match=f"cap of {cap}"):
+        ground_energy(XXZParams(40))
+
+
 def test_combinatorial_twist():
     assert combinatorial_twist(6) == pytest.approx(cmath.exp(1j * cmath.pi / 9))
     for length in (4, 6, 8):
