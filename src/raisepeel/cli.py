@@ -390,7 +390,7 @@ def cmd_xxz(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
     params = spinchain.XXZParams(length=length, delta_aniso=bridge.delta_aniso,
                                  twist=bridge.twist)
     energy = spinchain.ground_energy(params)
-    lam = spinchain.lambda_bridge(length, args.alpha, args.beta)
+    lam = spinchain.lambda_from_energy(length, args.beta, energy)
     payload: dict[str, Any] = {
         "length": length,
         "alpha": args.alpha,

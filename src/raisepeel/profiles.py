@@ -13,8 +13,9 @@ Every move conserves the balance (reflected) + (evacuated) + (net stored)
 tile current.
 
 ``transition_table`` walks every move of every state once per ring length
-into integer arrays; the exact generator and the tilted generator are both
-assembled from it.
+into integer arrays.  The exact stationary solver and its certificate read
+the move targets directly, and the tilted generator of ``scgf`` is
+assembled from the targets and the counters.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 HeightProfile = tuple[int, ...]
 
@@ -274,21 +274,6 @@ class TransitionTable(NamedTuple):
     d_global: np.ndarray
     peak_count: np.ndarray
     omega: np.ndarray
-
-    def rate_matrix(self, weights: np.ndarray) -> sp.csr_matrix:
-        """Generator with the given per-move weights, as a CSR matrix.
-
-        Entry (target, source) sums weights[source, site] over the sites
-        whose move realizes it, and L is subtracted on the diagonal (every
-        state has total rate L).  A reflection puts its weight on the
-        diagonal, so with unit weights the columns sum to zero.
-        """
-        n, length = self.target.shape
-        diagonal = np.arange(n)
-        rows = np.concatenate([self.target.ravel(), diagonal])
-        cols = np.concatenate([np.repeat(diagonal, length), diagonal])
-        values = np.concatenate([weights.ravel(), np.full(n, -length, weights.dtype)])
-        return sp.csr_matrix((values, (rows, cols)), shape=(n, n))
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,7 @@ the root of ``x^2 = x - 1``.  Scalars (``QFieldElement``) are stored as
 path for single values.  Polynomials keep their coefficients as integer
 numerators over one common positive denominator, so a product or a
 division step is integer arithmetic with one gcd reduction per result.
-Every identity is checked with zero tolerance.  ``ExactRational`` is the
-stdlib ``Fraction``; it already carries the gcd-reduced invariant we need.
+Every identity is checked with zero tolerance.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm, perm
 from typing import Iterable, Union
-
-ExactRational = Fraction
 
 Scalar = Union[int, Fraction, "QFieldElement"]
 

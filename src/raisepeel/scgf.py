@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from .profiles import transition_table
 
 _DENSE_FALLBACK_DIM = 512
-_DEFAULT_TOL = 1e-13
+_TOLERANCE = 1e-13
 _DEFAULT_MAX_ITERATIONS = 1_000_000
 _STALL_LIMIT = 500
 
@@ -60,19 +60,23 @@ def build_deformed(length: int,
     generator, entry for entry.
     """
     table = transition_table(length)
-    return table.rate_matrix(
-        np.exp(params.alpha * table.d_global + params.beta * table.d_diamond))
+    n = len(table.states)
+    weights = np.exp(params.alpha * table.d_global + params.beta * table.d_diamond)
+    diagonal = np.arange(n)
+    rows = np.concatenate([table.target.ravel(), diagonal])
+    cols = np.concatenate([np.repeat(diagonal, length), diagonal])
+    values = np.concatenate([weights.ravel(), np.full(n, -float(length))])
+    return sp.csr_matrix((values, (rows, cols)), shape=(n, n))
 
 
 def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray,
-                       tol: float = _DEFAULT_TOL,
                        max_iterations: int = _DEFAULT_MAX_ITERATIONS) -> SCGFResult:
     """Perron root of a shifted-nonnegative matrix, with certified bounds.
 
     Power iteration runs on matrix + shift*I (shift clearing the diagonal
     sign), and stops once the classical two-sided quotient bounds
-    min (Av)_i/v_i <= rho <= max (Av)_i/v_i pinch to within tol.  If the
-    enclosure stalls above tol, small problems fall back to a dense
+    min (Av)_i/v_i <= rho <= max (Av)_i/v_i pinch to within _TOLERANCE.  If
+    the enclosure stalls above it, small problems fall back to a dense
     eigensolve; large ones raise ConvergenceError with diagnostics.
     """
     a = sp.csr_matrix(matrix, dtype=float)
@@ -96,7 +100,7 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray,
         quotients = w / v
         lo, hi = float(quotients.min()), float(quotients.max())
         width = hi - lo
-        if width < tol:
+        if width < _TOLERANCE:
             return SCGFResult(0.5 * (lo + hi) - shift, width, iterations)
         if width < 0.999 * best_width:
             best_width, stalled = width, 0
@@ -112,18 +116,16 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray,
                           iterations, method="dense-fallback")
     raise ConvergenceError(
         f"Perron enclosure stalled at width {width:.3e} after "
-        f"{iterations} iterations (tol {tol:.1e}, dimension {n})")
+        f"{iterations} iterations (tol {_TOLERANCE:.1e}, dimension {n})")
 
 
 def scgf_value(length: int,
-               params: DeformedParams = DeformedParams(),
-               tol: float = _DEFAULT_TOL) -> SCGFResult:
+               params: DeformedParams = DeformedParams()) -> SCGFResult:
     """Largest eigenvalue of the tilted generator at the given tilt."""
-    return largest_eigenvalue(build_deformed(length, params), tol)
+    return largest_eigenvalue(build_deformed(length, params))
 
 
-def scgf_derivatives(length: int, h_step: float = 1e-3,
-                     tol: float = _DEFAULT_TOL) -> tuple[float, float]:
+def scgf_derivatives(length: int, h_step: float = 1e-3) -> tuple[float, float]:
     """Gradient of the cumulant generating function at the origin.
 
     Central differences at steps h and h/2 combined by one Richardson
@@ -135,7 +137,7 @@ def scgf_derivatives(length: int, h_step: float = 1e-3,
         raise ValueError(f"h_step must lie in (0, 1e-3], got {h_step}")
 
     def lam(alpha: float, beta: float) -> float:
-        return scgf_value(length, DeformedParams(alpha, beta), tol).lambda_value
+        return scgf_value(length, DeformedParams(alpha, beta)).lambda_value
 
     def central(axis: int, h: float) -> float:
         plus = lam(h, 0.0) if axis == 0 else lam(0.0, h)

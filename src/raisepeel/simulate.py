@@ -355,14 +355,6 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
         state)
 
 
-def mean_peaks_time_average(cfg: SimConfig, log_writer: LogWriter | None = None) -> Estimate:
-    """Time-weighted average of the peak count along one trajectory."""
-    summary = simulate(cfg, log_writer)
-    if summary.mean_peaks_hat is None:
-        raise ValueError("configuration produced no elapsed time")
-    return summary.mean_peaks_hat
-
-
 def run_ensemble(cfg: SimConfig, n_replicas: int) -> list[TrajectorySummary]:
     """Independent replicas with derived seeds seed+k, k = 0..n-1."""
     if n_replicas < 1:

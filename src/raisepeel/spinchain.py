@@ -36,6 +36,7 @@ from .scgf import ConvergenceError
 _DENSE_SECTOR_DIM = 64       # below this, skip ARPACK entirely
 _DENSE_FALLBACK_DIM = 4096   # dense rescue cap when ARPACK disappoints
 _HERMITIAN_TOL = 1e-12
+_RESIDUAL_TOL = 1e-10        # largest accepted eigenpair residual of ARPACK
 TL_TOLERANCE = 1e-12         # worst entry of a Temperley-Lieb relation residual
 # longest chain: at L=20 the zero-magnetization sector has 184756 states and
 # its ground energy takes about 4 s and 0.6 GB; each +2 sites multiplies the
@@ -150,7 +151,7 @@ def hermiticity_defect(matrix: sp.spmatrix) -> float:
     return float(np.abs(defect.data).max()) if defect.nnz else 0.0
 
 
-def ground_energy(params: XXZParams, residual_tol: float = 1e-10) -> float:
+def ground_energy(params: XXZParams) -> float:
     """Minimal sector eigenvalue via a restarted Lanczos-type solve.
 
     The returned value is guarded by an explicit residual check; small
@@ -170,7 +171,7 @@ def ground_energy(params: XXZParams, residual_tol: float = 1e-10) -> float:
         values, vectors = eigsh(h, k=1, which="SA", tol=0.0, maxiter=50 * n)
         vec = vectors[:, 0]
         residual = float(np.linalg.norm(h @ vec - values[0] * vec))
-        if residual <= residual_tol:
+        if residual <= _RESIDUAL_TOL:
             return float(values[0])
     except ArpackError:
         residual = float("inf")
@@ -178,7 +179,7 @@ def ground_energy(params: XXZParams, residual_tol: float = 1e-10) -> float:
         return float(np.linalg.eigvalsh(h.toarray())[0])
     raise ConvergenceError(
         f"extremal eigensolve residual {residual:.2e} exceeds "
-        f"{residual_tol:.1e} on sector dimension {n}")
+        f"{_RESIDUAL_TOL:.1e} on sector dimension {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +229,17 @@ def deformed_tl_operator(length: int, alpha: float, beta: float) -> sp.csr_matri
     return exp(beta) * total - length * sp.identity(total.shape[0], format="csr")
 
 
-def lambda_bridge(length: int, alpha: float = 0.0, beta: float = 0.0,
-                  residual_tol: float = 1e-10) -> float:
-    """Cumulant generating function via the chain: -e^beta * E_min - 3L/4."""
-    p = bridge_parameters(length, alpha, beta)
-    energy = ground_energy(
-        XXZParams(length, p.delta_aniso, p.twist), residual_tol)
+def lambda_from_energy(length: int, beta: float, energy: float) -> float:
+    """Cumulant generating function from the bridged chain's ground energy,
+    -e^beta * E_min - 3L/4."""
     return -exp(beta) * energy - 0.75 * length
+
+
+def lambda_bridge(length: int, alpha: float = 0.0, beta: float = 0.0) -> float:
+    """Cumulant generating function via the chain at tilt (alpha, beta)."""
+    p = bridge_parameters(length, alpha, beta)
+    energy = ground_energy(XXZParams(length, p.delta_aniso, p.twist))
+    return lambda_from_energy(length, beta, energy)
 
 
 # ---------------------------------------------------------------------------

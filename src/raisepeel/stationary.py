@@ -1,15 +1,17 @@
 """Exact stationary states of the raise-and-peel ring.
 
-The forward generator of the tile process is assembled over the enumerated
-state space and its kernel vector is computed exactly.  The chain commutes
-with rotation of the ring (with a height shift) and with reflection, so the
-generator is lumped onto the orbits of these two maps and the small lumped
-chain is solved by a subtraction-free censoring elimination in rational
-arithmetic; each orbit's mass is spread evenly over its states.  The result
-is then sealed by an exact certificate on the full chain (kernel residual
-zero over the rationals, positivity, total mass one, strong connectivity of
-the transition graph), so the reported vector is the stationary
-distribution, not a numerical approximation.
+Everything here reads the ring's transition table, the target state of
+every move of every state, and builds no generator matrix.  The chain
+commutes with rotation of the ring (with a height shift) and with
+reflection, so the moves are counted between the orbits of these two maps,
+one bincount over the table, and the small lumped chain is solved by a
+subtraction-free censoring elimination in rational arithmetic; each
+orbit's mass is spread evenly over its states.  The result is then sealed
+by an exact certificate on the cleared integer weights of the full chain,
+in Python integers: every weight positive, total probability one, the
+inflow of every state (reflections included) equal to L times its weight,
+and the transition graph strongly connected.  So the reported vector is
+the stationary distribution, not a numerical approximation.
 
 Stationary observables follow by exact summation: the mean peak count,
 the probability of the avalanche-armed set, and the two long-run currents
@@ -26,10 +28,8 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .profiles import HeightProfile, transition_table
-from .qfield import ExactRational
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class StationaryVector:
 class _Chain(NamedTuple):
     """The stationary layer's view of the shared transition table."""
     states: tuple[HeightProfile, ...]
-    generator: sp.csr_matrix
+    target: np.ndarray
     diamond_rate: tuple[int, ...]
     global_rate: tuple[int, ...]
     peak_count: tuple[int, ...]
@@ -67,24 +67,13 @@ class _Chain(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _chain(length: int) -> _Chain:
-    """Generator and per-state rates of the ring, as exact Python integers."""
+    """Move targets and per-state rates of the ring, as exact Python integers."""
     table = transition_table(length)
     return _Chain(
-        table.states, build_generator(length),
+        table.states, table.target,
         tuple(table.d_diamond.sum(axis=1).tolist()),
         tuple(table.d_global.sum(axis=1).tolist()),
         tuple(table.peak_count.tolist()), tuple(table.omega.tolist()))
-
-
-def build_generator(length: int) -> sp.csr_matrix:
-    """Forward generator on the enumerated basis, an int64 CSR matrix.
-
-    Entry (row, col) for row != col counts the sites whose move sends
-    state col to state row; the diagonal carries minus the number of
-    non-reflecting sites of col, so the columns sum to zero.
-    """
-    table = transition_table(length)
-    return table.rate_matrix(np.ones(table.target.shape, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +85,7 @@ def _orbits(states: tuple[HeightProfile, ...]) -> np.ndarray:
 
     The maps are rotation by one site followed by a height shift of +1 or
     -1 that restores the parity rule and the bottom level, and reflection
-    through site 1.  Both commute with the generator.  Orbits are numbered
+    through site 1.  Both commute with the dynamics.  Orbits are numbered
     in order of their first state.
     """
     length = len(states[0])
@@ -125,18 +114,17 @@ def _orbits(states: tuple[HeightProfile, ...]) -> np.ndarray:
     return label
 
 
-def _solve_censoring(generator: sp.spmatrix) -> list[Fraction]:
-    """Kernel vector of a generator, by subtraction-free elimination (GTH
-    ordering) in exact rationals, normalized to total one.
+def _solve_censoring(counts: np.ndarray) -> list[Fraction]:
+    """Stationary weights of the chain whose rate from s to t is
+    counts[s, t], by subtraction-free elimination (GTH ordering) in exact
+    rationals, normalized to total one.
 
     States are censored one by one from the top index down; the stored
     ratios then rebuild the stationary weights from state 0 upward.  All
     intermediate quantities are nonnegative, so no cancellation occurs.
+    Self-loops, the diagonal of counts, play no part.
     """
-    n = generator.shape[0]
-    # rate[s][t] is the rate from s to t; self-loops play no part
-    counts = generator.T.toarray()
-    np.fill_diagonal(counts, 0)
+    n = counts.shape[0]
     rate = [[Fraction(c) for c in row] for row in counts.tolist()]
     for k in range(n - 1, 0, -1):
         row_k = rate[k]
@@ -159,49 +147,58 @@ def _solve_censoring(generator: sp.spmatrix) -> list[Fraction]:
     return [w / total for w in weight]
 
 
-def _solve_lumped(generator: sp.csr_matrix, orbit: np.ndarray) -> list[Fraction]:
+def _solve_lumped(target: np.ndarray, orbit: np.ndarray) -> list[Fraction]:
     """Stationary candidate from the chain lumped onto the given orbits.
 
-    With P the state-to-orbit indicator and D the orbit sizes, the lumped
-    generator is P^T G P D^-1 when the symmetries make the chain strongly
-    lumpable.  Its kernel vector is the orbit mass, so the kernel of the
-    integer matrix P^T G P is the mass per state of each orbit, which is
-    spread over the orbit's states and normalized.  Nothing here proves
-    the lumping; the full-chain certificate does.
+    counts[a, b] is the number of moves from a state of orbit a into a
+    state of orbit b.  When the symmetries make the chain strongly
+    lumpable, a vector constant on each orbit is stationary exactly when
+    its per-state values are stationary for these counts, so the solve
+    gives the mass per state of each orbit, which is spread over the
+    orbit's states and normalized.  Nothing here proves the lumping; the
+    full-chain certificate does.  Identity labels solve the full chain.
     """
-    n = generator.shape[0]
-    member = sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), orbit)))
-    per_state = _solve_censoring(member.T @ generator @ member)
+    m = int(orbit.max()) + 1
+    pairs = orbit[:, None] * m + orbit[target]
+    counts = np.bincount(pairs.ravel(), minlength=m * m).reshape(m, m)
+    per_state = _solve_censoring(counts)
     pi = [per_state[o] for o in orbit.tolist()]
     total = sum(pi)
     return [x / total for x in pi]
 
 
-def _certify(st: _Chain, pi: list[Fraction]) -> None:
-    """Exact post-hoc proof that pi is the unique stationary distribution."""
-    n = len(st.states)
-    if any(x <= 0 for x in pi):
+def _certify(target: np.ndarray, pi: list[Fraction]) -> list[int]:
+    """Exact proof that pi is the unique stationary distribution of the
+    chain with the given move targets; returns its weights cleared to
+    coprime integers, on which the balance is checked in Python integers.
+    """
+    n, length = target.shape
+    common = lcm(*(x.denominator for x in pi))
+    weights = [x.numerator * (common // x.denominator) for x in pi]
+    shrink = gcd(*weights)
+    weights = [w // shrink for w in weights]
+    if any(w <= 0 for w in weights):
         raise RuntimeError("stationary candidate has a nonpositive entry")
     if sum(pi) != 1:
         raise RuntimeError("stationary candidate mass differs from one")
-    gen = st.generator
-    indptr, indices, rates = gen.indptr.tolist(), gen.indices.tolist(), gen.data.tolist()
-    for r in range(n):
-        span = range(indptr[r], indptr[r + 1])
-        if sum(rates[k] * pi[indices[k]] for k in span) != 0:
-            raise RuntimeError(f"kernel residual nonzero in row {r}")
-    # breadth-first search from state 0 along the rows (predecessors) and
-    # along the columns (successors) of the generator
-    for edges in (gen, gen.T.tocsr()):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = np.array([0])
-        while frontier.size:
-            reached = np.unique(edges[frontier].indices)
-            frontier = reached[~seen[reached]]
-            seen[frontier] = True
+    # every state leaves at total rate L, so stationarity is inflow = L * weight
+    inflow = [0] * n
+    for w, row in zip(weights, target.tolist()):
+        for t in row:
+            inflow[t] += w
+    for t, (into, w) in enumerate(zip(inflow, weights)):
+        if into != length * w:
+            raise RuntimeError(f"kernel residual nonzero in row {t}")
+    # reachability from state 0 along the moves (successors) and against
+    # them (predecessors, the states with a move into the set)
+    for grow in (lambda seen: seen | (np.bincount(target[seen].ravel(), minlength=n) > 0),
+                 lambda seen: seen | seen[target].any(axis=1)):
+        seen = np.arange(n) == 0
+        while (grown := grow(seen)).sum() > seen.sum():
+            seen = grown
         if not seen.all():
             raise RuntimeError("transition graph is not strongly connected")
+    return weights
 
 
 @lru_cache(maxsize=None)
@@ -213,12 +210,8 @@ def stationary_distribution(length: int) -> StationaryVector:
     (Fraction(1, 2), Fraction(1, 2))
     """
     st = _chain(length)
-    pi = _solve_lumped(st.generator, _orbits(st.states))
-    _certify(st, pi)
-    common = lcm(*(x.denominator for x in pi))
-    ints = [int(x * common) for x in pi]
-    shrink = gcd(*ints)
-    ints = [v // shrink for v in ints]
+    pi = _solve_lumped(st.target, _orbits(st.states))
+    ints = _certify(st.target, pi)
     return StationaryVector(
         length=length,
         states=st.states,
@@ -233,7 +226,7 @@ def stationary_distribution(length: int) -> StationaryVector:
 # stationary observables and their closed forms
 
 
-def expected_peaks(length: int) -> ExactRational:
+def expected_peaks(length: int) -> Fraction:
     """Exact stationary mean of the peak count.
 
     >>> expected_peaks(4)
@@ -244,7 +237,7 @@ def expected_peaks(length: int) -> ExactRational:
     return sum(p * c for p, c in zip(pi, st.peak_count))
 
 
-def prob_omega_global(length: int) -> ExactRational:
+def prob_omega_global(length: int) -> Fraction:
     """Exact stationary probability of the avalanche-armed states.
 
     >>> prob_omega_global(4)
@@ -255,7 +248,7 @@ def prob_omega_global(length: int) -> ExactRational:
     return sum(p for p, flag in zip(pi, st.omega_flag) if flag)
 
 
-def exact_drifts(length: int) -> tuple[ExactRational, ExactRational]:
+def exact_drifts(length: int) -> tuple[Fraction, Fraction]:
     """Long-run currents (evacuated tiles, global avalanches) per unit time.
 
     The pair is exact; the tile balance (evacuation current plus mean peak
@@ -273,23 +266,23 @@ def exact_drifts(length: int) -> tuple[ExactRational, ExactRational]:
     return current_diamond, current_global
 
 
-def diamond_current_formula(length: int) -> ExactRational:
+def diamond_current_formula(length: int) -> Fraction:
     """Closed form of the evacuated-tile current, L(5L^2-8)/(8(L^2-1))."""
     return Fraction(length * (5 * length * length - 8),
                     8 * (length * length - 1))
 
 
-def global_current_formula(length: int) -> ExactRational:
+def global_current_formula(length: int) -> Fraction:
     """Closed form of the global-avalanche current, 3L/(4(L^2-1))."""
     return Fraction(3 * length, 4 * (length * length - 1))
 
 
-def peak_mean_formula(length: int) -> ExactRational:
+def peak_mean_formula(length: int) -> Fraction:
     """Closed form of the stationary mean peak count, 3L^3/(8(L^2-1))."""
     return Fraction(3 * length ** 3, 8 * (length * length - 1))
 
 
-def omega_probability_formula(length: int) -> ExactRational:
+def omega_probability_formula(length: int) -> Fraction:
     """Closed form of the armed-set probability; coincides with the
     global-avalanche current because exactly one site triggers it."""
     return global_current_formula(length)

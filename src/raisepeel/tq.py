@@ -707,7 +707,7 @@ class RecurrenceReport:
                     self.difference_is_one_ok, self.derivative_identities_ok))
 
 
-def recurrence_check(n_max: int = 30, identity_max: int | None = None) -> RecurrenceReport:
+def recurrence_check(n_max: int = 30) -> RecurrenceReport:
     """Check the three derivative-sum pairs up to n_max.
 
     Each pair satisfies a second-order linear recurrence whose
@@ -715,8 +715,6 @@ def recurrence_check(n_max: int = 30, identity_max: int | None = None) -> Recurr
     pair is the constant solution 1, and the sums reproduce the 2N-th
     through (2N+2)-nd derivatives of f_Q at -1 up to explicit factors.
     """
-    if identity_max is None:
-        identity_max = min(n_max, 20)
     a1 = {k: a1_seq(k) for k in range(1, n_max + 1)}
     a2 = {k: a2_seq(k) for k in range(1, n_max + 1)}
     b1 = {k: a1_prime_seq(k) for k in range(1, n_max + 1)}
@@ -752,7 +750,7 @@ def recurrence_check(n_max: int = 30, identity_max: int | None = None) -> Recurr
             and all(c1[k] - c2[k] == 1 for k in c1))
 
     idents = True
-    for k in range(1, identity_max + 1):
+    for k in range(1, min(n_max, 20) + 1):
         f = f_q_poly(k)
         c = c_constant(k)
         idents = idents and f.derivative(2 * k)(-1) == c * (a1[k] - a2[k])

@@ -7,11 +7,13 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from math import exp
 from pathlib import Path
 
 import pytest
 
 import raisepeel.scgf as scgf_mod
+import raisepeel.spinchain as spinchain_mod
 import raisepeel.stationary as stationary_mod
 from raisepeel.cli import main
 
@@ -92,6 +94,21 @@ def test_xxz_bridge_check():
     assert code == 0
     assert doc["bridge_check"]["passed"] is True
     assert doc["bridge_check"]["difference"] <= 1e-8
+
+
+def test_xxz_solves_the_ground_energy_once(monkeypatch):
+    calls = []
+    solve = spinchain_mod.ground_energy
+
+    def counted(params):
+        calls.append(params)
+        return solve(params)
+
+    monkeypatch.setattr(spinchain_mod, "ground_energy", counted)
+    code, doc = run_json(["xxz", "--length", "8", "--alpha", "0.1", "--beta", "-0.05"])
+    assert code == 0
+    assert len(calls) == 1
+    assert doc["lambda_bridge"] == -exp(doc["beta"]) * doc["ground_energy"] - 0.75 * 8
 
 
 def test_scgf_fd_check():

@@ -11,7 +11,6 @@ from raisepeel.simulate import (
     Estimate,
     SimConfig,
     TrajectorySummary,
-    mean_peaks_time_average,
     pooled_estimate,
     run_ensemble,
     simulate,
@@ -121,13 +120,6 @@ def test_progress_log_records():
         assert set(r) == {"time", "counters", "drift_diamond",
                           "drift_global", "mean_peaks"}
         assert r["drift_diamond"] == r["counters"]["n_diamond"] / r["time"]
-
-
-def test_mean_peaks_helper_matches_summary():
-    cfg = SimConfig(length=6, t_max=400.0, seed=13)
-    helper = mean_peaks_time_average(cfg)
-    summary = simulate(cfg)
-    assert helper == summary.mean_peaks_hat
 
 
 def test_estimate_json_and_within():

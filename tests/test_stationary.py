@@ -1,18 +1,24 @@
 """Exact stationary distributions, currents, and their closed forms."""
 
 import doctest
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import raisepeel.stationary
+from raisepeel.profiles import transition_table
+from raisepeel.scgf import build_deformed
 from raisepeel.stationary import (
+    _certify,
     _chain,
     _orbits,
-    _solve_censoring,
-    build_generator,
+    _solve_lumped,
     diamond_current_formula,
     exact_drifts,
     expected_peaks,
@@ -40,24 +46,25 @@ L4_WEIGHTS = {
 }
 
 
+# the forward generator of the chain is the tilted generator at zero tilt
 def test_generator_l2():
-    gen = build_generator(2)
+    gen = build_deformed(2)
     assert gen.shape == (2, 2)
-    assert gen.dtype == np.int64
+    assert gen.dtype == np.float64
     assert gen.toarray().tolist() == [[-1, 1], [1, -1]]
 
 
 @pytest.mark.parametrize("length", [2, 4, 6, 8])
 def test_generator_columns_sum_to_zero(length):
-    gen = build_generator(length)
-    assert gen.dtype == np.int64
+    gen = build_deformed(length)
+    assert gen.dtype == np.float64
     assert not gen.sum(axis=0).any()
 
 
 def test_generator_row_sums_l4():
     # nonzero row sums: the chain is not doubly stochastic, so the
     # uniform vector is not stationary
-    sums = np.asarray(build_generator(4).sum(axis=1)).ravel().tolist()
+    sums = np.asarray(build_deformed(4).sum(axis=1)).ravel().tolist()
     assert sums == [4, -2, -2, 4, -2, -2]
     assert any(s != 0 for s in sums)
 
@@ -106,7 +113,8 @@ def test_orbit_counts(length, count):
 def test_lumped_solve_matches_full_elimination(length):
     vec = stationary_distribution(length)
     assert vec.method == "lumped-censoring-exact"
-    assert list(vec.vector()) == _solve_censoring(build_generator(length))
+    target = _chain(length).target
+    assert list(vec.vector()) == _solve_lumped(target, np.arange(len(target)))
 
 
 def test_corrupted_orbits_fail_the_certificate(monkeypatch):
@@ -125,6 +133,42 @@ def test_corrupted_orbits_fail_the_certificate(monkeypatch):
             stationary_distribution(6)
     finally:
         stationary_distribution.cache_clear()
+
+
+def test_nonpositive_weight_fails_the_certificate():
+    # moving one state's mass onto another keeps the total at one
+    pi = list(stationary_distribution(6).vector())
+    pi[0], pi[1] = F(0), pi[0] + pi[1]
+    with pytest.raises(RuntimeError, match="nonpositive"):
+        _certify(_chain(6).target, pi)
+
+
+def test_unnormalized_candidate_fails_the_certificate():
+    # twice the stationary vector balances every state; only its mass is off
+    pi = [2 * p for p in stationary_distribution(6).vector()]
+    with pytest.raises(RuntimeError, match="mass differs from one"):
+        _certify(_chain(6).target, pi)
+
+
+def test_disconnected_chain_fails_the_certificate():
+    # two copies of the L=2 ring side by side: the uniform vector is
+    # positive, normalized and balanced, but not the unique stationary law
+    ring = transition_table(2).target
+    target = np.concatenate([ring, ring + 2])
+    with pytest.raises(RuntimeError, match="not strongly connected"):
+        _certify(target, [F(1, 4)] * 4)
+
+
+def test_exact_core_loads_no_scipy():
+    code = ("import sys\n"
+            "import raisepeel.profiles, raisepeel.stationary, raisepeel.simulate, "
+            "raisepeel.qfield, raisepeel.tq\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("length,total", sorted(INTEGER_SUMS.items()))
@@ -182,7 +226,7 @@ def test_odd_length_rejected():
     with pytest.raises(ValueError):
         stationary_distribution(5)
     with pytest.raises(ValueError):
-        build_generator(3)
+        transition_table(3)
 
 
 def test_docstring_examples():
