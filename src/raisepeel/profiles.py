@@ -12,10 +12,14 @@ Every move conserves the balance (reflected) + (evacuated) + (net stored)
 = 1 tile, which is what ties the stationary peak density to the evacuated
 tile current.
 
-``transition_table`` walks every move of every state once per ring length
-into integer arrays.  The exact stationary solver and its certificate read
-the move targets directly, and the tilted generator of ``scgf`` is
-assembled from the targets and the counters.
+``apply_move`` is the reference for a single move.  ``enumerate_states``
+lists the profiles from their balanced step patterns in one numpy pass,
+and ``transition_table`` builds every move of every state with one numpy
+pass per site over the (states, sites) height array, the targets found by
+``searchsorted`` on a sorted integer key of the profiles.  The exact
+stationary solver and its certificate read the move targets directly, and
+the tilted generator of ``scgf`` is assembled from the targets and the
+counters.
 """
 
 from __future__ import annotations
@@ -225,38 +229,29 @@ def transitions(heights: HeightProfile) -> list[TransitionRecord]:
 def enumerate_states(length: int) -> tuple[HeightProfile, ...]:
     """All admissible profiles of the given length, lexicographically sorted.
 
-    The count is C(L, L/2).  Enumeration is refused above length 16
-    because the state space grows like 4^L / sqrt(L).
+    A profile is a balanced pattern of L up/down steps (step i runs from
+    site i to site i+1, cyclically) plus the one even h0 that puts its
+    minimum at level 0 or 1, so the count is C(L, L/2).  numpy lists the
+    L-bit patterns with L/2 rising steps and integrates them in one pass;
+    the key h0 << L | step bits (rising step i at bit L-1-i) sorts in
+    lexicographic order of the profiles.  Enumeration is refused above
+    length 16 because the state space grows like 4^L / sqrt(L).
     """
     _check_length(length)
     if length > ENUMERATION_CAP:
         raise ValueError(
             f"enumeration of length {length} exceeds the cap {ENUMERATION_CAP}")
-    states: list[HeightProfile] = []
-    # heights[0] is even; the profile must close cyclically and touch
-    # level <= 1 somewhere
-    max_h0 = length // 2 + 1
-
-    def extend(prefix: list[int]) -> None:
-        i = len(prefix)
-        if i == length:
-            if abs(prefix[-1] - prefix[0]) == 1 and min(prefix) <= 1:
-                states.append(tuple(prefix))
-            return
-        for step in (1, -1):
-            nxt = prefix[-1] + step
-            # the remaining steps must be able to close the loop
-            if nxt < 0 or abs(nxt - prefix[0]) > length - i:
-                continue
-            prefix.append(nxt)
-            extend(prefix)
-            prefix.pop()
-
-    for h0 in range(0, max_h0 + 1, 2):
-        extend([h0])
-    states.sort()
-    assert len(states) == comb(length, length // 2)
-    return tuple(states)
+    shifts = np.arange(length - 1, -1, -1)
+    codes = np.arange(1 << length, dtype=np.int64)
+    rises = sum((codes >> k) & 1 for k in range(length))
+    codes = codes[rises == length // 2]
+    steps = 2 * ((codes[:, None] >> shifts) & 1) - 1
+    relative = np.cumsum(steps, axis=1) - steps
+    h0 = (1 - relative.min(axis=1)) // 2 * 2
+    order = np.argsort(h0 << length | codes)
+    heights = h0[order, None] + relative[order]
+    assert len(heights) == comb(length, length // 2)
+    return tuple(map(tuple, heights.tolist()))
 
 
 class TransitionTable(NamedTuple):
@@ -276,15 +271,56 @@ class TransitionTable(NamedTuple):
     omega: np.ndarray
 
 
+def _keys(heights: np.ndarray) -> np.ndarray:
+    """The sort key h0 << L | step bits of each row of an (n, L) height array."""
+    length = heights.shape[1]
+    rising = np.roll(heights, -1, axis=1) > heights
+    return heights[:, 0] << length | rising @ (1 << np.arange(length - 1, -1, -1))
+
+
 @lru_cache(maxsize=None)
 def transition_table(length: int) -> TransitionTable:
-    """The transition table of the ring, built by one walk of transitions()."""
+    """The transition table of the ring, built in one numpy pass per site.
+
+    For each site every state's move is classified from its neighbours
+    with (n, L) arrays: a peak reflects; a valley absorbs the tile, or
+    lowers the whole lifted profile by two when every other site sits at
+    level 2 or more (global avalanche); a slope peels every site up to
+    the first return to the slope level in the rising direction (local
+    avalanche).  The target profiles are looked up by their sort key, and
+    the evacuated tiles follow from the tile balance.
+    """
     states = enumerate_states(length)
-    index = {s: k for k, s in enumerate(states)}
-    table = np.array(
-        [[(index[r.target], r.delta_peak, r.delta_diamond, r.delta_global)
-          for r in transitions(state)] for state in states], dtype=np.int64)
-    return TransitionTable(
-        states, table[..., 0], table[..., 1], table[..., 2], table[..., 3],
-        np.array([count_peaks(s) for s in states], dtype=np.int64),
-        np.array([in_omega_global(s) for s in states], dtype=bool))
+    heights = np.array(states, dtype=np.int64)
+    keys = _keys(heights)
+    left = np.roll(heights, 1, axis=1)
+    right = np.roll(heights, -1, axis=1)
+    peak = (left < heights) & (right < heights)
+    valley = (left > heights) & (right > heights)
+    omega = (~(valley & (heights == 0)).any(axis=1)
+             & ((valley & (heights == 1)).sum(axis=1) == 1))
+    # a filled valley lifts the profile off the bottom levels when it is
+    # the only site below level 2
+    sole_low = (heights < 2).sum(axis=1) == 1
+    sites = np.arange(length)
+    target = np.empty_like(heights)
+    d_diamond = np.empty_like(heights)
+    d_global = np.zeros_like(heights)
+    for site in range(length):
+        here = heights[:, site]
+        # distance from the site along the slope's rising direction
+        offset = np.where((right[:, site] > here)[:, None],
+                          (sites - site) % length, (site - sites) % length)
+        first = np.where((heights == here[:, None]) & (offset > 0),
+                         offset, length).min(axis=1)
+        drop = 2 * ((offset > 0) & (offset < first[:, None]))
+        fill = valley[:, site]
+        drop[peak[:, site] | fill] = 0
+        drop[fill, site] = -2
+        lowered = fill & sole_low & (here < 2)
+        drop[lowered] += 2
+        target[:, site] = np.searchsorted(keys, _keys(heights - drop))
+        d_diamond[:, site] = drop.sum(axis=1) // 2 + 1 - peak[:, site]
+        d_global[:, site] = lowered
+    return TransitionTable(states, target, peak.astype(np.int64), d_diamond,
+                           d_global, peak.sum(axis=1), omega)

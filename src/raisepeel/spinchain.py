@@ -154,9 +154,10 @@ def hermiticity_defect(matrix: sp.spmatrix) -> float:
 def ground_energy(params: XXZParams) -> float:
     """Minimal sector eigenvalue via a restarted Lanczos-type solve.
 
-    The returned value is guarded by an explicit residual check; small
-    sectors (or an unconverged iterative solve on a modest one) go
-    through a dense Hermitian eigensolve instead.
+    The iteration starts from a fixed-seed vector, so reruns return the
+    same digits.  The returned value is guarded by an explicit residual
+    check; small sectors (or an unconverged iterative solve on a modest
+    one) go through a dense Hermitian eigensolve instead.
     """
     twist = params.resolved_twist()
     if abs(abs(twist) - 1) > _HERMITIAN_TOL:
@@ -168,7 +169,8 @@ def ground_energy(params: XXZParams) -> float:
     if n <= _DENSE_SECTOR_DIM:
         return float(np.linalg.eigvalsh(h.toarray())[0])
     try:
-        values, vectors = eigsh(h, k=1, which="SA", tol=0.0, maxiter=50 * n)
+        start = np.random.default_rng(0).standard_normal(n).astype(h.dtype)
+        values, vectors = eigsh(h, k=1, which="SA", tol=0.0, maxiter=50 * n, v0=start)
         vec = vectors[:, 0]
         residual = float(np.linalg.norm(h @ vec - values[0] * vec))
         if residual <= _RESIDUAL_TOL:

@@ -111,6 +111,19 @@ def test_xxz_solves_the_ground_energy_once(monkeypatch):
     assert doc["lambda_bridge"] == -exp(doc["beta"]) * doc["ground_energy"] - 0.75 * 8
 
 
+def test_xxz_reruns_print_the_same_json():
+    # two fresh processes: the tilted ground energy is an ARPACK solve
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.run(
+        [sys.executable, "-m", "raisepeel.cli", "xxz", "--length", "12",
+         "--alpha", "0.1", "--beta", "-0.05"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path)) for _ in range(2)]
+    first, second = (strip_timestamps(json.loads(run.stdout)) for run in runs)
+    assert first == second
+
+
 def test_scgf_fd_check():
     code, doc = run_json(["scgf", "--length", "4", "--fd-check"])
     assert code == 0

@@ -2,13 +2,20 @@
 
 The move oracles below were worked out by hand; the exhaustive
 suites then push the same invariants across every state and site for
-rings up to length 10.
+rings up to length 10, and the numpy transition table is checked against
+the reference move for every state and site up to length 12 and on a
+fixed-seed sample at lengths 14 and 16.
 """
 
+import ast
+import importlib
 from math import comb
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import raisepeel.profiles as profiles
 from raisepeel.profiles import (
     EventCounters,
     MoveClass,
@@ -251,19 +258,58 @@ def test_irreducibility_exhaustive(length):
         assert len(seen) == len(states)
 
 
-@pytest.mark.parametrize("length", LENGTHS)
+def check_table_entry(table, k, site):
+    """One entry of the shared table against the reference move; returns its class."""
+    h = table.states[k]
+    rec = apply_move(h, site)
+    assert table.states[table.target[k, site]] == rec.target
+    assert table.d_peak[k, site] == rec.delta_peak
+    assert table.d_diamond[k, site] == rec.delta_diamond
+    assert table.d_global[k, site] == rec.delta_global
+    assert table.peak_count[k] == count_peaks(h)
+    assert table.omega[k] == in_omega_global(h)
+    return rec.move_class
+
+
+@pytest.mark.parametrize("length", LENGTHS + (12,))
 def test_transition_table_matches_apply_move(length):
-    # the shared table against the reference move, for every state and site
     table = transition_table(length)
-    states = enumerate_states(length)
-    assert table.states == states
-    assert table.target.shape == (len(states), length)
-    for k, h in enumerate(states):
+    assert table.states == enumerate_states(length)
+    assert table.target.shape == (len(table.states), length)
+    for k in range(len(table.states)):
         for site in range(length):
-            rec = apply_move(h, site)
-            assert states[table.target[k, site]] == rec.target
-            assert table.d_peak[k, site] == rec.delta_peak
-            assert table.d_diamond[k, site] == rec.delta_diamond
-            assert table.d_global[k, site] == rec.delta_global
-        assert table.peak_count[k] == count_peaks(h)
-        assert table.omega[k] == in_omega_global(h)
+            check_table_entry(table, k, site)
+
+
+@pytest.mark.parametrize("length", [14, 16])
+def test_transition_table_matches_apply_move_sampled(length):
+    # a fixed-seed sample of (state, site) pairs where the full sweep is slow
+    table = transition_table(length)
+    rng = np.random.default_rng(length)
+    pairs = zip(rng.integers(len(table.states), size=300), rng.integers(length, size=300))
+    assert {check_table_entry(table, k, site) for k, site in pairs} == set(MoveClass)
+
+
+def test_tracer_wraps_live_names(monkeypatch):
+    # the benchmark tracer times these names by rebinding them; every one
+    # must exist, and the table must reach the enumeration through the
+    # module global so that its span is recorded
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    wrapped = next(
+        ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED")
+    for module, names in wrapped.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"raisepeel.{module}"), name))
+
+    calls = []
+    enumerate_original = profiles.enumerate_states
+
+    def counting(length):
+        calls.append(length)
+        return enumerate_original(length)
+
+    monkeypatch.setattr(profiles, "enumerate_states", counting)
+    transition_table.cache_clear()
+    transition_table(4)
+    assert calls == [4]

@@ -190,3 +190,14 @@ def test_other_eigensolver_errors_propagate(monkeypatch):
     monkeypatch.setattr(spinchain, "eigsh", broken)
     with pytest.raises(RuntimeError, match="unexpected"):
         ground_energy(XXZParams(8))
+
+
+def test_ground_energy_is_reproducible():
+    # ARPACK starts from a fixed-seed vector, so a rerun gives the same bits
+    bridge = bridge_parameters(12, 0.1, -0.05)
+    params = XXZParams(12, bridge.delta_aniso, bridge.twist)
+    energies = []
+    for _ in range(2):
+        sector_basis.cache_clear()
+        energies.append(ground_energy(params))
+    assert energies[0] == energies[1]

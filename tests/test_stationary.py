@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +182,28 @@ def test_integer_form(length, total):
     # the integer form is exactly the probabilities over a common denominator
     for state, weight in vec.probabilities.items():
         assert weight == F(vec.integer_form[state], total)
+
+
+def half_turn_asm_count(length):
+    """A_HT(L), the number of half-turn symmetric alternating sign matrices
+    of even order L (Kuperberg, math/0008184)."""
+    n = length // 2
+    return prod(factorial(3 * i) * factorial(3 * i + 2) for i in range(n)) // prod(
+        factorial(n + i) ** 2 for i in range(n))
+
+
+# observed, not claims of the paper: the cleared weights sum to A_HT(L),
+# in the spirit of the Razumov-Stroganov correspondence (cond-mat/0108103),
+# and the largest weight takes these values
+LARGEST_WEIGHTS = {2: 1, 4: 3, 6: 25, 8: 588, 10: 39204, 12: 7422987,
+                   14: 3994998436}
+
+
+@pytest.mark.parametrize("length,largest", sorted(LARGEST_WEIGHTS.items()))
+def test_observed_half_turn_asm_counts(length, largest):
+    vec = stationary_distribution(length)
+    assert vec.integer_sum == half_turn_asm_count(length)
+    assert max(vec.integer_form.values()) == largest
 
 
 def test_observable_spot_values():
