@@ -53,7 +53,7 @@ _BRIDGE_TOLERANCE = 1e-8
 _BRIDGE_GRID = (-0.1, 0.0, 0.1)
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flag combination or value; maps to exit code 2."""
 
 
@@ -644,10 +644,7 @@ def main(argv: list[str] | None = None) -> int:
     started = _now()
     try:
         payload, passed = _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except scgf.ConvergenceError as exc:

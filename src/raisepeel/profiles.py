@@ -16,10 +16,10 @@ tile current.
 lists the profiles from their balanced step patterns in one numpy pass,
 and ``transition_table`` builds every move of every state with one numpy
 pass per site over the (states, sites) height array, the targets found by
-``searchsorted`` on a sorted integer key of the profiles.  The exact
-stationary solver and its certificate read the move targets directly, and
-the tilted generator of ``scgf`` is assembled from the targets and the
-counters.
+``searchsorted`` on a sorted integer key of the profiles, as are the
+images of each state under the ring's two symmetries.  The exact
+stationary solver reads the targets and the images directly, and the
+tilted generator of ``scgf`` is assembled from the targets and counters.
 """
 
 from __future__ import annotations
@@ -261,9 +261,14 @@ class TransitionTable(NamedTuple):
     itself for a reflection); d_peak, d_diamond and d_global are the
     counters of the move record.  peak_count and omega are the per-state
     peak count and avalanche-armed flag, computed from the profiles.
+    rotate and reflect index each state's image under rotation by one site
+    (heights shifted by +1 or -1 to restore parity and the bottom level)
+    and reflection h[(2 - i) % L]; they commute with the moves.
     """
     states: tuple[HeightProfile, ...]
     target: np.ndarray
+    rotate: np.ndarray
+    reflect: np.ndarray
     d_peak: np.ndarray
     d_diamond: np.ndarray
     d_global: np.ndarray
@@ -287,8 +292,8 @@ def transition_table(length: int) -> TransitionTable:
     lowers the whole lifted profile by two when every other site sits at
     level 2 or more (global avalanche); a slope peels every site up to
     the first return to the slope level in the rising direction (local
-    avalanche).  The target profiles are looked up by their sort key, and
-    the evacuated tiles follow from the tile balance.
+    avalanche).  Targets and symmetry images are looked up by their sort
+    key, and the evacuated tiles follow from the tile balance.
     """
     states = enumerate_states(length)
     heights = np.array(states, dtype=np.int64)
@@ -322,5 +327,8 @@ def transition_table(length: int) -> TransitionTable:
         target[:, site] = np.searchsorted(keys, _keys(heights - drop))
         d_diamond[:, site] = drop.sum(axis=1) // 2 + 1 - peak[:, site]
         d_global[:, site] = lowered
-    return TransitionTable(states, target, peak.astype(np.int64), d_diamond,
-                           d_global, peak.sum(axis=1), omega)
+    shift = np.where(heights.min(axis=1) == 0, 1, -1)
+    rotate = np.searchsorted(keys, _keys(right + shift[:, None]))
+    reflect = np.searchsorted(keys, _keys(heights[:, (2 - sites) % length]))
+    return TransitionTable(states, target, rotate, reflect, peak.astype(np.int64),
+                           d_diamond, d_global, peak.sum(axis=1), omega)

@@ -57,11 +57,15 @@ def build_deformed(length: int,
     over the sites realizing that move; reflections stay weight one and
     cancel against their own loss term, so the diagonal is minus the
     number of non-reflecting sites.  At (0, 0) this is the plain forward
-    generator, entry for entry.
+    generator, entry for entry.  Non-finite move weights are refused.
     """
     table = transition_table(length)
     n = len(table.states)
-    weights = np.exp(params.alpha * table.d_global + params.beta * table.d_diamond)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(params.alpha * table.d_global + params.beta * table.d_diamond)
+    if not np.isfinite(weights).all():
+        raise ValueError(f"tilt (alpha, beta) = ({params.alpha}, {params.beta}) "
+                         "gives non-finite move weights")
     diagonal = np.arange(n)
     rows = np.concatenate([table.target.ravel(), diagonal])
     cols = np.concatenate([np.repeat(diagonal, length), diagonal])

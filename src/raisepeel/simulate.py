@@ -60,8 +60,8 @@ class SimConfig:
             raise ValueError(f"ring length must be even and >= 2, got {self.length}")
         if (self.t_max is None) == (self.max_events is None):
             raise ValueError("exactly one of t_max and max_events must be set")
-        if self.t_max is not None and not self.t_max >= 0:
-            raise ValueError(f"t_max must be nonnegative, got {self.t_max}")
+        if self.t_max is not None and not (isfinite(self.t_max) and self.t_max >= 0):
+            raise ValueError(f"t_max must be finite and nonnegative, got {self.t_max}")
         if self.max_events is not None and self.max_events < 0:
             raise ValueError(f"max_events must be nonnegative, got {self.max_events}")
         if self.report_every is not None and not self.report_every > 0:
@@ -365,6 +365,4 @@ def run_ensemble(cfg: SimConfig, n_replicas: int) -> list[TrajectorySummary]:
 def pooled_estimate(values: list[float]) -> Estimate:
     """Mean of independent replica estimates with its standard error."""
     arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        return Estimate(float(arr.mean()) if arr.size else float("nan"), float("inf"))
-    return Estimate(float(arr.mean()), float(arr.std(ddof=1) / sqrt(arr.size)))
+    return _batch_estimate(float(arr.mean()) if arr.size else float("nan"), arr)

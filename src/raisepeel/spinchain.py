@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import acos, exp
+from math import acos, exp, isfinite
 from cmath import exp as cexp, pi
 
 import numpy as np
@@ -204,8 +204,11 @@ def bridge_parameters(length: int, alpha: float, beta: float) -> BridgeParameter
     e^{-beta}/2 and Delta = -cos gamma.  The global-avalanche weight fixes
     the twist through e^alpha = (u^N + u^{-N})^2 with N = L/2, solved on
     the branch containing the stochastic point.  Requires beta >= -ln 2
-    and alpha <= ln 4 to keep both angles real.
+    and alpha <= ln 4 to keep both angles real, and both tilts finite.
     """
+    for name, tilt in (("alpha", alpha), ("beta", beta)):
+        if not isfinite(tilt):
+            raise ValueError(f"{name} = {tilt} is not a finite tilt")
     half_weight = exp(-beta) / 2
     if half_weight > 1:
         raise ValueError(f"beta = {beta} leaves the real-anisotropy regime")

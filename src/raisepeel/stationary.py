@@ -1,22 +1,22 @@
 """Exact stationary states of the raise-and-peel ring.
 
-Everything here reads the ring's transition table, the target state of
-every move of every state, and builds no generator matrix.  The chain
-commutes with rotation of the ring (with a height shift) and with
-reflection, so the moves are counted between the orbits of these two maps,
-one bincount over the table, and the small lumped chain is solved by a
-subtraction-free censoring elimination in rational arithmetic; each
-orbit's mass is spread evenly over its states.  The result is then sealed
-by an exact certificate on the cleared integer weights of the full chain,
-in Python integers: every weight positive, total probability one, the
-inflow of every state (reflections included) equal to L times its weight,
-and the transition graph strongly connected.  So the reported vector is
-the stationary distribution, not a numerical approximation.
+Everything here reads the ring's transition table (move targets and the
+images of each state under the ring's two symmetries, rotation with a
+height shift and reflection) and builds no generator matrix.  The moves
+are counted between the orbits of the two maps, one bincount, and the
+small lumped chain is solved by a subtraction-free censoring elimination
+in rational arithmetic.  Its orbit values are cleared once to coprime
+integer weights, spread over the orbits' states, and sealed by an exact
+certificate in Python integers: every weight positive, the weights
+coprime, the inflow of every state (reflections included) equal to L
+times its weight, and the transition graph strongly connected.  So the
+weights over their sum are the stationary distribution, not a numerical
+approximation.
 
-Stationary observables follow by exact summation: the mean peak count,
-the probability of the avalanche-armed set, and the two long-run currents
-(evacuated tiles per unit time, global avalanches per unit time), each of
-which has a closed rational formula in the ring length to compare against.
+Each stationary observable (the mean peak count, the probability of the
+avalanche-armed set, the two long-run currents) is one dot product of the
+weights with per-state integers over their sum, and has a closed rational
+formula in the ring length to compare against.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -36,9 +37,10 @@ from .profiles import HeightProfile, transition_table
 class StationaryVector:
     """Exact stationary distribution plus its cleared-denominator form.
 
-    integer_form rescales the probabilities to coprime positive integers
-    (observed to have smallest entry 1); integer_sum is their total, the
-    common denominator of the distribution.
+    integer_form holds the certified coprime positive weights (observed to
+    have smallest entry 1); integer_sum is their total, the common
+    denominator of the distribution, and each probability is its weight
+    over that sum.
     """
     length: int
     states: tuple[HeightProfile, ...]
@@ -59,65 +61,46 @@ class _Chain(NamedTuple):
     """The stationary layer's view of the shared transition table."""
     states: tuple[HeightProfile, ...]
     target: np.ndarray
+    rotate: np.ndarray
+    reflect: np.ndarray
     diamond_rate: tuple[int, ...]
     global_rate: tuple[int, ...]
     peak_count: tuple[int, ...]
-    omega_flag: tuple[bool, ...]
+    omega_flag: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def _chain(length: int) -> _Chain:
-    """Move targets and per-state rates of the ring, as exact Python integers."""
+    """Moves, symmetry images and per-state integers (Python ints) of the ring."""
     table = transition_table(length)
     return _Chain(
-        table.states, table.target,
+        table.states, table.target, table.rotate, table.reflect,
         tuple(table.d_diamond.sum(axis=1).tolist()),
         tuple(table.d_global.sum(axis=1).tolist()),
-        tuple(table.peak_count.tolist()), tuple(table.omega.tolist()))
+        tuple(table.peak_count.tolist()), tuple(table.omega.astype(int).tolist()))
 
 
 # ---------------------------------------------------------------------------
 # kernel solver
 
 
-def _orbits(states: tuple[HeightProfile, ...]) -> np.ndarray:
-    """Orbit label of each state under the two symmetries of the ring.
-
-    The maps are rotation by one site followed by a height shift of +1 or
-    -1 that restores the parity rule and the bottom level, and reflection
-    through site 1.  Both commute with the dynamics.  Orbits are numbered
-    in order of their first state.
+def _orbits(rotate: np.ndarray, reflect: np.ndarray) -> np.ndarray:
+    """Orbit label of each state under the two symmetry maps of the ring,
+    given as the index of each state's image.  Labels fall to the smallest
+    index of the orbit; orbits are numbered in order of their first state.
     """
-    length = len(states[0])
-    index = {s: k for k, s in enumerate(states)}
-
-    def images(h: HeightProfile) -> tuple[HeightProfile, HeightProfile]:
-        rotated = h[1:] + h[:1]
-        shift = 1 if min(rotated) == 0 else -1
-        return (tuple(x + shift for x in rotated),
-                tuple(h[(2 - i) % length] for i in range(length)))
-
-    label = np.full(len(states), -1, dtype=np.int64)
-    count = 0
-    for k in range(len(states)):
-        if label[k] >= 0:
-            continue
-        label[k] = count
-        frontier = [k]
-        while frontier:
-            for image in images(states[frontier.pop()]):
-                j = index[image]
-                if label[j] < 0:
-                    label[j] = count
-                    frontier.append(j)
-        count += 1
-    return label
+    label = np.arange(len(rotate))
+    while True:
+        lowered = np.minimum(label, np.minimum(label[rotate], label[reflect]))
+        if (lowered == label).all():
+            return np.unique(label, return_inverse=True)[1]
+        label = lowered
 
 
 def _solve_censoring(counts: np.ndarray) -> list[Fraction]:
     """Stationary weights of the chain whose rate from s to t is
     counts[s, t], by subtraction-free elimination (GTH ordering) in exact
-    rationals, normalized to total one.
+    rationals, scaled so that state 0 has weight one.
 
     States are censored one by one from the top index down; the stored
     ratios then rebuild the stationary weights from state 0 upward.  All
@@ -143,44 +126,43 @@ def _solve_censoring(counts: np.ndarray) -> list[Fraction]:
     weight[0] = Fraction(1)
     for k in range(1, n):
         weight[k] = sum(weight[i] * rate[i][k] for i in range(k) if rate[i][k])
-    total = sum(weight)
-    return [w / total for w in weight]
+    return weight
 
 
-def _solve_lumped(target: np.ndarray, orbit: np.ndarray) -> list[Fraction]:
-    """Stationary candidate from the chain lumped onto the given orbits.
+def _solve_lumped(target: np.ndarray, orbit: np.ndarray) -> list[int]:
+    """Stationary candidate weights from the chain lumped onto the given
+    orbits, as coprime Python ints in state order.
 
     counts[a, b] is the number of moves from a state of orbit a into a
     state of orbit b.  When the symmetries make the chain strongly
     lumpable, a vector constant on each orbit is stationary exactly when
     its per-state values are stationary for these counts, so the solve
-    gives the mass per state of each orbit, which is spread over the
-    orbit's states and normalized.  Nothing here proves the lumping; the
-    full-chain certificate does.  Identity labels solve the full chain.
+    gives the weight per state of each orbit.  These m values are cleared
+    to coprime integers once and spread over the orbits' states.  Nothing
+    here proves the lumping; the full-chain certificate does.  Identity
+    labels solve the full chain.
     """
     m = int(orbit.max()) + 1
     pairs = orbit[:, None] * m + orbit[target]
     counts = np.bincount(pairs.ravel(), minlength=m * m).reshape(m, m)
-    per_state = _solve_censoring(counts)
-    pi = [per_state[o] for o in orbit.tolist()]
-    total = sum(pi)
-    return [x / total for x in pi]
+    values = _solve_censoring(counts)
+    common = lcm(*(x.denominator for x in values))
+    cleared = [x.numerator * (common // x.denominator) for x in values]
+    shrink = gcd(*cleared)
+    per_orbit = [c // shrink for c in cleared]
+    return [per_orbit[o] for o in orbit.tolist()]
 
 
-def _certify(target: np.ndarray, pi: list[Fraction]) -> list[int]:
-    """Exact proof that pi is the unique stationary distribution of the
-    chain with the given move targets; returns its weights cleared to
-    coprime integers, on which the balance is checked in Python integers.
+def _certify(target: np.ndarray, weights: list[int]) -> None:
+    """Exact proof, in Python integers, that the weights over their sum are
+    the unique stationary distribution of the chain with the given move
+    targets, and that the sum is its common denominator.
     """
     n, length = target.shape
-    common = lcm(*(x.denominator for x in pi))
-    weights = [x.numerator * (common // x.denominator) for x in pi]
-    shrink = gcd(*weights)
-    weights = [w // shrink for w in weights]
     if any(w <= 0 for w in weights):
         raise RuntimeError("stationary candidate has a nonpositive entry")
-    if sum(pi) != 1:
-        raise RuntimeError("stationary candidate mass differs from one")
+    if gcd(*weights) != 1:
+        raise RuntimeError("stationary weights are not coprime")
     # every state leaves at total rate L, so stationarity is inflow = L * weight
     inflow = [0] * n
     for w, row in zip(weights, target.tolist()):
@@ -198,7 +180,6 @@ def _certify(target: np.ndarray, pi: list[Fraction]) -> list[int]:
             seen = grown
         if not seen.all():
             raise RuntimeError("transition graph is not strongly connected")
-    return weights
 
 
 @lru_cache(maxsize=None)
@@ -210,14 +191,15 @@ def stationary_distribution(length: int) -> StationaryVector:
     (Fraction(1, 2), Fraction(1, 2))
     """
     st = _chain(length)
-    pi = _solve_lumped(st.target, _orbits(st.states))
-    ints = _certify(st.target, pi)
+    weights = _solve_lumped(st.target, _orbits(st.rotate, st.reflect))
+    _certify(st.target, weights)
+    total = sum(weights)
     return StationaryVector(
         length=length,
         states=st.states,
-        probabilities=dict(zip(st.states, pi)),
-        integer_form=dict(zip(st.states, ints)),
-        integer_sum=sum(ints),
+        probabilities={s: Fraction(w, total) for s, w in zip(st.states, weights)},
+        integer_form=dict(zip(st.states, weights)),
+        integer_sum=total,
         method="lumped-censoring-exact",
     )
 
@@ -226,15 +208,21 @@ def stationary_distribution(length: int) -> StationaryVector:
 # stationary observables and their closed forms
 
 
+def _mean(length: int, per_state: tuple[int, ...]) -> Fraction:
+    """Stationary mean of a per-state integer: one dot product with the
+    certified weights, divided once by their sum."""
+    vec = stationary_distribution(length)
+    return Fraction(sum(map(mul, vec.integer_form.values(), per_state)),
+                    vec.integer_sum)
+
+
 def expected_peaks(length: int) -> Fraction:
     """Exact stationary mean of the peak count.
 
     >>> expected_peaks(4)
     Fraction(8, 5)
     """
-    st = _chain(length)
-    pi = stationary_distribution(length).vector()
-    return sum(p * c for p, c in zip(pi, st.peak_count))
+    return _mean(length, _chain(length).peak_count)
 
 
 def prob_omega_global(length: int) -> Fraction:
@@ -243,9 +231,7 @@ def prob_omega_global(length: int) -> Fraction:
     >>> prob_omega_global(4)
     Fraction(1, 5)
     """
-    st = _chain(length)
-    pi = stationary_distribution(length).vector()
-    return sum(p for p, flag in zip(pi, st.omega_flag) if flag)
+    return _mean(length, _chain(length).omega_flag)
 
 
 def exact_drifts(length: int) -> tuple[Fraction, Fraction]:
@@ -258,9 +244,8 @@ def exact_drifts(length: int) -> tuple[Fraction, Fraction]:
     (Fraction(12, 5), Fraction(1, 5))
     """
     st = _chain(length)
-    pi = stationary_distribution(length).vector()
-    current_diamond = sum(p * d for p, d in zip(pi, st.diamond_rate))
-    current_global = sum(p * g for p, g in zip(pi, st.global_rate))
+    current_diamond = _mean(length, st.diamond_rate)
+    current_global = _mean(length, st.global_rate)
     if current_diamond + expected_peaks(length) != length:
         raise RuntimeError("stationary tile balance violated")
     return current_diamond, current_global

@@ -238,6 +238,21 @@ def test_usage_errors_exit_2(argv, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--length", "4", "--time", "inf"], "t_max must be finite"),
+    (["xxz", "--length", "4", "--beta", "inf"], "beta = inf is not a finite tilt"),
+    (["xxz", "--length", "4", "--alpha", "nan"], "alpha = nan is not a finite tilt"),
+    (["scgf", "--length", "4", "--alpha", "nan"], "(nan, 0.0) gives non-finite move weights"),
+    (["scgf", "--length", "4", "--beta", "1000"], "(0.0, 1000.0) gives non-finite move weights"),
+])
+def test_nonfinite_inputs_exit_2_before_solving(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_odd_length_parity_message(capsys):
     code = main(["simulate", "--length", "7", "--time", "10"])
     err = capsys.readouterr().err

@@ -95,6 +95,15 @@ def test_derivatives_match_exact_currents(length):
     assert d_beta == pytest.approx(float(diamond_current_formula(length)), rel=1e-6)
 
 
+@pytest.mark.parametrize("alpha,beta", [
+    (float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0),
+    (0.0, float("-inf")), (0.0, 1000.0),             # the last overflows exp
+])
+def test_nonfinite_move_weights_refused(alpha, beta):
+    with pytest.raises(ValueError, match=r"tilt \(alpha, beta\) = .* non-finite"):
+        build_deformed(4, DeformedParams(alpha, beta))
+
+
 def test_step_validation():
     with pytest.raises(ValueError):
         scgf_derivatives(4, h_step=0.0)

@@ -28,6 +28,7 @@ from raisepeel.stationary import (
     dict(length=4),                                   # no stopping rule
     dict(length=4, t_max=10.0, max_events=100),       # two stopping rules
     dict(length=4, t_max=-1.0),
+    dict(length=4, t_max=float("inf")),               # never reached
     dict(length=4, max_events=-5),
     dict(length=4, t_max=10.0, report_every=0.0),
 ])
@@ -107,6 +108,15 @@ def test_pooling_tightens_the_error_bar():
     assert 2.5 <= ratio <= 6.5
     assert pooled.value == pytest.approx(float(diamond_current_formula(4)),
                                          abs=3 * pooled.stderr)
+
+
+def test_pooled_estimate_small_and_large_pools():
+    empty = pooled_estimate([])
+    assert empty.value != empty.value and empty.stderr == float("inf")
+    assert pooled_estimate([2.5]) == Estimate(2.5, float("inf"))
+    pooled = pooled_estimate([1.0, 2.0, 4.0])
+    assert pooled.value == pytest.approx(7 / 3)
+    assert pooled.stderr == pytest.approx(statistics.stdev([1.0, 2.0, 4.0]) / 3 ** 0.5)
 
 
 def test_progress_log_records():

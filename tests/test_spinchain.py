@@ -136,6 +136,15 @@ def test_bridge_parameter_domain():
         bridge_parameters(6, 0.0, -np.log(2) - 0.1)       # beta below -ln 2
 
 
+@pytest.mark.parametrize("alpha,beta,name", [
+    (0.0, float("inf"), "beta"), (0.0, float("-inf"), "beta"), (0.0, float("nan"), "beta"),
+    (float("nan"), 0.0, "alpha"), (float("-inf"), 0.0, "alpha"),
+])
+def test_bridge_parameters_refuse_nonfinite_tilts(alpha, beta, name):
+    with pytest.raises(ValueError, match=f"{name} = .* is not a finite tilt"):
+        bridge_parameters(4, alpha, beta)
+
+
 def test_bridge_vanishes_at_zero_tilt():
     for length in (4, 6, 8):
         assert abs(lambda_bridge(length)) <= 1e-10

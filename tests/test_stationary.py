@@ -100,13 +100,68 @@ def test_shifted_rotation_symmetry(length):
         assert vec.probabilities[tuple(h + shift for h in rotated)] == weight
 
 
-ORBIT_COUNTS = {2: 1, 4: 2, 6: 4, 8: 9, 10: 21, 12: 56}
+ORBIT_COUNTS = {2: 1, 4: 2, 6: 4, 8: 9, 10: 21, 12: 56, 14: 155, 16: 469}
 
 
 @pytest.mark.parametrize("length,count", sorted(ORBIT_COUNTS.items()))
 def test_orbit_counts(length, count):
-    orbit = _orbits(_chain(length).states)
+    st = _chain(length)
+    orbit = _orbits(st.rotate, st.reflect)
     assert sorted(set(orbit.tolist())) == list(range(count))
+
+
+@pytest.mark.parametrize("length", range(2, 17, 2))
+def test_symmetry_maps_commute_with_the_moves(length):
+    # the lumping premise: turning or mirroring a state and then dropping a
+    # tile at the image site is the same move as dropping first and then
+    # turning or mirroring (the counters are not invariant under the
+    # shifted rotation, so only the targets are compared)
+    table = transition_table(length)
+    n = len(table.states)
+    sites = np.arange(length)
+    for image in (table.rotate, table.reflect):
+        assert sorted(image.tolist()) == list(range(n))
+    assert (table.reflect[table.reflect] == np.arange(n)).all()
+    assert (table.target[table.rotate][:, (sites - 1) % length]
+            == table.rotate[table.target]).all()
+    assert (table.target[table.reflect][:, (2 - sites) % length]
+            == table.reflect[table.target]).all()
+
+
+def bfs_orbits(states):
+    """Reference orbit labels: a breadth-first walk over the profiles
+    under the shifted rotation and the reflection through site 1, orbits
+    numbered in order of their first state."""
+    length = len(states[0])
+    index = {s: k for k, s in enumerate(states)}
+
+    def images(h):
+        rotated = h[1:] + h[:1]
+        shift = 1 if min(rotated) == 0 else -1
+        return (tuple(x + shift for x in rotated),
+                tuple(h[(2 - i) % length] for i in range(length)))
+
+    label = np.full(len(states), -1, dtype=np.int64)
+    count = 0
+    for k in range(len(states)):
+        if label[k] >= 0:
+            continue
+        label[k] = count
+        frontier = [k]
+        while frontier:
+            for image in images(states[frontier.pop()]):
+                j = index[image]
+                if label[j] < 0:
+                    label[j] = count
+                    frontier.append(j)
+        count += 1
+    return label
+
+
+@pytest.mark.parametrize("length", range(2, 17, 2))
+def test_orbit_labels_match_the_profile_walk(length):
+    st = _chain(length)
+    assert _orbits(st.rotate, st.reflect).tolist() == bfs_orbits(st.states).tolist()
 
 
 @pytest.mark.parametrize("length", [2, 4, 6, 8])
@@ -114,14 +169,15 @@ def test_lumped_solve_matches_full_elimination(length):
     vec = stationary_distribution(length)
     assert vec.method == "lumped-censoring-exact"
     target = _chain(length).target
-    assert list(vec.vector()) == _solve_lumped(target, np.arange(len(target)))
+    weights = [vec.integer_form[s] for s in vec.states]
+    assert weights == _solve_lumped(target, np.arange(len(target)))
 
 
 def test_corrupted_orbits_fail_the_certificate(monkeypatch):
     # merging two orbits breaks the lumping; the full-chain certificate,
     # not the solver, has to catch it
-    def merged(states):
-        orbit = _orbits(states).copy()
+    def merged(rotate, reflect):
+        orbit = _orbits(rotate, reflect).copy()
         orbit[orbit == 1] = 0
         orbit[orbit > 1] -= 1
         return orbit
@@ -135,28 +191,34 @@ def test_corrupted_orbits_fail_the_certificate(monkeypatch):
         stationary_distribution.cache_clear()
 
 
+def certified_weights(length):
+    vec = stationary_distribution(length)
+    return [vec.integer_form[s] for s in vec.states]
+
+
 def test_nonpositive_weight_fails_the_certificate():
-    # moving one state's mass onto another keeps the total at one
-    pi = list(stationary_distribution(6).vector())
-    pi[0], pi[1] = F(0), pi[0] + pi[1]
+    # moving one state's weight onto another keeps the total
+    weights = certified_weights(6)
+    weights[0], weights[1] = 0, weights[0] + weights[1]
     with pytest.raises(RuntimeError, match="nonpositive"):
-        _certify(_chain(6).target, pi)
+        _certify(_chain(6).target, weights)
 
 
-def test_unnormalized_candidate_fails_the_certificate():
-    # twice the stationary vector balances every state; only its mass is off
-    pi = [2 * p for p in stationary_distribution(6).vector()]
-    with pytest.raises(RuntimeError, match="mass differs from one"):
-        _certify(_chain(6).target, pi)
+def test_non_coprime_weights_fail_the_certificate():
+    # twice the certified weights balance every state; only their common
+    # factor is off, so their sum is not the common denominator
+    weights = [2 * w for w in certified_weights(6)]
+    with pytest.raises(RuntimeError, match="not coprime"):
+        _certify(_chain(6).target, weights)
 
 
 def test_disconnected_chain_fails_the_certificate():
-    # two copies of the L=2 ring side by side: the uniform vector is
-    # positive, normalized and balanced, but not the unique stationary law
+    # two copies of the L=2 ring side by side: the unit weights are
+    # positive, coprime and balanced, but not the unique stationary law
     ring = transition_table(2).target
     target = np.concatenate([ring, ring + 2])
     with pytest.raises(RuntimeError, match="not strongly connected"):
-        _certify(target, [F(1, 4)] * 4)
+        _certify(target, [1] * 4)
 
 
 def test_exact_core_loads_no_scipy():
