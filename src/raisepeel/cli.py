@@ -175,11 +175,14 @@ def _stationary_checks(length: int) -> dict[str, Row]:
     }
 
 
-def _slope_check(length: int, step: float) -> tuple[dict[str, Any], list[Row]]:
+def _slope_check(length: int, step: float, origin: float | None = None
+                 ) -> tuple[dict[str, Any], list[Row]]:
     """Tilted generator zero at the origin, gradient equal to the exact currents:
-    the scgf fd_check block and the origin and slope rows."""
+    the scgf fd_check block and the origin and slope rows.  origin is the
+    cumulant value at zero tilt when the caller has already solved it."""
     d_alpha, d_beta = scgf.scgf_derivatives(length, h_step=step)
-    origin = scgf.scgf_value(length, scgf.DeformedParams()).lambda_value
+    if origin is None:
+        origin = scgf.scgf_value(length, scgf.DeformedParams()).lambda_value
     exact_alpha = stationary.global_current_formula(length)
     exact_beta = stationary.diamond_current_formula(length)
     rel_alpha = abs(d_alpha - float(exact_alpha)) / float(exact_alpha)
@@ -365,7 +368,9 @@ def cmd_scgf(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
     }
     if not args.fd_check:
         return payload, None
-    payload["fd_check"], _ = _slope_check(length, args.step)
+    at_origin = args.alpha == 0.0 and args.beta == 0.0
+    payload["fd_check"], _ = _slope_check(length, args.step,
+                                          result.lambda_value if at_origin else None)
     return payload, payload["fd_check"]["passed"]
 
 

@@ -3,11 +3,13 @@
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
-from math import exp
+from math import exp, isfinite
 from pathlib import Path
 
 import pytest
@@ -109,6 +111,37 @@ def test_xxz_solves_the_ground_energy_once(monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert doc["lambda_bridge"] == -exp(doc["beta"]) * doc["ground_energy"] - 0.75 * 8
+
+
+def test_scgf_fd_check_solves_the_origin_once(monkeypatch):
+    calls = []
+    solve = scgf_mod.scgf_value
+
+    def counted(length, params=scgf_mod.DeformedParams()):
+        calls.append(params)
+        return solve(length, params)
+
+    monkeypatch.setattr(scgf_mod, "scgf_value", counted)
+    code, doc = run_json(["scgf", "--length", "6", "--fd-check"])
+    assert code == 0
+    assert calls == [scgf_mod.DeformedParams(0.0, 0.0)]
+    assert doc["fd_check"]["lambda_origin"] == doc["lambda"]
+
+
+@pytest.mark.parametrize("beta", ["10", "40"])
+def test_large_tilts_end_cleanly(beta, capsys):
+    # the root outgrows what float64 resolves at the 1e-13 tolerance (and at
+    # beta=40 the weights reach e^480): a prompt answer or a clean refusal
+    started = time.perf_counter()
+    code = main(["scgf", "--length", "12", "--beta", beta])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert elapsed < 2.0
+    assert code in (0, 3)
+    assert "nan" not in (captured.out + captured.err).lower()
+    if code == 3:
+        width = re.search(r"stalled at width (\S+) ", captured.err).group(1)
+        assert isfinite(float(width))
 
 
 def test_xxz_reruns_print_the_same_json():

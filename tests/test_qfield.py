@@ -1,11 +1,9 @@
 """Exact arithmetic over the rationals adjoined a sixth root of unity."""
 
-import doctest
 from fractions import Fraction
 
 import pytest
 
-import raisepeel.qfield
 from raisepeel.qfield import Polynomial, Q_GEN, QFieldElement, fact, poch
 from raisepeel.tq import f_q_poly
 
@@ -129,11 +127,6 @@ def test_factorials_and_pochhammer():
     assert fact(5) == 120
     assert poch(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
     assert poch(7, 0) == 1
-
-
-def test_docstring_examples():
-    failures, _ = doctest.testmod(raisepeel.qfield, verbose=False)
-    assert failures == 0
 
 
 def test_field_element_defers_to_polynomial_operands():

@@ -1,6 +1,5 @@
 """Exact stationary distributions, currents, and their closed forms."""
 
-import doctest
 import os
 import subprocess
 import sys
@@ -311,8 +310,3 @@ def test_odd_length_rejected():
         stationary_distribution(5)
     with pytest.raises(ValueError):
         transition_table(3)
-
-
-def test_docstring_examples():
-    failures, _ = doctest.testmod(raisepeel.stationary, verbose=False)
-    assert failures == 0

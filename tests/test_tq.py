@@ -1,6 +1,5 @@
 """Functional relations, boundary tables, growth rates, and recurrences."""
 
-import doctest
 from fractions import Fraction
 from math import lcm
 
@@ -191,8 +190,3 @@ def test_roots_and_energies(n):
     assert len(report.roots) == n
     residuals = bae_residuals(n, bethe_roots(n))
     assert max(residuals) < 1e-8
-
-
-def test_docstring_examples():
-    failures, _ = doctest.testmod(raisepeel.tq, verbose=False)
-    assert failures == 0
