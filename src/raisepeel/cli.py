@@ -29,7 +29,6 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
@@ -108,13 +107,10 @@ def _jsonable(value: Any) -> Any:
         return str(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, Enum):
-        return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         out = {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
         if hasattr(value, "passed"):
-            passed = value.passed
-            out["passed"] = bool(passed() if callable(passed) else passed)
+            out["passed"] = bool(value.passed)
         return out
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -652,7 +648,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except scgf.ConvergenceError as exc:
+    except (scgf.ConvergenceError, tq.RefinementError) as exc:
         print(f"error: convergence failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError:

@@ -2,11 +2,13 @@
 
 Everything downstream of the functional-equation pipeline runs over the
 quadratic number field generated by a primitive sixth root of unity ``q``,
-the root of ``x^2 = x - 1``.  Scalars (``QFieldElement``) are stored as
-``a + b*q`` with ``a, b`` rational ``Fraction``s; they are the reference
-path for single values.  Polynomials keep their coefficients as integer
-numerators over one common positive denominator, so a product or a
-division step is integer arithmetic with one gcd reduction per result.
+the root of ``x^2 = x - 1``.  Numbers have one integer form: a scalar
+(``QFieldElement``) is ``(a + b*q) / den`` with Python ints ``a, b`` and
+``den > 0``, ``gcd(a, b, den) = 1``, and a polynomial keeps the integer
+numerators of its coefficients over one common positive denominator.
+Every scalar operation and every polynomial sum, product and derivative
+is integer arithmetic with one gcd reduction per result; evaluation,
+argument scaling and division are field arithmetic on the coefficients.
 Every identity is checked with zero tolerance.
 """
 
@@ -43,7 +45,9 @@ class QFieldElement:
 
     q is the primitive sixth root of unity exp(i*pi/3); its inverse is
     1 - q and q^3 = -1.  The norm of a + b*q is a^2 + a*b + b^2, which
-    vanishes only at zero, so division is exact.
+    vanishes only at zero, so division is exact.  The element is stored
+    as ints (a, b, den) meaning (a + b*q)/den, with den > 0 and
+    gcd(a, b, den) = 1; ``a`` and ``b`` read the parts back as Fractions.
 
     >>> q = QFieldElement.gen()
     >>> q * q == q - 1
@@ -54,13 +58,32 @@ class QFieldElement:
     True
     >>> (1 + q) ** 2 == 3 * q
     True
+    >>> QFieldElement(Fraction(1, 2), Fraction(-1, 3)).b
+    Fraction(-1, 3)
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_a", "_b", "_den")
 
     def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        if isinstance(a, int) and isinstance(b, int):
+            self._a, self._b, self._den = int(a), int(b), 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        den = lcm(a.denominator, b.denominator)
+        # over the lcm the three ints are already coprime
+        self._a = a.numerator * (den // a.denominator)
+        self._b = b.numerator * (den // b.denominator)
+        self._den = den
+
+    @classmethod
+    def _reduced(cls, a: int, b: int, den: int) -> "QFieldElement":
+        """(a + b*q)/den in canonical form; den must be positive."""
+        out = cls.__new__(cls)
+        g = gcd(a, b, den)
+        if g != 1:
+            a, b, den = a // g, b // g, den // g
+        out._a, out._b, out._den = a, b, den
+        return out
 
     @classmethod
     def gen(cls) -> "QFieldElement":
@@ -70,59 +93,78 @@ class QFieldElement:
     def coerce(cls, value: Scalar) -> "QFieldElement":
         if isinstance(value, QFieldElement):
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value, 0)
+        if isinstance(value, int):
+            return cls(value)
+        if isinstance(value, Fraction):
+            return cls._reduced(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot coerce {type(value).__name__} into QFieldElement")
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._a, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of q."""
+        return Fraction(self._b, self._den)
 
     # -- ring structure -------------------------------------------------
     # Operands other than scalars give NotImplemented, so that a
     # Polynomial on the right gets its reflected method.
 
+    def _combine(self, other: "QFieldElement", sign: int) -> "QFieldElement":
+        """self + sign * other over the product of the denominators."""
+        d, e = self._den, other._den
+        return QFieldElement._reduced(self._a * e + sign * other._a * d,
+                                      self._b * e + sign * other._b * d, d * e)
+
     def __add__(self, other: Scalar) -> "QFieldElement":
         if not isinstance(other, (QFieldElement, int, Fraction)):
             return NotImplemented
-        o = QFieldElement.coerce(other)
-        return QFieldElement(self.a + o.a, self.b + o.b)
+        return self._combine(QFieldElement.coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> "QFieldElement":
         if not isinstance(other, (QFieldElement, int, Fraction)):
             return NotImplemented
-        o = QFieldElement.coerce(other)
-        return QFieldElement(self.a - o.a, self.b - o.b)
+        return self._combine(QFieldElement.coerce(other), -1)
 
     def __rsub__(self, other: Scalar) -> "QFieldElement":
         if not isinstance(other, (QFieldElement, int, Fraction)):
             return NotImplemented
-        o = QFieldElement.coerce(other)
-        return QFieldElement(o.a - self.a, o.b - self.b)
+        return QFieldElement.coerce(other)._combine(self, -1)
 
     def __neg__(self) -> "QFieldElement":
-        return QFieldElement(-self.a, -self.b)
+        return QFieldElement._reduced(-self._a, -self._b, self._den)
 
     def __mul__(self, other: Scalar) -> "QFieldElement":
         if not isinstance(other, (QFieldElement, int, Fraction)):
             return NotImplemented
         o = QFieldElement.coerce(other)
         # (a + b q)(c + d q) = ac + (ad + bc) q + bd (q - 1)
-        a, b, c, d = self.a, self.b, o.a, o.b
-        return QFieldElement(a * c - b * d, a * d + b * c + b * d)
+        a, b, c, d = self._a, self._b, o._a, o._b
+        return QFieldElement._reduced(a * c - b * d, a * d + b * c + b * d,
+                                      self._den * o._den)
 
     __rmul__ = __mul__
 
     def norm(self) -> Fraction:
-        return self.a * self.a + self.a * self.b + self.b * self.b
+        a, b = self._a, self._b
+        return Fraction(a * a + a * b + b * b, self._den ** 2)
 
     def conjugate(self) -> "QFieldElement":
         """Galois conjugate, q -> 1 - q (complex conjugation on the circle)."""
-        return QFieldElement(self.a + self.b, -self.b)
+        return QFieldElement._reduced(self._a + self._b, -self._b, self._den)
 
     def inverse(self) -> "QFieldElement":
-        n = self.norm()
+        # 1/(a + b q) = (a + b - b q) / (a^2 + a b + b^2)
+        a, b, den = self._a, self._b, self._den
+        n = a * a + a * b + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(q)")
-        return QFieldElement((self.a + self.b) / n, -self.b / n)
+        return QFieldElement._reduced((a + b) * den, -b * den, n)
 
     def __truediv__(self, other: Scalar) -> "QFieldElement":
         if not isinstance(other, (QFieldElement, int, Fraction)):
@@ -153,52 +195,42 @@ class QFieldElement:
         if not isinstance(other, (QFieldElement, int, Fraction)):
             return NotImplemented
         o = QFieldElement.coerce(other)
-        return self.a == o.a and self.b == o.b
+        return self._a == o._a and self._b == o._b and self._den == o._den
 
     def __hash__(self) -> int:
         # a rational element equals, so hashes as, its Fraction
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+        return hash(self.a) if self._b == 0 else hash((self._a, self._b, self._den))
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self._a != 0 or self._b != 0
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._b == 0
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self._b != 0:
             raise ValueError(f"{self!r} has a nonzero q component")
         return self.a
 
     def __complex__(self) -> complex:
-        # q = exp(i pi / 3)
+        # q = exp(i pi / 3); int / int rounds as float(Fraction) does
         root = complex(0.5, 0.8660254037844386)
-        return complex(self.a) + complex(self.b) * root
+        return complex(self._a / self._den) + complex(self._b / self._den) * root
 
     def __repr__(self) -> str:
         return f"QFieldElement({self.a}, {self.b})"
 
     def __str__(self) -> str:
-        if self.b == 0:
+        if self._b == 0:
             return str(self.a)
-        if self.a == 0:
+        if self._a == 0:
             return f"{self.b}*q"
-        sign = "+" if self.b > 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{self.a} {sign} {abs(self.b)}*q"
 
 
 Q_GEN = QFieldElement.gen()
-
-
-def _split(value: Scalar) -> tuple[int, int, int]:
-    """Integers (a, b, d), d > 0, with value = (a + b*q) / d."""
-    if isinstance(value, int):
-        return value, 0, 1
-    e = QFieldElement.coerce(value)
-    d = lcm(e.a.denominator, e.b.denominator)
-    return (e.a.numerator * (d // e.a.denominator),
-            e.b.numerator * (d // e.b.denominator), d)
 
 
 def _convolve(x: Iterable[int], y: tuple[int, ...], out: list[int]) -> list[int]:
@@ -217,10 +249,11 @@ class Polynomial:
     ints, rational parts and q parts, lowest degree first, over one
     positive int denominator.  The form is canonical: trailing zero
     coefficients are trimmed and gcd(a, b, den) = 1, so equality, hashing
-    and the degree compare ints.  Every operation works on the numerators
-    and reduces once per result.  The constructor accepts ints, Fractions
-    and field elements; ``coeffs`` reads the coefficients back as
-    QFieldElements.
+    and the degree compare ints.  Sums, products and derivatives work on
+    the numerators and reduce once per result; evaluation, argument
+    scaling and division work on the coefficients as field elements.  The
+    constructor accepts ints, Fractions and field elements; ``coeffs``
+    reads the coefficients back as QFieldElements.
 
     >>> x = Polynomial.x()
     >>> ((1 + x) ** 2)(Fraction(1, 2))
@@ -232,10 +265,10 @@ class Polynomial:
     __slots__ = ("_a", "_b", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        parts = [_split(c) for c in coeffs]
-        den = lcm(*(d for _, _, d in parts))
-        self._set([a * (den // d) for a, _, d in parts],
-                  [b * (den // d) for _, b, d in parts], den)
+        cs = [QFieldElement.coerce(c) for c in coeffs]
+        den = lcm(*(c._den for c in cs))
+        self._set([c._a * (den // c._den) for c in cs],
+                  [c._b * (den // c._den) for c in cs], den)
 
     def _set(self, a: list[int], b: list[int], den: int) -> None:
         """Store (a + b*q) / den in canonical form; den must be positive."""
@@ -263,8 +296,7 @@ class Polynomial:
     def coeffs(self) -> tuple[QFieldElement, ...]:
         """Coefficients, lowest degree first, as field elements."""
         d = self._den
-        return tuple(QFieldElement(Fraction(a, d), Fraction(b, d))
-                     for a, b in zip(self._a, self._b))
+        return tuple(QFieldElement._reduced(a, b, d) for a, b in zip(self._a, self._b))
 
     @property
     def degree(self) -> int:
@@ -354,17 +386,12 @@ class Polynomial:
         return out
 
     def __call__(self, x: Scalar) -> QFieldElement:
-        """Horner evaluation on the numerators, homogenised in the
-        denominator of x, with one field element built at the end."""
-        p, r, s = _split(x)
-        acc_a = acc_b = 0
-        s_pow = 1
-        for ca, cb in zip(reversed(self._a), reversed(self._b)):
-            acc_a, acc_b = (acc_a * p - acc_b * r + ca * s_pow,
-                            acc_a * r + acc_b * (p + r) + cb * s_pow)
-            s_pow *= s
-        den = self._den * s ** max(self.degree, 0)
-        return QFieldElement(Fraction(acc_a, den), Fraction(acc_b, den))
+        """Horner evaluation in the field."""
+        x = QFieldElement.coerce(x)
+        acc = QFieldElement()
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """The order-th derivative in one pass: x^k -> k!/(k-order)! x^(k-order)."""
@@ -374,21 +401,9 @@ class Polynomial:
                                      self._den)
 
     def scale_argument(self, c: Scalar) -> "Polynomial":
-        """Return p(c*x).
-
-        With c = (p + r q)/s, x^k picks up (p + r q)^k s^(deg-k) over a
-        common s^deg.  For a power of q, s = 1 and the (p + r q)^k are
-        units of Z[q], so every factor stays in {-1, 0, 1}.
-        """
-        p, r, s = _split(c)
-        deg = self.degree
-        powers, u, v = [], 1, 0
-        for k in range(deg + 1):
-            powers.append((u * s ** (deg - k), v * s ** (deg - k)))
-            u, v = u * p - v * r, u * r + v * (p + r)
-        a = [ca * u - cb * v for ca, cb, (u, v) in zip(self._a, self._b, powers)]
-        b = [ca * v + cb * (u + v) for ca, cb, (u, v) in zip(self._a, self._b, powers)]
-        return Polynomial._from_ints(a, b, self._den * s ** max(deg, 0))
+        """Return p(c*x): the coefficient of x^k picks up c^k."""
+        c = QFieldElement.coerce(c)
+        return Polynomial([coeff * c ** k for k, coeff in enumerate(self.coeffs)])
 
     def reversed_coeffs(self) -> "Polynomial":
         """Return x^deg * p(1/x)."""
@@ -403,49 +418,24 @@ class Polynomial:
         return quot
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder, on integer numerators for every divisor.
-
-        The divisor is made monic once, as m(x)/E with integer numerators
-        m whose leading entry is E.  Each step that clears a leading
-        numerator c scales the running remainder and quotient numerators
-        by E, subtracts c x^k m(x) from the remainder and records c x^k in
-        the quotient.  After s such steps, with den the denominator of
-        self, E^s self = (quot/den) m + rem/den, reduced at the end.
-        """
+        """Quotient and remainder by schoolbook long division in the field,
+        with one inverse of the divisor's leading coefficient."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        dq = self.degree - other.degree
-        if dq < 0:
+        top = other.degree
+        if self.degree < top:
             return Polynomial([]), self
-        # the leading coefficient is (u + v q)/den, and
-        # 1/(u + v q) = (u + v - v q) / (u^2 + u v + v^2)
-        u, v, den = other._a[-1], other._b[-1], other._den
-        inv_lead = Polynomial._from_ints([(u + v) * den], [-v * den], u * u + u * v + v * v)
-        monic = other * inv_lead
-        ma, mb, big_e = monic._a, monic._b, monic._den
-        top = len(ma) - 1
-        ra, rb = list(self._a), list(self._b)
-        qa, qb = [0] * (dq + 1), [0] * (dq + 1)
-        steps = 0
-        for k in range(dq, -1, -1):
-            ca, cb = ra[k + top], rb[k + top]
-            if not ca and not cb:
-                continue
-            if big_e != 1:
-                ra = [c * big_e for c in ra]
-                rb = [c * big_e for c in rb]
-                qa = [c * big_e for c in qa]
-                qb = [c * big_e for c in qb]
-            steps += 1
-            qa[k], qb[k] = ca, cb
-            for j in range(top + 1):
-                xa, xb = ma[j], mb[j]
-                ra[k + j] -= ca * xa - cb * xb
-                rb[k + j] -= ca * xb + cb * (xa + xb)
-        scale = self._den * big_e ** steps
-        quot = Polynomial._from_ints(qa, qb, scale)
-        # m = E * monic and monic = other * inv_lead
-        return quot * inv_lead * big_e, Polynomial._from_ints(ra[:top], rb[:top], scale)
+        divisor = other.coeffs
+        inv_lead = divisor[-1].inverse()
+        rem = list(self.coeffs)
+        quot = []
+        for k in range(self.degree - top, -1, -1):
+            c = rem.pop() * inv_lead
+            quot.append(c)
+            if c:
+                for j in range(top):
+                    rem[k + j] = rem[k + j] - c * divisor[j]
+        return Polynomial(reversed(quot)), Polynomial(rem)
 
     def rational_coeffs(self) -> tuple[Fraction, ...]:
         return tuple(c.as_fraction() for c in self.coeffs)

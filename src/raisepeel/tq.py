@@ -779,6 +779,10 @@ _NEWTON_STEPS = 6
 _JACOBIAN_STEP = 1e-7
 
 
+class RefinementError(RuntimeError):
+    """Newton refinement of the roots of Q left the roots it started from."""
+
+
 def bethe_roots(n: int) -> np.ndarray:
     """Roots of Q in the complex plane, sorted by real then imaginary part.
 
@@ -802,7 +806,7 @@ def bethe_roots(n: int) -> np.ndarray:
         spacing = np.abs(np.subtract.outer(seeds, seeds))
         np.fill_diagonal(spacing, np.inf)
         if np.abs(roots - seeds).max() >= 0.25 * spacing.min():
-            raise RuntimeError(f"Newton refinement moved a root of Q away from its seed at N={n}")
+            raise RefinementError(f"Newton refinement moved a root of Q away from its seed at N={n}")
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 

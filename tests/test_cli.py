@@ -328,6 +328,19 @@ def test_convergence_failure_exits_3(monkeypatch, capsys):
     assert "convergence" in err
 
 
+def test_bethe_refinement_failure_exits_3(capsys):
+    # at N = 24 Newton refinement leaves the seeds np.roots gives it; the
+    # exact checks at the same order still run and pass
+    code = main(["tq", "--n", "24", "--check", "bethe"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("error: convergence failure: Newton refinement moved a root "
+                   "of Q away from its seed at N=24\n")
+    code = main(["tq", "--n", "24", "--check", "tq"])
+    capsys.readouterr()
+    assert code == 0
+
+
 def test_memory_failure_exits_3(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise MemoryError

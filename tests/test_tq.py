@@ -8,6 +8,7 @@ import pytest
 import raisepeel.tq
 from raisepeel.qfield import Q_GEN
 from raisepeel.tq import (
+    RefinementError,
     a1_prime_seq,
     a1_second_seq,
     a1_seq,
@@ -190,3 +191,8 @@ def test_roots_and_energies(n):
     assert len(report.roots) == n
     residuals = bae_residuals(n, bethe_roots(n))
     assert max(residuals) < 1e-8
+
+
+def test_refinement_failure_is_a_runtime_error():
+    # the CLI exits 3 on it (tests/test_cli.py)
+    assert issubclass(RefinementError, RuntimeError)
