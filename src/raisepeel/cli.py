@@ -290,10 +290,14 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]
         report_every=args.report_every,
     )
 
+    stepper = simulate_mod.stepper_for(cfg.length).name
     if args.replicas > 1:
         if args.log:
             raise UsageError("--log applies to single runs, not --replicas ensembles")
+        started = time.perf_counter()
         runs = simulate_mod.run_ensemble(cfg, args.replicas)
+        _log_event_rate(stepper, sum(r.counters.n_total for r in runs),
+                        sum(r.elapsed_time for r in runs), time.perf_counter() - started)
         pooled: dict[str, Any] = {}
         for field in ("drift_diamond_hat", "drift_global_hat", "mean_peaks_hat"):
             values = [getattr(r, field).value for r in runs if getattr(r, field) is not None]
@@ -319,11 +323,14 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]
     finally:
         if handle is not None:
             handle.close()
-    wall = time.perf_counter() - started
-    n_events = summary.counters.n_total
-    log.info("simulated %d events over time %.6g in %.3f s wall (%.0f events/s)",
-             n_events, summary.elapsed_time, wall, n_events / wall if wall > 0 else 0.0)
+    _log_event_rate(stepper, summary.counters.n_total, summary.elapsed_time,
+                    time.perf_counter() - started)
     return {"summary": summary.as_json_dict()}, None
+
+
+def _log_event_rate(stepper: str, n_events: int, sim_time: float, wall: float) -> None:
+    log.info("simulated %d events over time %.6g in %.3f s wall (%.0f events/s, %s stepper)",
+             n_events, sim_time, wall, n_events / wall if wall > 0 else 0.0, stepper)
 
 
 def cmd_stationary(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:

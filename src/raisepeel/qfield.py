@@ -7,8 +7,10 @@ the root of ``x^2 = x - 1``.  Numbers have one integer form: a scalar
 ``den > 0``, ``gcd(a, b, den) = 1``, and a polynomial keeps the integer
 numerators of its coefficients over one common positive denominator.
 Every scalar operation and every polynomial sum, product and derivative
-is integer arithmetic with one gcd reduction per result; evaluation,
-argument scaling and division are field arithmetic on the coefficients.
+is integer arithmetic with one gcd reduction per result, and so is
+division by a monic divisor with integer coefficients; evaluation,
+argument scaling and other division are field arithmetic on the
+coefficients.
 Every identity is checked with zero tolerance.
 """
 
@@ -250,10 +252,11 @@ class Polynomial:
     positive int denominator.  The form is canonical: trailing zero
     coefficients are trimmed and gcd(a, b, den) = 1, so equality, hashing
     and the degree compare ints.  Sums, products and derivatives work on
-    the numerators and reduce once per result; evaluation, argument
-    scaling and division work on the coefficients as field elements.  The
-    constructor accepts ints, Fractions and field elements; ``coeffs``
-    reads the coefficients back as QFieldElements.
+    the numerators and reduce once per result, as does division by a
+    monic integer divisor; evaluation, argument scaling and other division
+    work on the coefficients as field elements.  The constructor accepts
+    ints, Fractions and field elements; ``coeffs`` reads the coefficients
+    back as QFieldElements.
 
     >>> x = Polynomial.x()
     >>> ((1 + x) ** 2)(Fraction(1, 2))
@@ -418,13 +421,20 @@ class Polynomial:
         return quot
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder by schoolbook long division in the field,
-        with one inverse of the divisor's leading coefficient."""
+        """Quotient and remainder by schoolbook long division.
+
+        A monic divisor with integer coefficients, such as (1 + x)^k,
+        divides the integer numerators over this polynomial's denominator;
+        any other divisor is divided in the field, with one inverse of its
+        leading coefficient.
+        """
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         top = other.degree
         if self.degree < top:
             return Polynomial([]), self
+        if other._den == 1 and other.is_monic():
+            return self._divmod_integer(other)
         divisor = other.coeffs
         inv_lead = divisor[-1].inverse()
         rem = list(self.coeffs)
@@ -436,6 +446,27 @@ class Polynomial:
                 for j in range(top):
                     rem[k + j] = rem[k + j] - c * divisor[j]
         return Polynomial(reversed(quot)), Polynomial(rem)
+
+    def _divmod_integer(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """divmod by a monic divisor over Z[q]: quotient and remainder of
+        the numerators stay in Z[q], so both keep this denominator and
+        each step is int arithmetic with no inverse and no gcd."""
+        top = other.degree
+        a, b = list(self._a), list(self._b)
+        da, db = other._a, other._b
+        quot_a, quot_b = [], []
+        for k in range(self.degree - top, -1, -1):
+            ca, cb = a.pop(), b.pop()
+            quot_a.append(ca)
+            quot_b.append(cb)
+            if ca or cb:
+                # subtract (ca + cb q)(da + db q), with q^2 = q - 1
+                for j in range(top):
+                    x, y = da[j], db[j]
+                    a[k + j] -= ca * x - cb * y
+                    b[k + j] -= ca * y + cb * x + cb * y
+        return (Polynomial._from_ints(quot_a[::-1], quot_b[::-1], self._den),
+                Polynomial._from_ints(a, b, self._den))
 
     def rational_coeffs(self) -> tuple[Fraction, ...]:
         return tuple(c.as_fraction() for c in self.coeffs)

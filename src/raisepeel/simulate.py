@@ -8,26 +8,35 @@ reproducible from its seed; the event times are a sequential cumulative
 sum from the carried time, so they are the floats an event-by-event loop
 produces, and a seed always gives the same trajectory.
 
-Each block of sites goes through ``_Ring``, a mutable-heights stepper
-that applies a drop in O(1 + avalanche length) and keeps the peak count
-and the number of sites at height <= 1 up to date.  The accounting is
-then vectorized over the block: the peak count is piecewise constant
-between events, so its running integral F(t) is a cumulative sum at the
-event times plus a linear piece up to any later instant, and a batch's
-peak integral is F at its closing boundary minus F at its opening one.
-Point estimates are full-run counters (or F) over elapsed time; standard
-errors come from batch means (30 equal batches after a 5% burn-in),
-time-sliced when the run is bounded by a horizon and event-sliced when
-it is bounded by an event budget.  Progress-log ticks read the same
-block arrays.
+Each block of sites goes through a stepper chosen by ring length.  Up to
+``TABLE_MAX_LENGTH`` sites, ``_TableRing`` holds the state as a row of
+the ring's transition table: one add and one list lookup per event, then
+one ``take`` per per-event array over flat copies of the table's columns.
+Longer rings use ``_Ring``, a mutable-heights stepper that applies a drop
+in O(1 + avalanche length) and keeps the peak count and the number of
+sites at height <= 1 up to date; it is also the tests' reference for the
+table stepper.  Both consume the same draws, so a seed gives the same
+trajectory on either.
+
+The accounting is then vectorized over the block: the peak count is
+piecewise constant between events, so its running integral F(t) is a
+cumulative sum at the event times plus a linear piece up to any later
+instant, and a batch's peak integral is F at its closing boundary minus
+F at its opening one.  Point estimates are full-run counters (or F) over
+elapsed time; standard errors come from batch means (30 equal batches
+after a 5% burn-in), time-sliced when the run is bounded by a horizon
+and event-sliced when it is bounded by an event budget.  Progress-log
+ticks read the same block arrays.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import isfinite, sqrt
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,11 +46,20 @@ from .profiles import (
     count_peaks,
     substrate,
     tile_count,
+    transition_table,
 )
 
 _BLOCK = 1 << 14
 _N_BATCHES = 30
 _BURN_FRACTION = 0.05
+
+# Rings up to this length step through their transition table.  Longer
+# rings walk the heights: above profiles.ENUMERATION_CAP there is no
+# table, and the table stepper saves about 0.4 us per event, so building
+# the table (about 0.01, 0.04 and 0.18 s at L = 12, 14 and 16) pays for
+# itself after about 3e4 events at L = 12 but only after 1e5 and 4e5
+# events at L = 14 and 16, so short runs of those rings would lose time.
+TABLE_MAX_LENGTH = 12
 
 LogWriter = Callable[[dict], None]
 
@@ -129,6 +147,7 @@ class _Ring:
     """
 
     __slots__ = ("heights", "peaks", "low")
+    name = "ring"
 
     def __init__(self, heights: HeightProfile) -> None:
         self.heights = list(heights)
@@ -201,6 +220,86 @@ class _Ring:
                 np.frombuffer(d_global, np.int8), np.frombuffer(peaks_after, np.intc))
 
 
+class _FlatMoves(NamedTuple):
+    """One ring length's transition table, flattened for ``_TableRing``.
+
+    Move m = row + site leaves the state at row = state * L.  next_row[m]
+    is the row the move leads to, and d_peak, d_diamond, d_global and
+    peaks_after (the peak count of the target) are its counters as int8.
+    """
+    length: int
+    states: tuple[HeightProfile, ...]
+    next_row: list[int]
+    d_peak: np.ndarray
+    d_diamond: np.ndarray
+    d_global: np.ndarray
+    peaks_after: np.ndarray
+    peak_count: list[int]
+
+
+@lru_cache(maxsize=None)
+def _flat_moves(length: int) -> _FlatMoves:
+    """The flat moves of one ring length, shared by every stepper of it."""
+    table = transition_table(length)
+
+    def narrow(column: np.ndarray) -> np.ndarray:
+        # int8 holds every counter: d_diamond <= L and peaks <= L / 2
+        return column.astype(np.int8).ravel()
+
+    return _FlatMoves(length, table.states, (table.target * length).ravel().tolist(),
+                      narrow(table.d_peak), narrow(table.d_diamond), narrow(table.d_global),
+                      narrow(table.peak_count[table.target]), table.peak_count.tolist())
+
+
+class _TableRing:
+    """The ring as a row of its transition table, with ``_Ring``'s interface.
+
+    ``drop`` follows the table's targets one list lookup per event and
+    reads the block's counters with one ``take`` per array; ``heights``
+    and ``peaks`` are looked up from the current row.
+    """
+
+    __slots__ = ("_moves", "_row")
+    name = "table"
+
+    def __init__(self, heights: HeightProfile) -> None:
+        self._moves = moves = _flat_moves(len(heights))
+        heights = tuple(heights)
+        state = bisect_left(moves.states, heights)
+        if state == len(moves.states) or moves.states[state] != heights:
+            raise ValueError(f"not an admissible profile: {heights}")
+        self._row = state * moves.length
+
+    @property
+    def heights(self) -> HeightProfile:
+        return self._moves.states[self._row // self._moves.length]
+
+    @property
+    def peaks(self) -> int:
+        return self._moves.peak_count[self._row // self._moves.length]
+
+    def drop(self, sites: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """Drop a tile at each site in turn.
+
+        Returns per-drop arrays dPeak, dDiamond, dGlobal and the peak
+        count after the drop.
+        """
+        moves = self._moves
+        next_row = moves.next_row
+        row = start = self._row
+        rows = [row := next_row[row + site] for site in sites]
+        self._row = row
+        # move k leaves the row that move k - 1 reached
+        move = np.array([start, *rows])[:-1] + np.asarray(sites, dtype=np.intp)
+        return (moves.d_peak.take(move), moves.d_diamond.take(move),
+                moves.d_global.take(move), moves.peaks_after.take(move))
+
+
+def stepper_for(length: int) -> type:
+    """The stepper class that simulates a ring of this length."""
+    return _TableRing if length <= TABLE_MAX_LENGTH else _Ring
+
+
 def _integral_at(times: np.ndarray, integral: np.ndarray, held: np.ndarray,
                  instants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Events before each instant and the peak integral F up to it.
@@ -227,7 +326,7 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
     """
     length = cfg.length
     rng = np.random.default_rng(cfg.seed)
-    ring = _Ring(substrate(length))
+    ring = stepper_for(length)(substrate(length))
     time_mode = cfg.t_max is not None
     horizon = cfg.t_max
     budget = cfg.max_events
@@ -337,8 +436,12 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
     state = tuple(ring.heights)
     counters = EventCounters(n_total, n_peak, n_diamond, n_global,
                              n_total - n_peak - n_diamond)
-    # the stepper's evacuation counts must match the heights it left
-    assert counters.n_tiles == tile_count(state)
+    # the stepper's evacuation counts must match the heights it left; a
+    # raise, not an assert, so that python -O keeps the check
+    if counters.n_tiles != tile_count(state):
+        raise RuntimeError(
+            f"tile bookkeeping broke: the counters leave {counters.n_tiles} tiles "
+            f"stored, the final heights hold {tile_count(state)}")
 
     batch_time = np.diff(bound_time)
     complete = batch_time > 0

@@ -2,6 +2,7 @@
 
 import io
 import json
+import logging
 import os
 import re
 import shutil
@@ -185,6 +186,22 @@ def test_simulate_replicas():
     assert code == 0
     assert len(doc["replicas"]) == 3
     assert doc["pooled"]["drift_diamond_hat"]["stderr"] > 0
+
+
+@pytest.mark.parametrize("argv, stepper", [
+    (["--length", "8", "--time", "50"], "table"),
+    (["--length", "14", "--time", "20"], "ring"),
+    (["--length", "8", "--time", "50", "--replicas", "3"], "table"),
+])
+def test_simulate_logs_event_rate_and_stepper(caplog, argv, stepper):
+    with caplog.at_level(logging.INFO, logger="raisepeel.cli"):
+        code, doc = run_json(["simulate", *argv, "--seed", "3"])
+    assert code == 0
+    runs = doc["replicas"] if "replicas" in doc else [doc["summary"]]
+    events = sum(run["counters"]["n_total"] for run in runs)
+    [line] = [r.getMessage() for r in caplog.records if "events/s" in r.getMessage()]
+    assert line.startswith(f"simulated {events} events over time ")
+    assert line.endswith(f" events/s, {stepper} stepper)")
 
 
 def test_verify_all_small():

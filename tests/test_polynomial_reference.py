@@ -318,6 +318,23 @@ def test_argument_scaling_and_reversal_match_reference(xs, c):
     assert pairs(p.reversed_coeffs()) == ref_reverse(xs)
 
 
+integer_elements = st.builds(Pair, st.integers(-9, 9), st.one_of(st.just(0), st.integers(-9, 9)))
+
+
+@SETTINGS
+@given(coeff_lists, st.one_of(
+    st.lists(integer_elements, max_size=5).map(lambda cs: tuple(cs) + (ONE,)),
+    st.integers(0, 8).map(lambda k: ref_pow((ONE, ONE), k))))
+def test_divmod_by_monic_integer_divisors_matches_reference(xs, ds):
+    # divisors over Z[q] with leading coefficient 1, (1 + x)^k among them,
+    # take the division on integer numerators
+    p, d = poly(xs), poly(ds)
+    assert d.is_monic() and d._den == 1
+    quot, rem = p.divmod(d)
+    assert (pairs(quot), pairs(rem)) == ref_divmod(xs, ds)
+    assert (p * d).exact_div(d) == p
+
+
 @SETTINGS
 @given(coeff_lists, coeff_lists.filter(lambda cs: any(cs)), st.booleans())
 def test_divmod_identity_for_monic_and_general_divisors(xs, ds, monic):

@@ -1,5 +1,6 @@
-"""The incremental ring stepper and the block-vectorized sampler against
-the reference path: apply_move on tuples, one event at a time."""
+"""The ring steppers and the block-vectorized sampler against the
+reference path: apply_move on tuples, one event at a time.  The table
+stepper is also checked against the height stepper, its reference."""
 
 from bisect import bisect_left, bisect_right
 from math import isinf, sqrt
@@ -18,7 +19,7 @@ from raisepeel.profiles import (
     enumerate_states,
     substrate,
 )
-from raisepeel.simulate import SimConfig, _Ring, simulate
+from raisepeel.simulate import TABLE_MAX_LENGTH, SimConfig, _Ring, _TableRing, simulate
 
 
 def _assert_drop_matches(ring, state, site):
@@ -55,11 +56,72 @@ def test_stepper_matches_apply_move(case):
         state = _assert_drop_matches(ring, state, site)
 
 
-@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("length", range(2, TABLE_MAX_LENGTH + 1, 2))
 def test_stepper_every_state_and_site(length):
     for state in enumerate_states(length):
         for site in range(length):
             _assert_drop_matches(_Ring(state), state, site)
+
+
+@pytest.mark.parametrize("length", range(2, TABLE_MAX_LENGTH + 1, 2))
+def test_table_stepper_every_state_and_site(length):
+    for state in enumerate_states(length):
+        for site in range(length):
+            table = _TableRing(state)
+            got = table.drop([site])
+            for want, have in zip(_Ring(state).drop([site]), got):
+                assert np.array_equal(have, want)
+            record = apply_move(state, site)
+            assert table.heights == record.target
+            assert table.peaks == got[3][0] == count_peaks(record.target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, TABLE_MAX_LENGTH // 2).flatmap(lambda half: st.tuples(
+    st.sampled_from(enumerate_states(2 * half)),
+    st.lists(st.lists(st.integers(0, 2 * half - 1), max_size=80), min_size=1, max_size=4))))
+def test_table_stepper_blocks_match_ring(case):
+    state, blocks = case
+    ring, table = _Ring(state), _TableRing(state)
+    for sites in blocks:
+        want, got = ring.drop(sites), table.drop(np.array(sites, dtype=np.int64))
+        for w, g in zip(want, got):
+            assert np.array_equal(g, w)
+        assert table.heights == tuple(ring.heights)
+        assert table.peaks == ring.peaks
+
+
+def test_table_stepper_rejects_inadmissible_heights():
+    with pytest.raises(ValueError):
+        _TableRing((0, 1, 2, 1, 2, 3))
+
+
+def _refuse(name):
+    class Refused:
+        def __init__(self, heights):
+            raise AssertionError(f"{name} built for L={len(heights)}")
+    return Refused
+
+
+@pytest.mark.parametrize("length", [2, 8, TABLE_MAX_LENGTH, TABLE_MAX_LENGTH + 2])
+def test_stepper_choice_follows_the_cutoff(monkeypatch, length):
+    unused = "_Ring" if length <= TABLE_MAX_LENGTH else "_TableRing"
+    monkeypatch.setattr(simulate_mod, unused, _refuse(unused))
+    summary = simulate(SimConfig(length=length, max_events=3000, seed=1))
+    assert summary.counters.n_total == 3000
+
+
+def test_broken_bookkeeping_raises(monkeypatch):
+    class OffByOne(_TableRing):
+        __slots__ = ()
+
+        def drop(self, sites):
+            d_peak, d_diamond, d_global, peaks = super().drop(sites)
+            return d_peak, d_diamond + 1, d_global, peaks
+
+    monkeypatch.setattr(simulate_mod, "_TableRing", OffByOne)
+    with pytest.raises(RuntimeError, match=r"-\d+ tiles stored, the final heights hold \d+"):
+        simulate(SimConfig(length=4, max_events=100, seed=2))
 
 
 def test_stepper_l2_neighbours_are_one_site():
@@ -178,7 +240,7 @@ def _assert_same_trajectory(cfg, block):
         assert got["mean_peaks"] == pytest.approx(want["mean_peaks"], rel=1e-9)
 
 
-@pytest.mark.parametrize("length", [2, 4, 6, 8, 10, 64])
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10, 12, 14, 64])
 @pytest.mark.parametrize("mode", ["time", "events"])
 def test_trajectory_matches_reference(monkeypatch, length, mode):
     # a short block puts many block edges inside a run of a few thousand
