@@ -474,7 +474,7 @@ def _verify_rows(lmax: int, nmax: int) -> list[Row]:
         add(Row(f"xxz-tl-L{length:02d}",
                 "loop-algebra generator relations at the combinatorial twist",
                 f"errors <= {spinchain.TL_TOLERANCE:g}", f"{relations.worst_error:.2e}",
-                relations.passed()))
+                relations.passed))
         spin = {(alpha, beta): spinchain.lambda_bridge(length, alpha, beta)
                 for alpha in _BRIDGE_GRID for beta in _BRIDGE_GRID}
         add(_bridge_check(length, spin)[1])

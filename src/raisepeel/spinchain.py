@@ -267,8 +267,9 @@ class TLReport:
         return max(self.idempotent_error, self.neighbor_error,
                    self.commutation_error, self.quotient_error)
 
-    def passed(self, tol: float = TL_TOLERANCE) -> bool:
-        return self.worst_error < tol
+    @property
+    def passed(self) -> bool:
+        return self.worst_error < TL_TOLERANCE
 
 
 def tl_relations_check(length: int, q: complex | None = None,

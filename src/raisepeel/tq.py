@@ -27,7 +27,7 @@ Q(q), q^2 = q - 1:
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,6 +40,15 @@ QI = Q.inverse()                 # q^-1 = 1 - q
 THIRD = Fraction(1, 3)
 
 FormalCombo = dict[tuple[str, int, str], QFieldElement]
+
+
+class _Verdict:
+    """The one verdict rule of the exact reports: a report passes when
+    every field annotated ``bool`` is true."""
+
+    @property
+    def passed(self) -> bool:
+        return all(getattr(self, f.name) for f in fields(self) if f.type in (bool, "bool"))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +95,13 @@ def f_p_poly(n: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def _quotient(f: Polynomial, n: int) -> Polynomial:
+    """f / (1+x)^2N, which must be monic of degree N."""
+    out = f.exact_div(Polynomial([1, 1]) ** (2 * n))
+    assert out.degree == n and out.is_monic()
+    return out
+
+
 @lru_cache(maxsize=None)
 def q_poly(n: int) -> Polynomial:
     """Monic degree-N polynomial Q, the eigenvalue-equation numerator.
@@ -93,10 +109,7 @@ def q_poly(n: int) -> Polynomial:
     >>> q_poly(1).rational_coeffs()
     (Fraction(-1, 2), Fraction(1, 1))
     """
-    one_plus_x = Polynomial([1, 1])
-    out = f_q_poly(n).exact_div(one_plus_x ** (2 * n))
-    assert out.degree == n and out.is_monic()
-    return out
+    return _quotient(f_q_poly(n), n)
 
 
 @lru_cache(maxsize=None)
@@ -106,10 +119,7 @@ def p_poly(n: int) -> Polynomial:
     >>> p_poly(1).rational_coeffs()
     (Fraction(-2, 1), Fraction(1, 1))
     """
-    one_plus_x = Polynomial([1, 1])
-    out = f_p_poly(n).exact_div(one_plus_x ** (2 * n))
-    assert out.degree == n and out.is_monic()
-    return out
+    return _quotient(f_p_poly(n), n)
 
 
 def c_constant(n: int) -> Fraction:
@@ -122,7 +132,7 @@ def c_constant(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TQReport:
+class TQReport(_Verdict):
     n: int
     q_relation_zero: bool
     p_relation_zero: bool
@@ -131,13 +141,6 @@ class TQReport:
     support_classes_ok: bool
     product_condition: bool
     transfer_value_at_q: bool
-
-    @property
-    def passed(self) -> bool:
-        return all((self.q_relation_zero, self.p_relation_zero,
-                    self.q_monic_degree, self.p_is_reversed_q,
-                    self.support_classes_ok, self.product_condition,
-                    self.transfer_value_at_q))
 
 
 def _transfer_factor(n: int, root_shift: QFieldElement) -> Polynomial:
@@ -185,14 +188,10 @@ def verify_tq(n: int) -> TQReport:
 
 
 @dataclass(frozen=True)
-class WronskianReport:
+class WronskianReport(_Verdict):
     n: int
     phi_identity_zero: bool
     transfer_identity_zero: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.phi_identity_zero and self.transfer_identity_zero
 
 
 def verify_wronskian(n: int) -> WronskianReport:
@@ -226,19 +225,16 @@ def verify_wronskian(n: int) -> WronskianReport:
 class BoundaryEntry:
     name: str
     direct: QFieldElement
-    closed: QFieldElement | None
-    applicable: bool
+    closed: QFieldElement
     note: str = ""
 
     @property
     def passed(self) -> bool:
-        if not self.applicable:
-            return True
         return self.direct == self.closed
 
 
 @dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(_Verdict):
     n: int
     entries: tuple[BoundaryEntry, ...]
     factorial_descent_ok: bool
@@ -246,28 +242,20 @@ class BoundaryReport:
 
     @property
     def passed(self) -> bool:
-        return (all(e.passed for e in self.entries)
-                and self.factorial_descent_ok and self.derivative_identities_ok)
-
-    def entry(self, name: str) -> BoundaryEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
+        return super().passed and all(e.passed for e in self.entries)
 
 
 def _boundary_closed_forms(n: int) -> dict[str, QFieldElement]:
     """Closed forms for the twelve boundary evaluations at x=-1 and x=q^-1."""
     q, qi = Q, QI
-    q_m1 = QFieldElement.coerce(
-        Fraction(3 ** (2 * n)) * fact(n) * poch(2 * THIRD - n, n) / fact(2 * n))
+    q_m1 = QFieldElement.coerce(c_constant(n) / fact(2 * n))
     p_m1 = QFieldElement.coerce(
         Fraction(3 ** (2 * n)) * fact(n) * poch(THIRD - n, n) / fact(2 * n))
     q_qi = (Fraction(fact(2 * n - 1), fact(n - 1)) / poch(THIRD - n, n)
             * (1 - qi ** 2) / (qi + 1) ** (2 * n))
     p_qi = (Fraction(fact(2 * n - 1), fact(n - 1)) / poch(2 * THIRD - n, n)
             * (qi + 1) ** (1 - 2 * n))
-    out = {
+    return {
         "Q(-1)": q_m1,
         "Q'(-1)": q_m1 * Fraction(-n * (n + 1), 2 * n + 1),
         "Q''(-1)": q_m1 * Fraction(n * (n - 1) * (3 * n + 4), 6 * (2 * n + 1)),
@@ -286,35 +274,25 @@ def _boundary_closed_forms(n: int) -> dict[str, QFieldElement]:
                                   + 2 * (q * (q + 2) - 1))
                              / (2 * (2 * n - 1) * (qi + 1) ** 2)),
     }
-    return out
 
 
 def boundary_values(n: int) -> BoundaryReport:
     """Evaluate Q, P and derivatives at the two special points, both ways.
 
     The closed forms for the second derivatives at x = q^-1 come from a
-    derivation that divides by quantities vanishing at N = 1 (where the
-    true second derivatives are identically zero), so those two entries
-    are only applicable for N >= 2; at N = 1 the direct values are checked
-    against zero instead.
+    derivation that divides by quantities vanishing at N = 1, where the
+    true second derivatives are identically zero; at N = 1 those two
+    entries compare the direct values against zero instead.
     """
-    closed = _boundary_closed_forms(n)
     direct = {name.replace("qi", "q^-1"): value
               for name, value in _boundary_atoms(n).items()}
-
-    entries = []
-    for name in closed:
-        degenerate = n == 1 and name in ("Q''(q^-1)", "P''(q^-1)")
-        if degenerate:
-            entries.append(BoundaryEntry(
-                name=name, direct=direct[name], closed=QFieldElement(0),
-                applicable=True,
-                note=("closed form out of domain at N=1; the exact second "
-                      "derivative vanishes and is checked against zero")))
-        else:
-            entries.append(BoundaryEntry(
-                name=name, direct=direct[name], closed=closed[name],
-                applicable=True))
+    out_of_domain = ("closed form out of domain at N=1; the exact second "
+                     "derivative vanishes and is checked against zero")
+    notes = dict.fromkeys(("Q''(q^-1)", "P''(q^-1)"), out_of_domain) if n == 1 else {}
+    entries = tuple(
+        BoundaryEntry(name, direct[name], QFieldElement(0) if name in notes else closed,
+                      notes.get(name, ""))
+        for name, closed in _boundary_closed_forms(n).items())
 
     # Q^(k)(-1) relates to f_Q^(2N+k)(-1) through division by (1+x)^2N.
     f = f_q_poly(n)
@@ -330,7 +308,7 @@ def boundary_values(n: int) -> BoundaryReport:
         f_m1[2] == c * Fraction(n * (n * n - 1) * (3 * n + 4), 6),
     )
     return BoundaryReport(
-        n=n, entries=tuple(entries),
+        n=n, entries=entries,
         factorial_descent_ok=descent,
         derivative_identities_ok=all(idents),
     )
@@ -382,6 +360,15 @@ def lambda_alpha(n: int) -> Fraction:
     return value.as_fraction()
 
 
+def _b_transfer(first: str, second: str, v: dict[str, QFieldElement]) -> QFieldElement:
+    """Pure part of the transfer q-worksheet; swapping the letters gives
+    its partner."""
+    return 2 * (Q * v[f"{first}'(-1)"] * v[f"{second}(qi)"]
+                + Q ** -2 * v[f"{first}''(-1)"] * v[f"{second}(qi)"]
+                + v[f"{first}(-1)"] * v[f"{second}'(qi)"]
+                + QI * v[f"{first}(-1)"] * v[f"{second}''(qi)"])
+
+
 def _transfer_derivatives(n: int) -> dict[str, QFieldElement]:
     """x- and parameter-derivatives of the transfer eigenvalue at x = q."""
     v = _boundary_atoms(n)
@@ -390,13 +377,10 @@ def _transfer_derivatives(n: int) -> dict[str, QFieldElement]:
     t2 = 2 * n * (2 * n - 1) * (1 + Q) ** (2 * n - 2)
     # total q-derivative of the closed product form gives T'(q) + T_q(q)
     r1 = t0 * (-4 * n * Q / (1 - Q ** 2) - n * QI)
-    b_t = 2 * (Q * v["Q'(-1)"] * v["P(qi)"] + Q ** -2 * v["Q''(-1)"] * v["P(qi)"]
-               + v["Q(-1)"] * v["P'(qi)"] + QI * v["Q(-1)"] * v["P''(qi)"])
-    b_t_swap = 2 * (Q * v["P'(-1)"] * v["Q(qi)"] + Q ** -2 * v["P''(-1)"] * v["Q(qi)"]
-                    + v["P(-1)"] * v["Q'(qi)"] + QI * v["P(-1)"] * v["Q''(qi)"])
+    b_t, b_t_swap = _b_transfer("Q", "P", v), _b_transfer("P", "Q", v)
     t1q = Fraction(3, 2) * (Q ** 2 * b_t - Q ** -2 * b_t_swap) / (Q - QI)
     return {"T": t0, "T'": t1, "T''": t2, "T_q": r1 - t1, "T'_q": t1q,
-            "B_T": b_t, "B_T_swapped": b_t_swap, "R'": r1}
+            "B_T": b_t, "B_T_swapped": b_t_swap}
 
 
 def lambda_beta(n: int) -> Fraction:
@@ -421,7 +405,7 @@ def lambda_beta(n: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class DerivativeWorksheet:
+class DerivativeWorksheet(_Verdict):
     """Exact consistency data for the two eigenvalue-derivative assemblies.
 
     The B fields are concrete field elements; the A fields are formal
@@ -445,13 +429,6 @@ class DerivativeWorksheet:
     transfer_log_derivative_is_l: bool
     stationary_variation_vanishes: bool
 
-    @property
-    def passed(self) -> bool:
-        return all((self.a_pair_cancels, self.a_twist_pair_cancels,
-                    self.b_pair_matches, self.eliminated_form_matches,
-                    self.transfer_log_derivative_is_l,
-                    self.stationary_variation_vanishes))
-
 
 def _combo_equal(x: FormalCombo, y: FormalCombo) -> bool:
     keys = set(x) | set(y)
@@ -459,27 +436,20 @@ def _combo_equal(x: FormalCombo, y: FormalCombo) -> bool:
     return all(x.get(k, zero) == y.get(k, zero) for k in keys)
 
 
-def _a_transfer_combo(first: str, second: str, v: dict[str, QFieldElement]) -> FormalCombo:
-    """Parameter-derivative part of the transfer q-worksheet.
-
-    Swapping the roles of the two polynomials means swapping the letter in
-    the formal symbol and in its concrete cofactor, so the swapped combo
-    is built structurally rather than by relabeling."""
+def _combo(first: str, second: str, at: str, other: str,
+           w1: QFieldElement | int, w0: QFieldElement | int,
+           v: dict[str, QFieldElement]) -> FormalCombo:
+    """One parameter-derivative block of a q-worksheet: the symbols of
+    ``first`` at ``at`` and of ``second`` at ``other``, each times the
+    other letter at the other point.  w1 weighs the two terms carrying a
+    derivative of ``first``, w0 the two carrying its value.  Swapping the
+    letters swaps them in the symbol and in its cofactor, so a swapped
+    block is built structurally rather than by relabeling."""
     return {
-        (first, 1, "-1"): Q ** 2 * v[f"{second}(qi)"],
-        (first, 0, "-1"): Q ** -2 * v[f"{second}'(qi)"],
-        (second, 0, "qi"): Q ** 2 * v[f"{first}'(-1)"],
-        (second, 1, "qi"): Q ** -2 * v[f"{first}(-1)"],
-    }
-
-
-def _a_phi_combo(first: str, second: str, v: dict[str, QFieldElement]) -> FormalCombo:
-    """Parameter-derivative part of the reference-factor q-worksheet."""
-    return {
-        (first, 1, "qi"): Q * v[f"{second}(-1)"],
-        (first, 0, "qi"): QI * v[f"{second}'(-1)"],
-        (second, 0, "-1"): Q * v[f"{first}'(qi)"],
-        (second, 1, "-1"): QI * v[f"{first}(qi)"],
+        (first, 1, at): w1 * v[f"{second}({other})"],
+        (first, 0, at): w0 * v[f"{second}'({other})"],
+        (second, 0, other): w1 * v[f"{first}'({at})"],
+        (second, 1, other): w0 * v[f"{first}({at})"],
     }
 
 
@@ -489,9 +459,11 @@ def derivative_worksheet(n: int) -> DerivativeWorksheet:
     t = _transfer_derivatives(n)
     q, qi = Q, QI
 
-    a_t = _a_transfer_combo("Q", "P", v)
-    a_phi = _a_phi_combo("Q", "P", v)
-    a_t_swapped = _a_transfer_combo("P", "Q", v)
+    # transfer and reference-factor q-worksheets: their weights differ, so
+    # the cancellation below genuinely exercises q^3 = -1
+    a_t = _combo("Q", "P", "-1", "qi", q ** 2, q ** -2, v)
+    a_phi = _combo("Q", "P", "qi", "-1", q, qi, v)
+    a_t_swapped = _combo("P", "Q", "-1", "qi", q ** 2, q ** -2, v)
     neg_swapped_a_t = {key: -coeff for key, coeff in a_t_swapped.items()}
     a_pair_cancels = _combo_equal(a_phi, neg_swapped_a_t)
 
@@ -501,27 +473,12 @@ def derivative_worksheet(n: int) -> DerivativeWorksheet:
              - q ** -2 * v["Q(qi)"] * v["P'(-1)"] - q * v["Q(qi)"] * v["P''(-1)"])
     b_pair_matches = 2 * b_phi == t["B_T_swapped"]
 
-    # parameter-derivative parts of the twist worksheet
-    a_twist: FormalCombo = {
-        ("Q", 1, "-1"): q ** 4 * v["P(qi)"],
-        ("Q", 0, "-1"): QFieldElement(1) * v["P'(qi)"],
-        ("P", 0, "qi"): q ** 4 * v["Q'(-1)"],
-        ("P", 1, "qi"): QFieldElement(1) * v["Q(-1)"],
-        ("Q", 1, "qi"): -q ** -4 * v["P(-1)"],
-        ("Q", 0, "qi"): -QFieldElement(1) * v["P'(-1)"],
-        ("P", 0, "-1"): -q ** -4 * v["Q'(qi)"],
-        ("P", 1, "-1"): -QFieldElement(1) * v["Q(qi)"],
-    }
-    a_twist_phi: FormalCombo = {
-        ("Q", 1, "qi"): q ** 2 * v["P(-1)"],
-        ("Q", 0, "qi"): QFieldElement(1) * v["P'(-1)"],
-        ("P", 0, "-1"): q ** 2 * v["Q'(qi)"],
-        ("P", 1, "-1"): QFieldElement(1) * v["Q(qi)"],
-        ("Q", 1, "-1"): -q ** -2 * v["P(qi)"],
-        ("Q", 0, "-1"): -QFieldElement(1) * v["P'(qi)"],
-        ("P", 0, "qi"): -q ** -2 * v["Q'(-1)"],
-        ("P", 1, "qi"): -QFieldElement(1) * v["Q(-1)"],
-    }
+    # parameter-derivative parts of the twist worksheet, one block at each
+    # point; their cancellation needs q^6 = 1
+    a_twist = {**_combo("Q", "P", "-1", "qi", q ** 4, 1, v),
+               **_combo("Q", "P", "qi", "-1", -q ** -4, -1, v)}
+    a_twist_phi = {**_combo("Q", "P", "qi", "-1", q ** 2, 1, v),
+                   **_combo("Q", "P", "-1", "qi", -q ** -2, -1, v)}
     neg_a_twist = {key: -coeff for key, coeff in a_twist.items()}
     a_twist_pair_cancels = _combo_equal(a_twist_phi, neg_a_twist)
 
@@ -556,15 +513,11 @@ def derivative_worksheet(n: int) -> DerivativeWorksheet:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HypergeometricReport:
+class HypergeometricReport(_Verdict):
     n: int
     f_q_match: bool
     f_p_match: bool
     summation_identity_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.f_q_match and self.f_p_match and self.summation_identity_ok
 
 
 def _gauss_sum_at_one(minus_n: int, b: Fraction, c: Fraction) -> Fraction:
@@ -691,7 +644,7 @@ def a2_second_seq(n: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(_Verdict):
     n_max: int
     initial_values_ok: bool
     first_pair_recurrence_ok: bool
@@ -699,12 +652,6 @@ class RecurrenceReport:
     third_pair_recurrence_ok: bool
     difference_is_one_ok: bool
     derivative_identities_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return all((self.initial_values_ok, self.first_pair_recurrence_ok,
-                    self.second_pair_recurrence_ok, self.third_pair_recurrence_ok,
-                    self.difference_is_one_ok, self.derivative_identities_ok))
 
 
 def recurrence_check(n_max: int = 30) -> RecurrenceReport:

@@ -143,7 +143,7 @@ def test_criterion_6_spin_chain_bridge():
     worst_tl = 0.0
     for length in (4, 6, 8):
         rep = tl_relations_check(length)
-        ok = ok and rep.passed(1e-12)
+        ok = ok and rep.worst_error < 1e-12
         worst_tl = max(worst_tl, rep.idempotent_error, rep.neighbor_error,
                        rep.commutation_error, rep.quotient_error)
 

@@ -1,5 +1,7 @@
 """Subcommand behavior, exit codes, manifests, and serialization."""
 
+import dataclasses
+import inspect
 import io
 import json
 import logging
@@ -15,9 +17,11 @@ from pathlib import Path
 
 import pytest
 
+import raisepeel.cli as cli_mod
 import raisepeel.scgf as scgf_mod
 import raisepeel.spinchain as spinchain_mod
 import raisepeel.stationary as stationary_mod
+import raisepeel.tq as tq_mod
 from raisepeel.cli import main
 
 
@@ -202,6 +206,25 @@ def test_simulate_logs_event_rate_and_stepper(caplog, argv, stepper):
     [line] = [r.getMessage() for r in caplog.records if "events/s" in r.getMessage()]
     assert line.startswith(f"simulated {events} events over time ")
     assert line.endswith(f" events/s, {stepper} stepper)")
+
+
+@pytest.mark.parametrize("module", [tq_mod, spinchain_mod, cli_mod], ids=lambda m: m.__name__)
+def test_passed_is_a_property(module):
+    # _jsonable reads `passed` by attribute: a method there would serialise
+    # as a bound method, always truthy, whatever the report holds
+    own = [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+           if cls.__module__ == module.__name__]
+    defined = {cls.__name__: inspect.getattr_static(cls, "passed")
+               for cls in own if hasattr(cls, "passed")}
+    assert defined
+    assert [name for name, attr in defined.items() if not isinstance(attr, property)] == []
+
+
+def test_serialised_relation_report_fails_on_large_errors():
+    report = spinchain_mod.tl_relations_check(4)
+    assert cli_mod._jsonable(report)["passed"] is True
+    broken = dataclasses.replace(report, quotient_error=1.0)
+    assert cli_mod._jsonable(broken)["passed"] is False
 
 
 def test_verify_all_small():

@@ -73,7 +73,7 @@ def test_two_site_block_trace_and_rank():
 @pytest.mark.parametrize("length", [4, 6, 8])
 def test_algebra_relations_at_the_combinatorial_point(length):
     report = tl_relations_check(length)
-    assert report.passed()
+    assert report.passed
     assert report.idempotent_error < 1e-12
     assert report.neighbor_error < 1e-12
     assert report.commutation_error < 1e-12
@@ -86,7 +86,7 @@ def test_algebra_relations_at_the_combinatorial_point(length):
 
 def test_algebra_relations_generic_parameters():
     report = tl_relations_check(6, q=cmath.exp(0.9j), u=cmath.exp(0.31j))
-    assert report.passed()
+    assert report.passed
 
 
 def test_xxz_hermitian_at_stochastic_point():

@@ -1,5 +1,6 @@
 """Functional relations, boundary tables, growth rates, and recurrences."""
 
+import dataclasses
 from fractions import Fraction
 from math import lcm
 
@@ -117,8 +118,7 @@ def test_boundary_table(n):
     assert report.factorial_descent_ok
     assert report.derivative_identities_ok
     for entry in report.entries:
-        if entry.applicable:
-            assert entry.direct == entry.closed, entry.name
+        assert entry.direct == entry.closed, entry.name
 
 
 def test_boundary_table_n1_degenerate_entries_flagged():
@@ -128,6 +128,39 @@ def test_boundary_table_n1_degenerate_entries_flagged():
     # the smallest order; they stay in the table but carry a note
     assert notes
     assert all(e.passed for e in report.entries)
+
+
+# exact report at N = 3 -> the number of its verdict fields; a verdict field
+# typed as anything but bool would drop out of the pass rule, so pin them
+VERDICT_FIELDS = {
+    verify_tq: 7,
+    verify_wronskian: 2,
+    boundary_values: 2,
+    derivative_worksheet: 6,
+    hypergeometric_check: 3,
+    lambda n: recurrence_check(n_max=n): 6,
+}
+
+
+@pytest.mark.parametrize("build, count", VERDICT_FIELDS.items(),
+                         ids=["tq", "wronskian", "boundary", "worksheet", "hyper", "recurrence"])
+def test_every_bool_field_decides_the_verdict(build, count):
+    report = build(3)
+    assert report.passed
+    flags = [f.name for f in dataclasses.fields(report) if f.type in (bool, "bool")]
+    held = [f.name for f in dataclasses.fields(report)
+            if isinstance(getattr(report, f.name), bool)]
+    assert len(flags) == count and held == flags
+    for name in flags:
+        assert not dataclasses.replace(report, **{name: False}).passed, name
+
+
+def test_boundary_report_fails_on_one_wrong_closed_form():
+    report = boundary_values(3)
+    for i, entry in enumerate(report.entries):
+        entries = list(report.entries)
+        entries[i] = dataclasses.replace(entry, closed=entry.closed + 1)
+        assert not dataclasses.replace(report, entries=tuple(entries)).passed, entry.name
 
 
 @pytest.mark.parametrize("n", ORDERS)
