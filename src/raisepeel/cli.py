@@ -33,7 +33,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
 
-from . import __version__, qfield, scgf, simulate as simulate_mod, spinchain, stationary, tq
+from . import (__version__, profiles, qfield, scgf, simulate as simulate_mod, spinchain,
+               stationary, tq)
 
 log = logging.getLogger("raisepeel.cli")
 
@@ -279,6 +280,8 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]
     _require_even_length(args.length)
     if args.log and args.report_every is None:
         raise UsageError("--log needs --report-every to set the tick spacing")
+    if args.report_every is not None and not args.log:
+        raise UsageError("--report-every needs --log to write its records to")
     if args.replicas < 1:
         raise UsageError(f"--replicas must be >= 1, got {args.replicas}")
     events = args.events
@@ -485,6 +488,9 @@ def _verify_rows(lmax: int, nmax: int) -> list[Row]:
 def cmd_verify_all(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
     if args.lmax < 2 or args.lmax % 2:
         raise UsageError(f"--lmax must be an even integer >= 2, got {args.lmax}")
+    if args.lmax > profiles.ENUMERATION_CAP:
+        raise UsageError(f"--lmax {args.lmax} exceeds the enumeration cap "
+                         f"{profiles.ENUMERATION_CAP} of the exact rows")
     if args.nmax < 1:
         raise UsageError(f"--nmax must be >= 1, got {args.nmax}")
     rows = [dataclasses.asdict(row) for row in _verify_rows(args.lmax, args.nmax)]
@@ -622,13 +628,34 @@ def _apply_config(argv: list[str],
         raise UsageError("config must be a JSON object mapping flag names to values")
     valid = set()
     for sub in subparsers.values():
-        valid.update(action.dest for action in sub._actions)
+        # leaves out --help, whose default is SUPPRESS
+        valid.update(a.dest for a in sub._actions if a.default != argparse.SUPPRESS)
     unknown = sorted(set(data) - valid)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     for sub in subparsers.values():
-        dests = {action.dest for action in sub._actions}
-        sub.set_defaults(**{k: v for k, v in data.items() if k in dests})
+        sub.set_defaults(**{action.dest: _config_value(action, data[action.dest])
+                            for action in sub._actions if action.dest in data})
+
+
+def _config_value(action: argparse.Action, value: Any) -> Any:
+    """A config value checked as its flag would be on the command line: a
+    JSON bool for a switch, else a value of the flag's type (any JSON
+    number for a float flag) among its choices; null stands for a flag
+    whose default is None."""
+    if value is None and action.default is None:
+        return value
+    expected = bool if isinstance(action, argparse._StoreTrueAction) else action.type or str
+    if type(value) is not expected and (expected, type(value)) != (float, int):
+        want = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+        raise UsageError(f"config key {action.dest!r} must be {want[expected]}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {action.dest!r} must be one of "
+                         f"{', '.join(map(str, action.choices))}, got {value!r}")
+    try:
+        return expected(value)
+    except OverflowError as exc:
+        raise UsageError(f"config key {action.dest!r}: {exc}") from exc
 
 
 def _manifest_parameters(args: argparse.Namespace) -> dict[str, Any]:

@@ -17,9 +17,10 @@ lists the profiles from their balanced step patterns in one numpy pass,
 and ``transition_table`` builds every move of every state with one numpy
 pass per site over the (states, sites) height array, the targets found by
 ``searchsorted`` on a sorted integer key of the profiles, as are the
-images of each state under the ring's two symmetries.  The exact
-stationary solver reads the targets and the images directly, and the
-tilted generator of ``scgf`` is assembled from the targets and counters.
+images of each state under the ring's two symmetries.  It is the one
+per-length copy of the moves, its counters int8 (no count exceeds L): the
+exact stationary solver, ``scgf`` and the Monte Carlo table stepper read
+its arrays as they are.
 """
 
 from __future__ import annotations
@@ -202,7 +203,8 @@ def apply_move(heights: HeightProfile, site: int) -> TransitionRecord:
             return TransitionRecord(site, move, target, 0, 0, 0, 1)
         target = tuple(h - 2 for h in lifted)
         evacuated = 1 + before - tile_count(target)
-        assert evacuated == length
+        if evacuated != length:
+            raise RuntimeError(f"global avalanche evacuated {evacuated} tiles, not L = {length}")
         return TransitionRecord(site, move, target, 0, evacuated, 1, 1 - evacuated)
 
     # avalanche along the slope: find where the height returns to the
@@ -250,7 +252,8 @@ def enumerate_states(length: int) -> tuple[HeightProfile, ...]:
     h0 = (1 - relative.min(axis=1)) // 2 * 2
     order = np.argsort(h0 << length | codes)
     heights = h0[order, None] + relative[order]
-    assert len(heights) == comb(length, length // 2)
+    if len(heights) != comb(length, length // 2):
+        raise RuntimeError(f"{len(heights)} profiles of length {length}, not C(L, L/2)")
     return tuple(map(tuple, heights.tolist()))
 
 
@@ -260,7 +263,8 @@ class TransitionTable(NamedTuple):
     target holds the index of the state the move leads to (the state
     itself for a reflection); d_peak, d_diamond and d_global are the
     counters of the move record.  peak_count and omega are the per-state
-    peak count and avalanche-armed flag, computed from the profiles.
+    peak count and avalanche-armed flag, computed from the profiles.  The
+    four counter arrays are int8, and no count exceeds L <= ENUMERATION_CAP.
     rotate and reflect index each state's image under rotation by one site
     (heights shifted by +1 or -1 to restore parity and the bottom level)
     and reflection h[(2 - i) % L]; they commute with the moves.
@@ -309,8 +313,8 @@ def transition_table(length: int) -> TransitionTable:
     sole_low = (heights < 2).sum(axis=1) == 1
     sites = np.arange(length)
     target = np.empty_like(heights)
-    d_diamond = np.empty_like(heights)
-    d_global = np.zeros_like(heights)
+    d_diamond = np.empty(heights.shape, np.int8)
+    d_global = np.zeros(heights.shape, np.int8)
     for site in range(length):
         here = heights[:, site]
         # distance from the site along the slope's rising direction
@@ -330,5 +334,5 @@ def transition_table(length: int) -> TransitionTable:
     shift = np.where(heights.min(axis=1) == 0, 1, -1)
     rotate = np.searchsorted(keys, _keys(right + shift[:, None]))
     reflect = np.searchsorted(keys, _keys(heights[:, (2 - sites) % length]))
-    return TransitionTable(states, target, rotate, reflect, peak.astype(np.int64),
-                           d_diamond, d_global, peak.sum(axis=1), omega)
+    return TransitionTable(states, target, rotate, reflect, peak.astype(np.int8),
+                           d_diamond, d_global, peak.sum(axis=1, dtype=np.int8), omega)

@@ -69,8 +69,11 @@ def build_deformed(length: int,
     """
     table = transition_table(length)
     n = len(table.states)
+    # the counters are int8: an integer tilt must not multiply them in int8
+    d_global = table.d_global.astype(np.float64)
+    d_diamond = table.d_diamond.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.exp(params.alpha * table.d_global + params.beta * table.d_diamond)
+        weights = np.exp(params.alpha * d_global + params.beta * d_diamond)
     if not np.isfinite(weights).all():
         raise ValueError(f"tilt (alpha, beta) = ({params.alpha}, {params.beta}) "
                          "gives non-finite move weights")

@@ -11,7 +11,7 @@ produces, and a seed always gives the same trajectory.
 Each block of sites goes through a stepper chosen by ring length.  Up to
 ``TABLE_MAX_LENGTH`` sites, ``_TableRing`` holds the state as a row of
 the ring's transition table: one add and one list lookup per event, then
-one ``take`` per per-event array over flat copies of the table's columns.
+one ``take`` per per-event array over flat views of the table's columns.
 Longer rings use ``_Ring``, a mutable-heights stepper that applies a drop
 in O(1 + avalanche length) and keeps the peak count and the number of
 sites at height <= 1 up to date; it is also the tests' reference for the
@@ -36,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import isfinite, sqrt
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -220,63 +220,42 @@ class _Ring:
                 np.frombuffer(d_global, np.int8), np.frombuffer(peaks_after, np.intc))
 
 
-class _FlatMoves(NamedTuple):
-    """One ring length's transition table, flattened for ``_TableRing``.
-
-    Move m = row + site leaves the state at row = state * L.  next_row[m]
-    is the row the move leads to, and d_peak, d_diamond, d_global and
-    peaks_after (the peak count of the target) are its counters as int8.
-    """
-    length: int
-    states: tuple[HeightProfile, ...]
-    next_row: list[int]
-    d_peak: np.ndarray
-    d_diamond: np.ndarray
-    d_global: np.ndarray
-    peaks_after: np.ndarray
-    peak_count: list[int]
-
-
 @lru_cache(maxsize=None)
-def _flat_moves(length: int) -> _FlatMoves:
-    """The flat moves of one ring length, shared by every stepper of it."""
-    table = transition_table(length)
-
-    def narrow(column: np.ndarray) -> np.ndarray:
-        # int8 holds every counter: d_diamond <= L and peaks <= L / 2
-        return column.astype(np.int8).ravel()
-
-    return _FlatMoves(length, table.states, (table.target * length).ravel().tolist(),
-                      narrow(table.d_peak), narrow(table.d_diamond), narrow(table.d_global),
-                      narrow(table.peak_count[table.target]), table.peak_count.tolist())
+def _next_rows(length: int) -> list[int]:
+    """The row state * L of each move's target, indexed by the move's flat
+    index row + site in the table's (state, site) arrays."""
+    return (transition_table(length).target * length).ravel().tolist()
 
 
 class _TableRing:
     """The ring as a row of its transition table, with ``_Ring``'s interface.
 
-    ``drop`` follows the table's targets one list lookup per event and
-    reads the block's counters with one ``take`` per array; ``heights``
-    and ``peaks`` are looked up from the current row.
+    ``drop`` follows ``_next_rows`` one list lookup per event and reads
+    the block's counters with one ``take`` per array from flat views of
+    the table's own int8 columns; ``heights`` and ``peaks`` are looked
+    up from the current row.
     """
 
-    __slots__ = ("_moves", "_row")
+    __slots__ = ("_table", "_next_row", "_length", "_row")
     name = "table"
 
     def __init__(self, heights: HeightProfile) -> None:
-        self._moves = moves = _flat_moves(len(heights))
         heights = tuple(heights)
-        state = bisect_left(moves.states, heights)
-        if state == len(moves.states) or moves.states[state] != heights:
+        self._length = length = len(heights)
+        self._table = table = transition_table(length)
+        self._next_row = _next_rows(length)
+        state = bisect_left(table.states, heights)
+        if state == len(table.states) or table.states[state] != heights:
             raise ValueError(f"not an admissible profile: {heights}")
-        self._row = state * moves.length
+        self._row = state * length
 
     @property
     def heights(self) -> HeightProfile:
-        return self._moves.states[self._row // self._moves.length]
+        return self._table.states[self._row // self._length]
 
     @property
     def peaks(self) -> int:
-        return self._moves.peak_count[self._row // self._moves.length]
+        return int(self._table.peak_count[self._row // self._length])
 
     def drop(self, sites: Sequence[int]) -> tuple[np.ndarray, ...]:
         """Drop a tile at each site in turn.
@@ -284,15 +263,17 @@ class _TableRing:
         Returns per-drop arrays dPeak, dDiamond, dGlobal and the peak
         count after the drop.
         """
-        moves = self._moves
-        next_row = moves.next_row
+        table = self._table
+        next_row = self._next_row
         row = start = self._row
         rows = [row := next_row[row + site] for site in sites]
         self._row = row
         # move k leaves the row that move k - 1 reached
-        move = np.array([start, *rows])[:-1] + np.asarray(sites, dtype=np.intp)
-        return (moves.d_peak.take(move), moves.d_diamond.take(move),
-                moves.d_global.take(move), moves.peaks_after.take(move))
+        reached = np.array([start, *rows])
+        move = reached[:-1] + np.asarray(sites, dtype=np.intp)
+        return (table.d_peak.ravel().take(move), table.d_diamond.ravel().take(move),
+                table.d_global.ravel().take(move),
+                table.peak_count.take(reached[1:] // self._length))
 
 
 def stepper_for(length: int) -> type:

@@ -1,21 +1,22 @@
 """Exact stationary states of the raise-and-peel ring.
 
-Everything here reads the ring's transition table (move targets and the
-images of each state under the ring's two symmetries, rotation with a
-height shift and reflection) and builds no generator matrix.  The moves
-are counted between the orbits of the two maps, one bincount, and the
-small lumped chain is solved by a subtraction-free censoring elimination
-in rational arithmetic.  Its orbit values are cleared once to coprime
-integer weights, spread over the orbits' states, and sealed by an exact
-certificate in Python integers: every weight positive, the weights
-coprime, the inflow of every state (reflections included) equal to L
-times its weight, and the transition graph strongly connected.  So the
-weights over their sum are the stationary distribution, not a numerical
-approximation.
+Everything here reads the ring's transition table as it is (move targets,
+the images of each state under the ring's two symmetries, rotation with a
+height shift and reflection, and the move counters) and builds no
+generator matrix.  The moves are counted between the orbits of the two
+maps, one bincount, and the small lumped chain is solved by a
+subtraction-free censoring elimination in rational arithmetic.  Its orbit
+values are cleared once to coprime integer weights, spread over the
+orbits' states, and sealed by an exact certificate in Python integers:
+every weight positive, the weights coprime, the inflow of every state
+(reflections included) equal to L times its weight, and the transition
+graph strongly connected.  So the weights over their sum are the
+stationary distribution, not a numerical approximation.
 
 Each stationary observable (the mean peak count, the probability of the
 avalanche-armed set, the two long-run currents) is one dot product of the
-weights with per-state integers over their sum, and has a closed rational
+weights with per-state integers over their sum, taken from the table as
+Python ints when the observable is asked for, and has a closed rational
 formula in the ring length to compare against.
 """
 
@@ -26,11 +27,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple
 
 import numpy as np
 
-from .profiles import HeightProfile, transition_table
+from .profiles import HeightProfile, TransitionTable, transition_table
 
 
 @dataclass(frozen=True)
@@ -57,27 +57,9 @@ class StationaryVector:
         return min(self.integer_form.values())
 
 
-class _Chain(NamedTuple):
-    """The stationary layer's view of the shared transition table."""
-    states: tuple[HeightProfile, ...]
-    target: np.ndarray
-    rotate: np.ndarray
-    reflect: np.ndarray
-    diamond_rate: tuple[int, ...]
-    global_rate: tuple[int, ...]
-    peak_count: tuple[int, ...]
-    omega_flag: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def _chain(length: int) -> _Chain:
-    """Moves, symmetry images and per-state integers (Python ints) of the ring."""
-    table = transition_table(length)
-    return _Chain(
-        table.states, table.target, table.rotate, table.reflect,
-        tuple(table.d_diamond.sum(axis=1).tolist()),
-        tuple(table.d_global.sum(axis=1).tolist()),
-        tuple(table.peak_count.tolist()), tuple(table.omega.astype(int).tolist()))
+def _chain(length: int) -> TransitionTable:
+    """The ring's transition table, the one walk of the moves this layer reads."""
+    return transition_table(length)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +172,15 @@ def stationary_distribution(length: int) -> StationaryVector:
     >>> v.vector()
     (Fraction(1, 2), Fraction(1, 2))
     """
-    st = _chain(length)
-    weights = _solve_lumped(st.target, _orbits(st.rotate, st.reflect))
-    _certify(st.target, weights)
+    table = _chain(length)
+    weights = _solve_lumped(table.target, _orbits(table.rotate, table.reflect))
+    _certify(table.target, weights)
     total = sum(weights)
     return StationaryVector(
         length=length,
-        states=st.states,
-        probabilities={s: Fraction(w, total) for s, w in zip(st.states, weights)},
-        integer_form=dict(zip(st.states, weights)),
+        states=table.states,
+        probabilities={s: Fraction(w, total) for s, w in zip(table.states, weights)},
+        integer_form=dict(zip(table.states, weights)),
         integer_sum=total,
         method="lumped-censoring-exact",
     )
@@ -208,11 +190,11 @@ def stationary_distribution(length: int) -> StationaryVector:
 # stationary observables and their closed forms
 
 
-def _mean(length: int, per_state: tuple[int, ...]) -> Fraction:
+def _mean(length: int, per_state: np.ndarray) -> Fraction:
     """Stationary mean of a per-state integer: one dot product with the
-    certified weights, divided once by their sum."""
+    certified weights in Python ints, divided once by their sum."""
     vec = stationary_distribution(length)
-    return Fraction(sum(map(mul, vec.integer_form.values(), per_state)),
+    return Fraction(sum(map(mul, vec.integer_form.values(), per_state.tolist())),
                     vec.integer_sum)
 
 
@@ -231,7 +213,7 @@ def prob_omega_global(length: int) -> Fraction:
     >>> prob_omega_global(4)
     Fraction(1, 5)
     """
-    return _mean(length, _chain(length).omega_flag)
+    return _mean(length, _chain(length).omega)
 
 
 def exact_drifts(length: int) -> tuple[Fraction, Fraction]:
@@ -243,9 +225,9 @@ def exact_drifts(length: int) -> tuple[Fraction, Fraction]:
     >>> exact_drifts(4)
     (Fraction(12, 5), Fraction(1, 5))
     """
-    st = _chain(length)
-    current_diamond = _mean(length, st.diamond_rate)
-    current_global = _mean(length, st.global_rate)
+    table = _chain(length)
+    current_diamond = _mean(length, table.d_diamond.sum(axis=1))
+    current_global = _mean(length, table.d_global.sum(axis=1))
     if current_diamond + expected_peaks(length) != length:
         raise RuntimeError("stationary tile balance violated")
     return current_diamond, current_global

@@ -98,7 +98,9 @@ def f_p_poly(n: int) -> Polynomial:
 def _quotient(f: Polynomial, n: int) -> Polynomial:
     """f / (1+x)^2N, which must be monic of degree N."""
     out = f.exact_div(Polynomial([1, 1]) ** (2 * n))
-    assert out.degree == n and out.is_monic()
+    if out.degree != n or not out.is_monic():
+        raise RuntimeError(f"quotient by (1+x)^{2 * n} has degree {out.degree}, "
+                           f"monic {out.is_monic()}; expected monic degree {n}")
     return out
 
 

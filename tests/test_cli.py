@@ -304,6 +304,8 @@ def test_config_defaults_and_override(tmp_path):
     ["xxz", "--length", "40"],
     ["verify-all", "--lmax", "3"],
     ["no-such-command"],
+    ["simulate", "--length", "4", "--time", "10", "--report-every", "1"],
+    ["simulate", "--length", "4", "--time", "10", "--replicas", "2", "--report-every", "1"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     code = main(argv)
@@ -335,14 +337,59 @@ def test_odd_length_parity_message(capsys):
 
 def test_bad_config_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"lenth": 4}))
-    code = main(["stationary", "--config", str(config)])
-    capsys.readouterr()
-    assert code == 2
+    for unknown in ("lenth", "help"):
+        config.write_text(json.dumps({unknown: 4, "length": 2}))
+        code = main(["stationary", "--config", str(config)])
+        assert f"unknown config keys: {unknown}" in capsys.readouterr().err
+        assert code == 2
     config.write_text("[1, 2]")
     code = main(["stationary", "--config", str(config)])
     capsys.readouterr()
     assert code == 2
+    # values meet their flag's type, choices or switch, as on the command line
+    for argv, bad in [
+        (["simulate", "--length", "4", "--time", "10"], {"seed": 1.5}),
+        (["simulate", "--length", "4", "--time", "10"], {"replicas": 2.5}),
+        (["simulate", "--length", "4", "--time", "10"], {"seed": True}),
+        (["tq", "--n", "1"], {"check": "bogus"}),
+        (["stationary", "--length", "2"], {"integers": "no"}),
+        (["stationary", "--length", "2"], {"length": "4"}),
+        (["stationary", "--length", "2"], {"out": 5}),
+        (["simulate", "--length", "4"], {"time": 10 ** 400}),
+    ]:
+        config.write_text(json.dumps(bad))
+        code = main([*argv, "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 2, bad
+        assert f"config key {next(iter(bad))!r}" in captured.err
+        assert captured.out == ""
+
+
+def test_config_values_take_the_flag_type(tmp_path):
+    # a JSON integer for a float flag is converted as argparse would, and
+    # null leaves a flag whose default is None unset
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"time": 10, "events": None, "integers": False}))
+    code, doc = run_json(["simulate", "--length", "2", "--config", str(config)])
+    assert code == 0
+    assert doc["manifest"]["parameters"]["time"] == 10.0
+    assert isinstance(doc["manifest"]["parameters"]["time"], float)
+    assert doc["manifest"]["parameters"]["events"] is None
+
+
+def test_verify_all_refuses_lmax_above_the_cap_before_solving(monkeypatch, capsys):
+    solved = []
+
+    def counted(length):
+        solved.append(length)
+        raise RuntimeError("stationary solve started")
+
+    monkeypatch.setattr(stationary_mod, "stationary_distribution", counted)
+    code = main(["verify-all", "--lmax", "18"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "exceeds the enumeration cap 16" in captured.err
+    assert solved == []
 
 
 def test_sign_flip_negative_control(monkeypatch, capsys):

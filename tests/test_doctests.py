@@ -1,8 +1,11 @@
-"""The docstring examples of every raisepeel module run and hold."""
+"""The docstring examples of every raisepeel module run and hold, and no
+module checks a result with assert."""
 
+import ast
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +28,12 @@ def test_module_doctests(name):
     assert failures == 0
     if name in DOCUMENTED:
         assert attempted > 0
+
+
+def test_package_has_no_assert():
+    # python -O strips assert statements: a correctness check must raise
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(raisepeel.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

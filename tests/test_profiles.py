@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import raisepeel.profiles as profiles
+import raisepeel.simulate as simulate
+import raisepeel.stationary as stationary
 from raisepeel.profiles import (
     EventCounters,
     MoveClass,
@@ -313,3 +315,14 @@ def test_tracer_wraps_live_names(monkeypatch):
     transition_table.cache_clear()
     transition_table(4)
     assert calls == [4]
+
+
+@pytest.mark.parametrize("length", [2, 8, 12])
+def test_every_route_reads_the_one_table(length):
+    # one per-length copy of the moves: the stationary layer and the table
+    # stepper hold transition_table(L) itself, whose counters are int8
+    table = transition_table(length)
+    assert stationary._chain(length) is table
+    assert simulate._TableRing(substrate(length))._table is table
+    for column in (table.d_peak, table.d_diamond, table.d_global, table.peak_count):
+        assert column.dtype == np.int8

@@ -1,6 +1,7 @@
 """Tilted generators, Perron eigenvalues, and derivative cross-checks."""
 
 from math import exp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,7 +300,7 @@ def test_route_is_independent_of_the_other_routes(route, forbidden):
     import ast
     import importlib
     module = importlib.import_module(f"raisepeel.{route}")
-    tree = ast.parse(open(module.__file__).read())
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -312,3 +313,12 @@ def test_route_is_independent_of_the_other_routes(route, forbidden):
 
 def test_convergence_error_is_a_runtime_error():
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+@pytest.mark.parametrize("length,alpha,beta", [(4, 1, 2), (14, 0, 10)])
+def test_integer_tilts_weigh_as_float_tilts(length, alpha, beta):
+    # the table's counters are int8; an integer tilt must not be applied to
+    # them in int8 (10 * 14 evacuated tiles overflows, exp would round to
+    # float16)
+    exact = build_deformed(length, DeformedParams(float(alpha), float(beta)))
+    assert (build_deformed(length, DeformedParams(alpha, beta)) != exact).nnz == 0

@@ -7,9 +7,10 @@ from math import lcm
 import pytest
 
 import raisepeel.tq
-from raisepeel.qfield import Q_GEN
+from raisepeel.qfield import Q_GEN, Polynomial
 from raisepeel.tq import (
     RefinementError,
+    _quotient,
     a1_prime_seq,
     a1_second_seq,
     a1_seq,
@@ -229,3 +230,12 @@ def test_roots_and_energies(n):
 def test_refinement_failure_is_a_runtime_error():
     # the CLI exits 3 on it (tests/test_cli.py)
     assert issubclass(RefinementError, RuntimeError)
+
+
+def test_quotient_refuses_a_wrong_quotient():
+    square = Polynomial([1, 1]) ** 2
+    assert _quotient(square * Polynomial([3, 1]), 1) == Polynomial([3, 1])
+    with pytest.raises(RuntimeError, match="degree 1, monic False; expected monic degree 1"):
+        _quotient(square * Polynomial([1, 2]), 1)
+    with pytest.raises(RuntimeError, match="degree 2, monic True; expected monic degree 1"):
+        _quotient(square * Polynomial([0, 0, 1]), 1)
