@@ -3,9 +3,12 @@
 One binary, subcommand dispatch.  Every payload embeds a manifest
 (subcommand, full parameter set, seed, tool version, timestamps, pass
 flag) so an output file is self-describing and reruns are reproducible.
-Exact rational quantities serialize as fraction strings such as "12/5",
-never as floats; floating-point numbers appear only where the quantity
-itself is one (Monte Carlo estimates, eigenvalues, residuals).
+``_jsonable`` is the only serializer: handlers return plain values and
+``main`` converts each document once, as the --log writer does each
+record.  Exact rational quantities serialize as fraction strings such as
+"12/5", never as floats; floating-point numbers appear only where the
+quantity itself is one (Monte Carlo estimates, eigenvalues, residuals),
+and a non-finite one is written as null.
 
 Each claim is checked by one function below: the verdicts of the
 stationary checks, the scgf fd_check, the xxz energy and bridge_check and
@@ -13,9 +16,10 @@ every tq check are the same comparisons as the verify-all rows for that
 L or N, at the same tolerances.
 
 Exit codes: 0 everything asked for passed (or nothing was checked),
-1 a verification row failed, 2 usage error, 3 convergence or resource
-failure.  The only environment variable consulted is RPM_LOG, which
-sets the logging level (debug/info/warning/error).
+1 a verification row failed, 2 usage error (an unwritable --out or --log
+path included), 3 convergence or resource failure.  The only environment
+variable consulted is RPM_LOG, which sets the logging level
+(debug/info/warning/error).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 from typing import Any, Callable
 
@@ -82,9 +87,6 @@ class RunManifest:
     finished: str
     passed: bool | None
 
-    def as_json_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
 
 def _frac(value: Fraction) -> str:
     return str(Fraction(value))
@@ -95,12 +97,18 @@ def _state_key(heights: tuple[int, ...]) -> str:
 
 
 def _jsonable(value: Any) -> Any:
-    """Recursively convert report objects to JSON-safe data.
+    """Recursively convert a document to JSON-safe data: the one serializer
+    of every output, the JSON document and each --log record alike.
 
     Exact rationals and field elements become strings, complex numbers
-    become [re, im] pairs; everything else keeps its natural JSON type.
+    become [re, im] pairs, and a non-finite float becomes null (strict
+    JSON has no NaN or Infinity).  A dataclass becomes its fields in
+    declaration order, plus `passed` when that is a property of its
+    class; everything else keeps its natural JSON type.
     """
-    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
+    if isinstance(value, float):
+        return value if isfinite(value) else None
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, Fraction):
         return str(value)
@@ -110,7 +118,7 @@ def _jsonable(value: Any) -> Any:
         return [value.real, value.imag]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         out = {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-        if hasattr(value, "passed"):
+        if isinstance(getattr(type(value), "passed", None), property):
             out["passed"] = bool(value.passed)
         return out
     if isinstance(value, dict):
@@ -197,8 +205,8 @@ def _slope_check(length: int, step: float, origin: float | None = None
         "lambda_origin": origin,
         "derivative_alpha": d_alpha,
         "derivative_beta": d_beta,
-        "exact_alpha": _frac(exact_alpha),
-        "exact_beta": _frac(exact_beta),
+        "exact_alpha": exact_alpha,
+        "exact_beta": exact_beta,
         "relative_error_alpha": rel_alpha,
         "relative_error_beta": rel_beta,
         "origin_tolerance": _ORIGIN_TOLERANCE,
@@ -273,7 +281,8 @@ _TQ_CHECKS: dict[str, tuple[Callable[[int], Any], bool]] = {
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (payload, passed) where passed may be
-# None when the run produced data but verified nothing
+# None when the run produced data but verified nothing; the payload holds
+# plain values (reports, fractions, summaries), which main serializes
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
@@ -304,21 +313,19 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]
         pooled: dict[str, Any] = {}
         for field in ("drift_diamond_hat", "drift_global_hat", "mean_peaks_hat"):
             values = [getattr(r, field).value for r in runs if getattr(r, field) is not None]
-            pooled[field] = (simulate_mod.pooled_estimate(values).as_json_dict()
-                             if len(values) >= 2 else None)
-        payload = {
-            "replicas": [r.as_json_dict() for r in runs],
-            "pooled": pooled,
-        }
-        return payload, None
+            pooled[field] = simulate_mod.pooled_estimate(values) if len(values) >= 2 else None
+        return {"replicas": runs, "pooled": pooled}, None
 
     writer = None
     handle = None
     if args.log:
-        handle = open(args.log, "w", encoding="utf-8")
+        try:
+            handle = open(args.log, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write --log {args.log}: {exc.strerror}") from exc
 
         def writer(record: dict) -> None:
-            print(json.dumps(record), file=handle)
+            print(json.dumps(_jsonable(record)), file=handle)
 
     started = time.perf_counter()
     try:
@@ -328,7 +335,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]
             handle.close()
     _log_event_rate(stepper, summary.counters.n_total, summary.elapsed_time,
                     time.perf_counter() - started)
-    return {"summary": summary.as_json_dict()}, None
+    return {"summary": summary}, None
 
 
 def _log_event_rate(stepper: str, n_events: int, sim_time: float, wall: float) -> None:
@@ -348,15 +355,11 @@ def cmd_stationary(args: argparse.Namespace) -> tuple[dict[str, Any], bool | Non
         **{name: checks[name].actual for name in observed},
         "formulas": {name: checks[name].expected for name in observed},
         "checks": {name: row.passed for name, row in checks.items()},
-        "probabilities": {
-            _state_key(s): _frac(vec.probabilities[s]) for s in vec.states
-        },
+        "probabilities": {_state_key(s): vec.probabilities[s] for s in vec.states},
     }
     if args.integers:
-        payload["integer_form"] = {
-            _state_key(s): int(vec.integer_form[s]) for s in vec.states
-        }
-        payload["integer_sum"] = int(vec.integer_sum)
+        payload["integer_form"] = {_state_key(s): vec.integer_form[s] for s in vec.states}
+        payload["integer_sum"] = vec.integer_sum
     return payload, all(payload["checks"].values())
 
 
@@ -389,14 +392,17 @@ def cmd_tq(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
 
     checks: dict[str, Any] = {}
     for name in list(_TQ_CHECKS) if args.check == "all" else [args.check]:
-        checks[name] = _jsonable(_TQ_CHECKS[name][0](n))
-        log.info("tq %s at n=%d: %s", name, n, "pass" if checks[name]["passed"] else "FAIL")
-    all_ok = all(block["passed"] for block in checks.values())
+        checks[name] = _TQ_CHECKS[name][0](n)
+        log.info("tq %s at n=%d: %s", name, n, "pass" if checks[name].passed else "FAIL")
+    all_ok = all(report.passed for report in checks.values())
     return {"n": n, "checks": checks, "passed": all_ok}, all_ok
 
 
 def cmd_xxz(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
     length = _require_even_length(args.length)
+    if args.bridge_check and length > profiles.ENUMERATION_CAP:
+        raise UsageError(f"--bridge-check needs --length <= {profiles.ENUMERATION_CAP}, "
+                         f"the enumeration cap of the tilted generator; got {length}")
     bridge = spinchain.bridge_parameters(length, args.alpha, args.beta)
     params = spinchain.XXZParams(length=length, delta_aniso=bridge.delta_aniso,
                                  twist=bridge.twist)
@@ -406,7 +412,7 @@ def cmd_xxz(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
         "length": length,
         "alpha": args.alpha,
         "beta": args.beta,
-        "bridge": _jsonable(bridge),
+        "bridge": bridge,
         "ground_energy": energy,
         "lambda_bridge": lam,
     }
@@ -493,15 +499,15 @@ def cmd_verify_all(args: argparse.Namespace) -> tuple[dict[str, Any], bool | Non
                          f"{profiles.ENUMERATION_CAP} of the exact rows")
     if args.nmax < 1:
         raise UsageError(f"--nmax must be >= 1, got {args.nmax}")
-    rows = [dataclasses.asdict(row) for row in _verify_rows(args.lmax, args.nmax)]
-    failures = [r["row"] for r in rows if not r["passed"]]
+    rows = _verify_rows(args.lmax, args.nmax)
+    failures = [r.row for r in rows if not r.passed]
 
-    width = max(len(r["row"]) for r in rows)
+    width = max(len(r.row) for r in rows)
     print(f"verification matrix: lmax={args.lmax} nmax={args.nmax}")
     for r in rows:
-        mark = "pass" if r["passed"] else "FAIL"
-        print(f"  {r['row']:<{width}}  {mark}  {r['detail']}: "
-              f"expected {r['expected']}, got {r['actual']}")
+        mark = "pass" if r.passed else "FAIL"
+        print(f"  {r.row:<{width}}  {mark}  {r.detail}: "
+              f"expected {r.expected}, got {r.actual}")
     if failures:
         print(f"{len(failures)} of {len(rows)} rows FAILED:")
         for key in failures:
@@ -698,12 +704,14 @@ def main(argv: list[str] | None = None) -> int:
         finished=_now(),
         passed=passed,
     )
-    document = {"manifest": manifest.as_json_dict()}
-    document.update(payload)
-    text = json.dumps(document, indent=2)
+    text = json.dumps(_jsonable({"manifest": manifest, **payload}), indent=2)
 
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
         log.info("wrote %s", args.out)
     elif args.command != "verify-all":
         print(text)

@@ -62,17 +62,6 @@ class TransitionRecord:
     delta_global: int
     delta_tiles: int
 
-    def as_json_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "class": self.move_class.value,
-            "target": list(self.target),
-            "dPeak": self.delta_peak,
-            "dDiamond": self.delta_diamond,
-            "dGlobal": self.delta_global,
-            "dTiles": self.delta_tiles,
-        }
-
 
 @dataclass(frozen=True)
 class EventCounters:
@@ -101,15 +90,6 @@ class EventCounters:
     @property
     def balanced(self) -> bool:
         return self.n_total == self.n_peak + self.n_diamond + self.n_tiles
-
-    def as_json_dict(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "n_peak": self.n_peak,
-            "n_diamond": self.n_diamond,
-            "n_global": self.n_global,
-            "n_tiles": self.n_tiles,
-        }
 
 
 def substrate(length: int) -> HeightProfile:
@@ -234,10 +214,11 @@ def enumerate_states(length: int) -> tuple[HeightProfile, ...]:
     A profile is a balanced pattern of L up/down steps (step i runs from
     site i to site i+1, cyclically) plus the one even h0 that puts its
     minimum at level 0 or 1, so the count is C(L, L/2).  numpy lists the
-    L-bit patterns with L/2 rising steps and integrates them in one pass;
-    the key h0 << L | step bits (rising step i at bit L-1-i) sorts in
-    lexicographic order of the profiles.  Enumeration is refused above
-    length 16 because the state space grows like 4^L / sqrt(L).
+    L-bit patterns with L/2 rising steps and integrates them in one pass,
+    then sorts the profiles by ``_keys``, the key ``transition_table``
+    looks its targets up by; that key orders them lexicographically.
+    Enumeration is refused above length 16 because the state space grows
+    like 4^L / sqrt(L).
     """
     _check_length(length)
     if length > ENUMERATION_CAP:
@@ -249,9 +230,8 @@ def enumerate_states(length: int) -> tuple[HeightProfile, ...]:
     codes = codes[rises == length // 2]
     steps = 2 * ((codes[:, None] >> shifts) & 1) - 1
     relative = np.cumsum(steps, axis=1) - steps
-    h0 = (1 - relative.min(axis=1)) // 2 * 2
-    order = np.argsort(h0 << length | codes)
-    heights = h0[order, None] + relative[order]
+    heights = (1 - relative.min(axis=1, keepdims=True)) // 2 * 2 + relative
+    heights = heights[np.argsort(_keys(heights))]
     if len(heights) != comb(length, length // 2):
         raise RuntimeError(f"{len(heights)} profiles of length {length}, not C(L, L/2)")
     return tuple(map(tuple, heights.tolist()))
@@ -281,7 +261,8 @@ class TransitionTable(NamedTuple):
 
 
 def _keys(heights: np.ndarray) -> np.ndarray:
-    """The sort key h0 << L | step bits of each row of an (n, L) height array."""
+    """The sort key h0 << L | step bits (rising step i at bit L-1-i) of
+    each row of an (n, L) height array."""
     length = heights.shape[1]
     rising = np.roll(heights, -1, axis=1) > heights
     return heights[:, 0] << length | rising @ (1 << np.arange(length - 1, -1, -1))

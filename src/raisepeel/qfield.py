@@ -8,8 +8,8 @@ the root of ``x^2 = x - 1``.  Numbers have one integer form: a scalar
 numerators of its coefficients over one common positive denominator.
 Every scalar operation and every polynomial sum, product and derivative
 is integer arithmetic with one gcd reduction per result, and so is
-division by a monic divisor with integer coefficients; evaluation,
-argument scaling and other division are field arithmetic on the
+division, which takes only a monic divisor with integer coefficients;
+evaluation and argument scaling are field arithmetic on the
 coefficients.
 Every identity is checked with zero tolerance.
 """
@@ -252,11 +252,11 @@ class Polynomial:
     positive int denominator.  The form is canonical: trailing zero
     coefficients are trimmed and gcd(a, b, den) = 1, so equality, hashing
     and the degree compare ints.  Sums, products and derivatives work on
-    the numerators and reduce once per result, as does division by a
-    monic integer divisor; evaluation, argument scaling and other division
-    work on the coefficients as field elements.  The constructor accepts
-    ints, Fractions and field elements; ``coeffs`` reads the coefficients
-    back as QFieldElements.
+    the numerators and reduce once per result, as does division, whose
+    divisor must be monic with integer coefficients; evaluation and
+    argument scaling work on the coefficients as field elements.  The
+    constructor accepts ints, Fractions and field elements; ``coeffs``
+    reads the coefficients back as QFieldElements.
 
     >>> x = Polynomial.x()
     >>> ((1 + x) ** 2)(Fraction(1, 2))
@@ -421,36 +421,15 @@ class Polynomial:
         return quot
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder by schoolbook long division.
+        """Quotient and remainder by a monic divisor over Z[q], such as
+        (1 + x)^k, by schoolbook long division on the integer numerators.
 
-        A monic divisor with integer coefficients, such as (1 + x)^k,
-        divides the integer numerators over this polynomial's denominator;
-        any other divisor is divided in the field, with one inverse of its
-        leading coefficient.
+        Both stay in Z[q] over this polynomial's denominator, so each step
+        is int arithmetic with no inverse and no gcd.  Any other divisor
+        raises ValueError.
         """
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        top = other.degree
-        if self.degree < top:
-            return Polynomial([]), self
-        if other._den == 1 and other.is_monic():
-            return self._divmod_integer(other)
-        divisor = other.coeffs
-        inv_lead = divisor[-1].inverse()
-        rem = list(self.coeffs)
-        quot = []
-        for k in range(self.degree - top, -1, -1):
-            c = rem.pop() * inv_lead
-            quot.append(c)
-            if c:
-                for j in range(top):
-                    rem[k + j] = rem[k + j] - c * divisor[j]
-        return Polynomial(reversed(quot)), Polynomial(rem)
-
-    def _divmod_integer(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """divmod by a monic divisor over Z[q]: quotient and remainder of
-        the numerators stay in Z[q], so both keep this denominator and
-        each step is int arithmetic with no inverse and no gcd."""
+        if other._den != 1 or not other.is_monic():
+            raise ValueError(f"divmod needs a monic divisor over Z[q], got {other!r}")
         top = other.degree
         a, b = list(self._a), list(self._b)
         da, db = other._a, other._b

@@ -99,38 +99,18 @@ class Estimate:
     def within(self, target: float, n_sigma: float = 3.0) -> bool:
         return isfinite(self.stderr) and abs(self.value - target) <= n_sigma * self.stderr
 
-    def as_json_dict(self) -> dict:
-        # a non-finite stderr (too few batches) serializes as null: strict
-        # JSON has no Infinity literal
-        return {"value": self.value,
-                "stderr": self.stderr if isfinite(self.stderr) else None}
-
 
 @dataclass(frozen=True)
 class TrajectorySummary:
-    """Full-run counters and the three empirical time averages."""
-    config: SimConfig
+    """Ring length, seed, full-run counters and the three empirical time averages."""
+    length: int
+    seed: int
     elapsed_time: float
     counters: EventCounters
     drift_diamond_hat: Estimate | None
     drift_global_hat: Estimate | None
     mean_peaks_hat: Estimate | None
     final_state: HeightProfile
-
-    def as_json_dict(self) -> dict:
-        return {
-            "length": self.config.length,
-            "seed": self.config.seed,
-            "elapsed_time": self.elapsed_time,
-            "counters": self.counters.as_json_dict(),
-            "drift_diamond_hat":
-                self.drift_diamond_hat.as_json_dict() if self.drift_diamond_hat else None,
-            "drift_global_hat":
-                self.drift_global_hat.as_json_dict() if self.drift_global_hat else None,
-            "mean_peaks_hat":
-                self.mean_peaks_hat.as_json_dict() if self.mean_peaks_hat else None,
-            "final_state": list(self.final_state),
-        }
 
 
 class _Ring:
@@ -313,7 +293,7 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
     budget = cfg.max_events
 
     if (horizon if time_mode else budget) == 0:
-        return TrajectorySummary(cfg, 0.0, EventCounters(), None, None, None,
+        return TrajectorySummary(length, cfg.seed, 0.0, EventCounters(), None, None, None,
                                  tuple(ring.heights))
 
     # batch k runs from boundary k to boundary k + 1.  Horizon runs cut
@@ -399,8 +379,8 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
                 total, peak, diamond, global_ = (int(x) for x in running[k])
                 log_writer({
                     "time": tick,
-                    "counters": EventCounters(
-                        total, peak, diamond, global_, total - peak - diamond).as_json_dict(),
+                    "counters": EventCounters(total, peak, diamond, global_,
+                                              total - peak - diamond),
                     "drift_diamond": diamond / tick,
                     "drift_global": global_ / tick,
                     "mean_peaks": float(tick_f) / tick,
@@ -432,7 +412,7 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
         return _batch_estimate(total / time_now, batch_totals[complete] / batch_time)
 
     return TrajectorySummary(
-        cfg, time_now, counters,
+        length, cfg.seed, time_now, counters,
         estimate(n_diamond, batch_diamond),
         estimate(n_global, batch_global),
         estimate(integral_now, np.diff(bound_integral)),

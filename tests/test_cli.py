@@ -227,6 +227,20 @@ def test_serialised_relation_report_fails_on_large_errors():
     assert cli_mod._jsonable(broken)["passed"] is False
 
 
+def test_serializer_writes_nonfinite_floats_as_null_and_keeps_passed_fields():
+    # strict JSON has no NaN or Infinity, wherever the float sits; a passed
+    # field is written as it is (None on a run that checked nothing), and
+    # only a passed property adds a verdict
+    manifest = cli_mod.RunManifest("scgf", {"alpha": float("nan")}, None, "v", "", "", None)
+    doc = cli_mod._jsonable({"manifest": manifest, "lambda": float("inf"),
+                             "values": [float("-inf"), 1.5, (float("nan"),)]})
+    assert doc["manifest"]["passed"] is None
+    assert doc["manifest"]["parameters"]["alpha"] is None
+    assert doc["lambda"] is None
+    assert doc["values"] == [None, 1.5, [None]]
+    json.dumps(doc, allow_nan=False)
+
+
 def test_verify_all_small():
     code, out = run_cli(["verify-all", "--lmax", "4", "--nmax", "2"])
     assert code == 0
@@ -275,6 +289,20 @@ def test_out_flag_quiets_stdout(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["drift_diamond"] == "1"
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["stationary", "--length", "4", "--out"], "missing/x.json"),
+    (["verify-all", "--lmax", "4", "--nmax", "1", "--out"], "."),
+    (["simulate", "--length", "4", "--time", "10", "--report-every", "1", "--log"],
+     "missing/x.jsonl"),
+])
+def test_unwritable_paths_exit_2(tmp_path, capsys, argv, target):
+    path = tmp_path / target
+    code = main([*argv, str(path)])
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert line.startswith("error: cannot write --") and str(path) in line
 
 
 def test_config_defaults_and_override(tmp_path):
@@ -389,6 +417,21 @@ def test_verify_all_refuses_lmax_above_the_cap_before_solving(monkeypatch, capsy
     captured = capsys.readouterr()
     assert code == 2
     assert "exceeds the enumeration cap 16" in captured.err
+    assert solved == []
+
+
+def test_xxz_bridge_check_refuses_lengths_above_the_cap_before_solving(monkeypatch, capsys):
+    solved = []
+
+    def counted(params):
+        solved.append(params)
+        raise RuntimeError("ground state solve started")
+
+    monkeypatch.setattr(spinchain_mod, "ground_energy", counted)
+    code = main(["xxz", "--length", "18", "--bridge-check"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "enumeration cap of the tilted generator" in captured.err
     assert solved == []
 
 

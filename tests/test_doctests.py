@@ -1,15 +1,19 @@
-"""The docstring examples of every raisepeel module run and hold, and no
-module checks a result with assert."""
+"""The docstring examples of every raisepeel module run and hold, no
+module checks a result with assert, and the README's library example
+runs and its commands parse."""
 
 import ast
 import doctest
 import importlib
 import pkgutil
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import raisepeel
+from raisepeel.cli import build_parser
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(raisepeel.__path__))
 
@@ -37,3 +41,32 @@ def test_package_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
+
+
+def test_readme_library_example_runs():
+    [example] = _readme_blocks("python")
+    exec(compile(example, str(README), "exec"), {})
+
+
+def test_readme_commands_parse():
+    # a renamed subcommand or flag fails here, not in a reader's shell;
+    # flags are matched whole, since argparse also takes a unique prefix
+    parser, subparsers = build_parser()
+    commands = [shlex.split(line, comments=True) for block in _readme_blocks("")
+                for line in block.splitlines() if line.startswith("raisepeel ")]
+    assert len(commands) >= 9
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+        flags = subparsers[argv[1]]._option_string_actions
+        assert [arg for arg in argv if arg.startswith("--") and arg not in flags] == []

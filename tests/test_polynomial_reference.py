@@ -336,17 +336,21 @@ def test_divmod_by_monic_integer_divisors_matches_reference(xs, ds):
 
 
 @SETTINGS
-@given(coeff_lists, coeff_lists.filter(lambda cs: any(cs)), st.booleans())
-def test_divmod_identity_for_monic_and_general_divisors(xs, ds, monic):
+@given(coeff_lists, st.lists(integer_elements, max_size=5), coeff_lists)
+def test_divmod_identity_for_monic_and_general_divisors(xs, low, general):
+    # a monic divisor over Z[q] divides, p = quot d + rem; any other
+    # divisor, zero included, is refused
     p = poly(xs)
-    ds = ref_trim(ds) + ((ONE,) if monic else ())
-    d = poly(ds)
-    assert d.is_monic() or not monic
+    d = poly(tuple(low) + (ONE,))
     quot, rem = p.divmod(d)
-    assert (pairs(quot), pairs(rem)) == ref_divmod(xs, ds)
     assert quot * d + rem == p
     assert rem.degree < d.degree
     assert (p * d).exact_div(d) == p
+    g = poly(general)
+    if not (g.is_monic() and g._den == 1):
+        for divide in (p.divmod, p.exact_div):
+            with pytest.raises(ValueError, match="monic divisor over Z"):
+                divide(g)
 
 
 @SETTINGS

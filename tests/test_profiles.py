@@ -78,6 +78,19 @@ def test_state_counts():
         enumerate_states(18)     # above the enumeration cap
 
 
+@pytest.mark.parametrize("length", range(2, 17, 2))
+def test_enumeration_is_sorted_by_the_lookup_key(monkeypatch, length):
+    # transition_table finds targets by searchsorted on _keys, so the
+    # enumeration sorts by that one key, which orders profiles
+    # lexicographically, and follows it when the key changes
+    states = enumerate_states(length)
+    assert list(states) == sorted(states)
+    assert (np.diff(profiles._keys(np.array(states))) > 0).all()
+    original = profiles._keys
+    monkeypatch.setattr(profiles, "_keys", lambda heights: -original(heights))
+    assert profiles.enumerate_states.__wrapped__(length) == states[::-1]
+
+
 def test_l4_states_frozen():
     assert enumerate_states(4) == L4_STATES
 
@@ -180,9 +193,8 @@ def test_transition_records_shape():
     assert len(recs) == 4
     assert all(isinstance(r, TransitionRecord) for r in recs)
     assert [r.site for r in recs] == [0, 1, 2, 3]
-    d = recs[1].as_json_dict()
-    assert d["class"] == MoveClass.GLOBAL_AVALANCHE.value
-    assert d["dDiamond"] == 4
+    assert recs[1].move_class is MoveClass.GLOBAL_AVALANCHE
+    assert recs[1].delta_diamond == 4
 
 
 def test_event_counters():
@@ -192,8 +204,6 @@ def test_event_counters():
     assert c.n_total == 2
     assert c.n_tiles == 2
     assert c.balanced
-    d = c.as_json_dict()
-    assert d["n_total"] == 2
 
 
 # ---------------------------------------------------------------------------

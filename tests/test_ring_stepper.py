@@ -211,7 +211,7 @@ def _reference(cfg, block):
         tick = cfg.report_every
         while tick <= end:
             seen = trail[bisect_left(times, tick) - 1]
-            records.append({"time": tick, "counters": seen.as_json_dict(),
+            records.append({"time": tick, "counters": seen,
                             "mean_peaks": peak_integral(0.0, tick) / tick})
             tick += cfg.report_every
     return state, counters, end, estimates, records
@@ -235,8 +235,8 @@ def _assert_same_trajectory(cfg, block):
     for got, want in zip(records, reference_records):
         assert got["time"] == want["time"]
         assert got["counters"] == want["counters"]
-        assert got["drift_diamond"] == want["counters"]["n_diamond"] / want["time"]
-        assert got["drift_global"] == want["counters"]["n_global"] / want["time"]
+        assert got["drift_diamond"] == want["counters"].n_diamond / want["time"]
+        assert got["drift_global"] == want["counters"].n_global / want["time"]
         assert got["mean_peaks"] == pytest.approx(want["mean_peaks"], rel=1e-9)
 
 

@@ -48,8 +48,7 @@ def test_polynomials_small_orders():
     for n in (1, 2, 3, 4):
         q = q_poly(n)
         rev = q.reversed_coeffs()
-        assert p_poly(n) == rev.exact_div(
-            type(rev)([q.rational_coeffs()[0]]))
+        assert p_poly(n) == rev * q.coeffs[0].inverse()
 
 
 @pytest.mark.parametrize("n", ORDERS)
