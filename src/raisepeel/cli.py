@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import logging
 import os
@@ -664,6 +665,23 @@ def _config_value(action: argparse.Action, value: Any) -> Any:
         raise UsageError(f"config key {action.dest!r}: {exc}") from exc
 
 
+def _check_out_path(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any work runs
+    and without creating the file: a directory, a read-only file, or a
+    new file in a missing or read-only directory."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif target.exists():
+        code = 0 if os.access(target, os.W_OK) else errno.EACCES
+    elif not target.parent.is_dir():
+        code = errno.ENOENT
+    else:
+        code = 0 if os.access(target.parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise UsageError(f"cannot write --out {path}: {os.strerror(code)}")
+
+
 def _manifest_parameters(args: argparse.Namespace) -> dict[str, Any]:
     return {k: v for k, v in sorted(vars(args).items()) if k != "command"}
 
@@ -684,6 +702,8 @@ def main(argv: list[str] | None = None) -> int:
 
     started = _now()
     try:
+        if args.out:
+            _check_out_path(args.out)
         payload, passed = _HANDLERS[args.command](args)
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
@@ -691,8 +711,9 @@ def main(argv: list[str] | None = None) -> int:
     except (scgf.ConvergenceError, tq.RefinementError) as exc:
         print(f"error: convergence failure: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:
-        print("error: out of memory; reduce --length or --nmax", file=sys.stderr)
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}; reduce --length or --nmax", file=sys.stderr)
         return 3
 
     manifest = RunManifest(

@@ -35,7 +35,16 @@ import numpy as np
 
 HeightProfile = tuple[int, ...]
 
-ENUMERATION_CAP = 16
+ENUMERATION_CAP = 18
+
+# peak bytes the exact pipeline holds per move (state x site: the table and
+# its build temporaries, the certificate's Python ints) and per entry of the
+# dense lumped matrix (the integer system and its float64 factors).  The
+# peak RSS of `raisepeel stationary` above that of a length-2 run, 21 MB
+# at L=16 and 128 MB at L=18 (x86-64, numpy 2.4), fits about 70 and 31
+# bytes; both are rounded up for margin
+_BYTES_PER_MOVE = 100
+_BYTES_PER_ENTRY = 48
 
 
 class MoveClass(Enum):
@@ -217,13 +226,18 @@ def enumerate_states(length: int) -> tuple[HeightProfile, ...]:
     L-bit patterns with L/2 rising steps and integrates them in one pass,
     then sorts the profiles by ``_keys``, the key ``transition_table``
     looks its targets up by; that key orders them lexicographically.
-    Enumeration is refused above length 16 because the state space grows
-    like 4^L / sqrt(L).
+    Enumeration is refused above ENUMERATION_CAP = 18 because the state
+    space grows like 4^L / sqrt(L), and with MemoryError, before anything
+    is allocated, when ``memory_estimate`` exceeds the memory available.
     """
     _check_length(length)
     if length > ENUMERATION_CAP:
         raise ValueError(
             f"enumeration of length {length} exceeds the cap {ENUMERATION_CAP}")
+    needed, available = memory_estimate(length), _available_memory()
+    if available is not None and needed > available:
+        raise MemoryError(f"the exact pipeline at length {length} needs about "
+                          f"{needed >> 20} MB, and {available >> 20} MB is available")
     shifts = np.arange(length - 1, -1, -1)
     codes = np.arange(1 << length, dtype=np.int64)
     rises = sum((codes >> k) & 1 for k in range(length))
@@ -235,6 +249,33 @@ def enumerate_states(length: int) -> tuple[HeightProfile, ...]:
     if len(heights) != comb(length, length // 2):
         raise RuntimeError(f"{len(heights)} profiles of length {length}, not C(L, L/2)")
     return tuple(map(tuple, heights.tolist()))
+
+
+def memory_estimate(length: int) -> int:
+    """Bytes the exact pipeline is expected to hold at its peak: the
+    transition table of the C(L, L/2) states with its build temporaries,
+    and the dense lumped matrices.  The orbits would number C(L, L/2)/(2L)
+    if every orbit had all 2L images; they are taken as 1.25 times that
+    (the counts at L = 14, 16, 18 are 1.26, 1.17 and 1.10 times it).
+
+    >>> memory_estimate(18) >> 20
+    213
+    """
+    states = comb(length, length // 2)
+    orbits = 5 * states // (8 * length)
+    return states * length * _BYTES_PER_MOVE + orbits * orbits * _BYTES_PER_ENTRY
+
+
+def _available_memory() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
 
 
 class TransitionTable(NamedTuple):

@@ -254,17 +254,3 @@ def scgf_derivatives(length: int, h_step: float = 1e-3) -> tuple[float, float]:
         return (4.0 * central(axis, h_step / 2) - central(axis, h_step)) / 3.0
 
     return richardson(0), richardson(1)
-
-
-def perron_gap(matrix: sp.spmatrix | np.ndarray) -> float:
-    """Modulus gap between the two leading eigenvalues of the shifted matrix.
-
-    Dense-only diagnostic confirming the Perron root is simple.
-    """
-    a = sp.csr_matrix(matrix, dtype=float).toarray()
-    n = a.shape[0]
-    if n >= _DENSE_FALLBACK_DIM:
-        raise ValueError("gap diagnostic is dense-only; matrix too large")
-    shift = max(0.0, -float(a.diagonal().min())) + 1.0
-    moduli = np.sort(np.abs(np.linalg.eigvals(a + shift * np.eye(n))))
-    return float(moduli[-1] - moduli[-2])

@@ -226,14 +226,6 @@ def bridge_parameters(length: int, alpha: float, beta: float) -> BridgeParameter
     )
 
 
-def deformed_tl_operator(length: int, alpha: float, beta: float) -> sp.csr_matrix:
-    """Sector matrix e^beta * sum_i e_i - L, the tilted generator's spin image."""
-    p = bridge_parameters(length, alpha, beta)
-    total = sector_operator(length, length // 2,
-                            dict.fromkeys(range(length), _tl_block(p.q, p.twist)))
-    return exp(beta) * total - length * sp.identity(total.shape[0], format="csr")
-
-
 def lambda_from_energy(length: int, beta: float, energy: float) -> float:
     """Cumulant generating function from the bridged chain's ground energy,
     -e^beta * E_min - 3L/4."""

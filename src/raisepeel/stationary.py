@@ -4,14 +4,19 @@ Everything here reads the ring's transition table as it is (move targets,
 the images of each state under the ring's two symmetries, rotation with a
 height shift and reflection, and the move counters) and builds no
 generator matrix.  The moves are counted between the orbits of the two
-maps, one bincount, and the small lumped chain is solved by a
-subtraction-free censoring elimination in rational arithmetic.  Its orbit
-values are cleared once to coprime integer weights, spread over the
-orbits' states, and sealed by an exact certificate in Python integers:
-every weight positive, the weights coprime, the inflow of every state
-(reflections included) equal to L times its weight, and the transition
-graph strongly connected.  So the weights over their sum are the
-stationary distribution, not a numerical approximation.
+maps, one bincount, and the small lumped chain is one square integer
+system: its balance matrix with the first orbit's weight fixed at one.
+That system is solved exactly by p-adic (Dixon) lifting: one blocked LU
+factorization modulo a prime below 2**22 in float64, one base-p digit of
+the solution per step with exact integer residuals, and the rationals
+rebuilt from the digits over a running common denominator until they
+solve the system exactly in Python ints.  The orbit values are cleared
+once to coprime integer weights, spread over the orbits' states, and
+sealed by an exact certificate in Python integers: every weight
+positive, the weights coprime, the inflow of every state (reflections
+included) equal to L times its weight, and the transition graph strongly
+connected.  So the weights over their sum are the stationary
+distribution, not a numerical approximation.
 
 Each stationary observable (the mean peak count, the probability of the
 avalanche-armed set, the two long-run currents) is one dot product of the
@@ -22,15 +27,18 @@ formula in the ring length to compare against.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, prod
 from operator import mul
 
 import numpy as np
 
 from .profiles import HeightProfile, TransitionTable, transition_table
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -79,36 +87,161 @@ def _orbits(rotate: np.ndarray, reflect: np.ndarray) -> np.ndarray:
         label = lowered
 
 
-def _solve_censoring(counts: np.ndarray) -> list[Fraction]:
-    """Stationary weights of the chain whose rate from s to t is
-    counts[s, t], by subtraction-free elimination (GTH ordering) in exact
-    rationals, scaled so that state 0 has weight one.
+# the largest prime below 2**22: an entry of _lu_mod takes at most _PANEL
+# products of residues below 2**22 between reductions, which keeps it below
+# 2**51 and so exact in float64
+_PRIME = 4194301
+_PANEL = 64
 
-    States are censored one by one from the top index down; the stored
-    ratios then rebuild the stationary weights from state 0 upward.  All
-    intermediate quantities are nonnegative, so no cancellation occurs.
-    Self-loops, the diagonal of counts, play no part.
+
+def _previous_prime(p: int) -> int:
+    """The largest prime below p, by trial division."""
+    for q in range(p - 1, 1, -1):
+        if all(q % d for d in range(2, isqrt(q) + 1)):
+            return q
+    raise RuntimeError(f"no prime below {p} is left to factor by")
+
+
+def _reduce(x: np.ndarray, p: int) -> None:
+    """Replace the integer-valued floats x by their residues mod p, in
+    place, as x - p * floor(x / p); exact for p below 2**22 while |x|
+    stays below 2**52."""
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+
+
+def _lu_mod(a: np.ndarray, p: int) -> np.ndarray | None:
+    """LU factors of the square integer matrix a modulo the prime p, packed
+    in one int64 array (the unit lower factor below the diagonal, the upper
+    one on and above it), or None when a pivot vanishes mod p.
+
+    Right-looking and blocked: each panel of _PANEL columns is eliminated
+    column by column, together with its block row of the upper factor, and
+    the trailing matrix takes one float64 matrix product per panel, then
+    is reduced mod p.  Inside a panel an entry is reduced only when its
+    row or column becomes the pivot's, so it takes at most _PANEL
+    unreduced updates, each a product of two residues.  There are no row
+    exchanges: every leading principal submatrix of the lumped system is a
+    proper principal submatrix of an irreducible chain's balance matrix,
+    so nonsingular, and a zero pivot means p divides one of its minors.
     """
-    n = counts.shape[0]
-    rate = [[Fraction(c) for c in row] for row in counts.tolist()]
-    for k in range(n - 1, 0, -1):
-        row_k = rate[k]
-        total = sum(row_k[:k])
-        for i in range(k):
-            rate[i][k] /= total
-        for i in range(k):
-            f = rate[i][k]
-            if not f:
-                continue
-            row_i = rate[i]
-            for j in range(k):
-                if j != i and row_k[j]:
-                    row_i[j] += f * row_k[j]
-    weight = [Fraction(0)] * n
-    weight[0] = Fraction(1)
-    for k in range(1, n):
-        weight[k] = sum(weight[i] * rate[i][k] for i in range(k) if rate[i][k])
-    return weight
+    lu = a.astype(np.float64)
+    n = len(lu)
+    for k0 in range(0, n, _PANEL):
+        k1 = min(k0 + _PANEL, n)
+        for j in range(k0, k1):
+            _reduce(lu[j, j:], p)
+            pivot = int(lu[j, j])
+            if pivot == 0:
+                return None
+            column = lu[j + 1:, j]
+            _reduce(column, p)
+            column *= pow(pivot, -1, p)
+            _reduce(column, p)
+            lu[j + 1:, j + 1:k1] -= np.outer(column, lu[j, j + 1:k1])
+            lu[j + 1:k1, k1:] -= np.outer(column[:k1 - j - 1], lu[j, k1:])
+        trailing = lu[k1:, k1:]
+        trailing -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
+        _reduce(trailing, p)
+    return lu.astype(np.int64)
+
+
+def _solve_mod(lu: np.ndarray, inverse: list[int], r: np.ndarray, p: int) -> np.ndarray:
+    """The solution mod p of LU y = r, by forward and back substitution on
+    the packed factors; inverse holds the inverses of U's diagonal mod p.
+    Each dot product sums residues below 2**44 in int64."""
+    y = r % p
+    for i in range(1, len(y)):
+        y[i] = (y[i] - lu[i, :i] @ y[:i]) % p
+    for i in range(len(y) - 1, -1, -1):
+        y[i] = (y[i] - lu[i, i + 1:] @ y[i + 1:]) % p * inverse[i] % p
+    return y
+
+
+def _denominator(u: int, modulus: int, bound: int) -> int | None:
+    """The denominator d of the fraction n/d with n = d u mod modulus and
+    |n|, d <= bound, by the half extended Euclidean algorithm, or None when
+    there is none.  The fraction is unique when 2 bound**2 < modulus."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if 0 < abs(t1) <= bound else None
+
+
+def _rebuild(x: list[int], modulus: int) -> tuple[list[int], int] | None:
+    """Numerators and one common denominator of the rationals whose
+    residues mod modulus are x, or None when the residues do not yet
+    determine them.  The denominator runs over the entries: each entry is
+    first scaled by it, and only an entry that is then not a small
+    integer is reconstructed as a fraction, whose denominator joins it."""
+    half = modulus // 2
+    bound = isqrt(half)
+    den = 1
+    for u in x:
+        scaled = u * den % modulus
+        if min(scaled, modulus - scaled) > bound:
+            d = _denominator(scaled, modulus, bound)
+            if d is None or den * d > bound:
+                return None
+            den *= d
+    numerators = []
+    for u in x:
+        scaled = u * den % modulus
+        if scaled > half:
+            scaled -= modulus
+        if abs(scaled) > bound:
+            return None
+        numerators.append(scaled)
+    return numerators, den
+
+
+def _solve_padic(a: np.ndarray, b: np.ndarray, prime: int = _PRIME
+                 ) -> tuple[list[int], int, int, int]:
+    """Exact solution of the nonsingular integer system a x = b by p-adic
+    (Dixon) lifting, as numerators, their common denominator, the prime
+    used and the number of lifting steps.
+
+    a is factored once mod a prime below 2**22, the first one, counting
+    down from prime, at which no pivot vanishes.  Each step solves for
+    one base-p digit of x and divides the exact integer residual by p;
+    after each step the rationals are rebuilt from the digits so far and
+    accepted once a x = b den holds exactly in Python ints.  Cramer's
+    rule and Hadamard's inequality bound every numerator and the
+    denominator by H, the product of the row norms of [a | b]; past
+    p**k > 2 H**2 the rebuild cannot fail, so a solve still open there
+    raises RuntimeError instead of lifting on.
+    """
+    while (lu := _lu_mod(a, prime)) is None:
+        prime = _previous_prime(prime)
+    inverse = [pow(u, -1, prime) for u in lu.diagonal().tolist()]
+    rows, cols = np.nonzero(a)
+    entries = list(zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()))
+    rhs = b.tolist()
+    limit = 2 * prod(((a * a).sum(axis=1) + b * b).tolist())
+    residual = b.astype(np.int64)
+    x = [0] * len(rhs)
+    modulus, steps = 1, 0
+    while modulus <= limit:
+        digit = _solve_mod(lu, inverse, residual, prime)
+        residual = residual - a @ digit
+        if (residual % prime).any():
+            raise RuntimeError(f"lifting residual not divisible by the prime {prime}")
+        residual //= prime
+        x = [u + d * modulus for u, d in zip(x, digit.tolist())]
+        modulus *= prime
+        steps += 1
+        if (found := _rebuild(x, modulus)) is not None:
+            numerators, den = found
+            product = [0] * len(rhs)
+            for i, j, v in entries:
+                product[i] += v * numerators[j]
+            if all(s == r * den for s, r in zip(product, rhs)):
+                return numerators, den, prime, steps
+    raise RuntimeError(f"p-adic lifting passed the Hadamard bound after {steps} steps "
+                       f"mod {prime} without an exact solution")
 
 
 def _solve_lumped(target: np.ndarray, orbit: np.ndarray) -> list[int]:
@@ -118,20 +251,23 @@ def _solve_lumped(target: np.ndarray, orbit: np.ndarray) -> list[int]:
     counts[a, b] is the number of moves from a state of orbit a into a
     state of orbit b.  When the symmetries make the chain strongly
     lumpable, a vector constant on each orbit is stationary exactly when
-    its per-state values are stationary for these counts, so the solve
-    gives the weight per state of each orbit.  These m values are cleared
-    to coprime integers once and spread over the orbits' states.  Nothing
-    here proves the lumping; the full-chain certificate does.  Identity
-    labels solve the full chain.
+    its per-state values w solve M w = 0 for M = counts^T - L diag(sizes),
+    every state leaving at total rate L.  The columns of M sum to zero, so
+    dropping orbit 0's row and column and fixing its weight at one leaves
+    a nonsingular integer system for the p-adic solve.  The m values are
+    cleared to coprime integers once and spread over the orbits' states.
+    Nothing here proves the lumping; the full-chain certificate does.
+    Identity labels solve the full chain.
     """
     m = int(orbit.max()) + 1
     pairs = orbit[:, None] * m + orbit[target]
     counts = np.bincount(pairs.ravel(), minlength=m * m).reshape(m, m)
-    values = _solve_censoring(counts)
-    common = lcm(*(x.denominator for x in values))
-    cleared = [x.numerator * (common // x.denominator) for x in values]
-    shrink = gcd(*cleared)
-    per_orbit = [c // shrink for c in cleared]
+    matrix = counts.T - target.shape[1] * np.diag(np.bincount(orbit, minlength=m))
+    numerators, den, prime, steps = _solve_padic(matrix[1:, 1:], -matrix[1:, 0])
+    log.debug("lumped solve: %d orbits, prime %d, %d lifting steps", m, prime, steps)
+    values = [den, *numerators]
+    shrink = gcd(*values)
+    per_orbit = [v // shrink for v in values]
     return [per_orbit[o] for o in orbit.tolist()]
 
 
@@ -182,7 +318,7 @@ def stationary_distribution(length: int) -> StationaryVector:
         probabilities={s: Fraction(w, total) for s, w in zip(table.states, weights)},
         integer_form=dict(zip(table.states, weights)),
         integer_sum=total,
-        method="lumped-censoring-exact",
+        method="lumped-padic-exact",
     )
 
 

@@ -305,6 +305,26 @@ def test_unwritable_paths_exit_2(tmp_path, capsys, argv, target):
     assert line.startswith("error: cannot write --") and str(path) in line
 
 
+def test_verify_all_checks_its_out_path_before_the_first_row(tmp_path, monkeypatch, capsys):
+    rows = []
+    monkeypatch.setattr(stationary_mod, "exact_drifts",
+                        lambda length: rows.append(length))
+    code = main(["verify-all", "--lmax", "4", "--nmax", "1", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and rows == []
+    assert captured.err == f"error: cannot write --out {tmp_path}: Is a directory\n"
+
+
+def test_out_path_check_creates_no_file(tmp_path, capsys):
+    # a usable path is left alone until the document is written, so a run
+    # that fails first leaves no file behind
+    out_path = tmp_path / "x.json"
+    assert main(["stationary", "--length", "3", "--out", str(out_path)]) == 2
+    capsys.readouterr()
+    assert not out_path.exists()
+
+
 def test_config_defaults_and_override(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"length": 4, "integers": True}))
@@ -413,10 +433,10 @@ def test_verify_all_refuses_lmax_above_the_cap_before_solving(monkeypatch, capsy
         raise RuntimeError("stationary solve started")
 
     monkeypatch.setattr(stationary_mod, "stationary_distribution", counted)
-    code = main(["verify-all", "--lmax", "18"])
+    code = main(["verify-all", "--lmax", "20"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "exceeds the enumeration cap 16" in captured.err
+    assert "exceeds the enumeration cap 18" in captured.err
     assert solved == []
 
 
@@ -428,7 +448,7 @@ def test_xxz_bridge_check_refuses_lengths_above_the_cap_before_solving(monkeypat
         raise RuntimeError("ground state solve started")
 
     monkeypatch.setattr(spinchain_mod, "ground_energy", counted)
-    code = main(["xxz", "--length", "18", "--bridge-check"])
+    code = main(["xxz", "--length", "20", "--bridge-check"])
     captured = capsys.readouterr()
     assert code == 2
     assert "enumeration cap of the tilted generator" in captured.err
@@ -469,6 +489,24 @@ def test_bethe_refinement_failure_exits_3(capsys):
     code = main(["tq", "--n", "24", "--check", "tq"])
     capsys.readouterr()
     assert code == 0
+
+
+def test_memory_estimate_refusal_exits_3_before_enumerating():
+    # a fresh process, so no table is cached; the available memory is
+    # pinned at 1 MB, below the estimate at L=18
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "import raisepeel.profiles as profiles\n"
+            "from raisepeel.cli import main\n"
+            "profiles._available_memory = lambda: 1 << 20\n"
+            "sys.exit(main(['stationary', '--length', '18']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: out of memory (the exact pipeline at length 18 needs "
+                           "about 213 MB, and 1 MB is available); reduce --length or --nmax\n")
 
 
 def test_memory_failure_exits_3(monkeypatch, capsys):

@@ -75,7 +75,26 @@ def test_state_counts():
     assert len(enumerate_states(2)) == 2
     assert len(enumerate_states(8)) == 70
     with pytest.raises(ValueError):
-        enumerate_states(18)     # above the enumeration cap
+        enumerate_states(20)     # above the enumeration cap
+
+
+def test_enumeration_refuses_what_memory_cannot_hold(monkeypatch):
+    # the refusal comes before the enumeration allocates anything; the
+    # cached enumeration is bypassed so that the check runs
+    monkeypatch.setattr(profiles, "_available_memory", lambda: 100 << 20)
+    with pytest.raises(MemoryError, match="at length 18 needs about 213 MB, and 100 MB"):
+        enumerate_states.__wrapped__(18)
+    assert len(enumerate_states.__wrapped__(16)) == comb(16, 8)
+    monkeypatch.setattr(profiles, "_available_memory", lambda: None)
+    assert len(enumerate_states.__wrapped__(4)) == 6
+
+
+def test_memory_estimate_grows_with_the_state_space():
+    estimates = [profiles.memory_estimate(length) for length in range(2, 21, 2)]
+    assert estimates == sorted(estimates)
+    assert profiles.memory_estimate(18) > 128 << 20   # measured peak above start-up
+    available = profiles._available_memory()
+    assert available is None or available > 0
 
 
 @pytest.mark.parametrize("length", range(2, 17, 2))

@@ -1,20 +1,22 @@
 """Loop-algebra generators, twisted spin chains, and the energy bridge."""
 
 import cmath
+from math import exp
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import raisepeel.spinchain as spinchain
 from raisepeel.scgf import DeformedParams, build_deformed, scgf_value
 from raisepeel.spinchain import (
     XXZParams,
+    _tl_block,
     _xxz_block,
     bridge_parameters,
     build_xxz,
     combinatorial_twist,
-    deformed_tl_operator,
     ground_energy,
     hermiticity_defect,
     lambda_bridge,
@@ -155,6 +157,14 @@ def test_bridge_against_tilted_generator(alpha, beta):
     lam_spin = lambda_bridge(6, alpha, beta)
     lam_pdp = scgf_value(6, DeformedParams(alpha, beta)).lambda_value
     assert lam_spin == pytest.approx(lam_pdp, abs=1e-8)
+
+
+def deformed_tl_operator(length, alpha, beta):
+    """Sector matrix e^beta * sum_i e_i - L, the tilted generator's spin image."""
+    p = bridge_parameters(length, alpha, beta)
+    total = sector_operator(length, length // 2,
+                            dict.fromkeys(range(length), _tl_block(p.q, p.twist)))
+    return exp(beta) * total - length * sp.identity(total.shape[0], format="csr")
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.1, 0.05)])

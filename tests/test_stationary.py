@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,10 @@ from raisepeel.scgf import build_deformed
 from raisepeel.stationary import (
     _certify,
     _chain,
+    _lu_mod,
     _orbits,
     _solve_lumped,
+    _solve_padic,
     diamond_current_formula,
     exact_drifts,
     expected_peaks,
@@ -31,9 +33,10 @@ from raisepeel.stationary import (
 F = Fraction
 
 # denominators of the stationary distributions, i.e. the totals of the
-# coprime integer forms
+# coprime integer forms; 16 and 18 are observed from the p-adic solve,
+# certified, and equal to A_HT(L) (see below)
 INTEGER_SUMS = {2: 2, 4: 10, 6: 140, 8: 5544, 10: 622908, 12: 198846076,
-                14: 180473355920}
+                14: 180473355920, 16: 465904151957920, 18: 3422048076740462480}
 
 L4_WEIGHTS = {
     (0, 1, 0, 1): F(3, 10),
@@ -99,7 +102,7 @@ def test_shifted_rotation_symmetry(length):
         assert vec.probabilities[tuple(h + shift for h in rotated)] == weight
 
 
-ORBIT_COUNTS = {2: 1, 4: 2, 6: 4, 8: 9, 10: 21, 12: 56, 14: 155, 16: 469}
+ORBIT_COUNTS = {2: 1, 4: 2, 6: 4, 8: 9, 10: 21, 12: 56, 14: 155, 16: 469, 18: 1480}
 
 
 @pytest.mark.parametrize("length,count", sorted(ORBIT_COUNTS.items()))
@@ -166,10 +169,123 @@ def test_orbit_labels_match_the_profile_walk(length):
 @pytest.mark.parametrize("length", [2, 4, 6, 8])
 def test_lumped_solve_matches_full_elimination(length):
     vec = stationary_distribution(length)
-    assert vec.method == "lumped-censoring-exact"
+    assert vec.method == "lumped-padic-exact"
     target = _chain(length).target
     weights = [vec.integer_form[s] for s in vec.states]
     assert weights == _solve_lumped(target, np.arange(len(target)))
+
+
+def orbit_counts(target, orbit):
+    """Moves from the states of each orbit into the states of each orbit."""
+    m = int(orbit.max()) + 1
+    return np.bincount((orbit[:, None] * m + orbit[target]).ravel(),
+                       minlength=m * m).reshape(m, m)
+
+
+def gth_weights(counts):
+    """Reference stationary weights of the chain whose rate from s to t is
+    counts[s, t], by subtraction-free elimination (GTH ordering) in exact
+    rationals, scaled so that state 0 has weight one.
+
+    States are censored one by one from the top index down; the stored
+    ratios then rebuild the stationary weights from state 0 upward.  All
+    intermediate quantities are nonnegative, so no cancellation occurs.
+    Self-loops, the diagonal of counts, play no part.
+    """
+    n = counts.shape[0]
+    rate = [[F(c) for c in row] for row in counts.tolist()]
+    for k in range(n - 1, 0, -1):
+        row_k = rate[k]
+        total = sum(row_k[:k])
+        for i in range(k):
+            rate[i][k] /= total
+        for i in range(k):
+            f = rate[i][k]
+            if not f:
+                continue
+            row_i = rate[i]
+            for j in range(k):
+                if j != i and row_k[j]:
+                    row_i[j] += f * row_k[j]
+    weight = [F(0)] * n
+    weight[0] = F(1)
+    for k in range(1, n):
+        weight[k] = sum(weight[i] * rate[i][k] for i in range(k) if rate[i][k])
+    return weight
+
+
+def gth_lumped(target, orbit):
+    """The candidate weights of _solve_lumped by the Fraction elimination:
+    cleared to coprime integers and spread over the orbits' states."""
+    values = gth_weights(orbit_counts(target, orbit))
+    common = lcm(*(x.denominator for x in values))
+    cleared = [x.numerator * (common // x.denominator) for x in values]
+    per_orbit = [c // gcd(*cleared) for c in cleared]
+    return [per_orbit[o] for o in orbit.tolist()]
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+def test_padic_solve_matches_the_fraction_elimination(length):
+    st = _chain(length)
+    for orbit in (_orbits(st.rotate, st.reflect), np.arange(len(st.states))):
+        assert _solve_lumped(st.target, orbit) == gth_lumped(st.target, orbit)
+
+
+def lumped_system(length):
+    """The integer system of the lumped solve at this length: the balance
+    matrix counts^T - L diag(sizes) without orbit 0's row and column, and
+    minus orbit 0's column as the right-hand side."""
+    st = _chain(length)
+    orbit = _orbits(st.rotate, st.reflect)
+    matrix = orbit_counts(st.target, orbit).T - length * np.diag(np.bincount(orbit))
+    return matrix[1:, 1:], -matrix[1:, 0]
+
+
+def leading_minors(a):
+    """Exact leading principal minors, from elimination without exchanges."""
+    rows = [[F(v) for v in row] for row in a.tolist()]
+    minors, det = [], F(1)
+    for k, pivot_row in enumerate(rows):
+        det *= pivot_row[k]
+        minors.append(int(det))
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / pivot_row[k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], pivot_row)]
+    return minors
+
+
+def test_a_prime_dividing_a_pivot_moves_to_the_next_prime():
+    # 29 divides the third leading minor of the L=8 system and none
+    # before it, so the third pivot vanishes mod 29; 23 divides none
+    a, b = lumped_system(8)
+    minors = leading_minors(a)
+    assert [d % 29 == 0 for d in minors[:3]] == [False, False, True]
+    assert all(d % 23 for d in minors)
+    assert _lu_mod(a, 29) is None
+    numerators, den, prime, steps = _solve_padic(a, b, prime=29)
+    assert prime == 23
+    st = _chain(8)
+    expected = gth_weights(orbit_counts(st.target, _orbits(st.rotate, st.reflect)))
+    assert [F(n, den) for n in numerators] == expected[1:]
+
+
+def test_lifting_refuses_past_the_hadamard_bound(monkeypatch):
+    # a rebuild that never succeeds must end the lifting, not loop on it
+    monkeypatch.setattr(raisepeel.stationary, "_rebuild", lambda x, modulus: None)
+    a, b = lumped_system(6)
+    with pytest.raises(RuntimeError, match="Hadamard bound"):
+        _solve_padic(a, b)
+
+
+def test_a_wrong_digit_fails_the_lifting(monkeypatch):
+    # a digit that does not solve the system mod p leaves a residual the
+    # prime does not divide
+    solve_mod = raisepeel.stationary._solve_mod
+    monkeypatch.setattr(raisepeel.stationary, "_solve_mod",
+                        lambda *args: solve_mod(*args) + 1)
+    a, b = lumped_system(6)
+    with pytest.raises(RuntimeError, match="not divisible"):
+        _solve_padic(a, b)
 
 
 def test_corrupted_orbits_fail_the_certificate(monkeypatch):
@@ -257,7 +373,7 @@ def half_turn_asm_count(length):
 # in the spirit of the Razumov-Stroganov correspondence (cond-mat/0108103),
 # and the largest weight takes these values
 LARGEST_WEIGHTS = {2: 1, 4: 3, 6: 25, 8: 588, 10: 39204, 12: 7422987,
-                   14: 3994998436}
+                   14: 3994998436, 16: 6114639226800, 18: 26624630345349136}
 
 
 @pytest.mark.parametrize("length,largest", sorted(LARGEST_WEIGHTS.items()))
@@ -278,7 +394,7 @@ def test_observable_spot_values():
     assert exact_drifts(8) == (F(104, 21), F(2, 21))
 
 
-@pytest.mark.parametrize("length", [2, 4, 6, 8, 10, 12, 14])
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10, 12, 14, 16, 18])
 def test_formulas_match_enumeration(length):
     drift_diamond, drift_global = exact_drifts(length)
     assert drift_diamond == diamond_current_formula(length)
