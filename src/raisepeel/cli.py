@@ -132,11 +132,7 @@ def _jsonable(value: Any) -> Any:
 def _require_even_length(length: int | None) -> int:
     if length is None:
         raise UsageError("--length is required")
-    if length < 2 or length % 2:
-        raise UsageError(
-            f"--length must be an even integer >= 2, got {length}: "
-            "heights alternate parity around the ring, so odd rings do not close"
-        )
+    profiles.check_length(length)
     return length
 
 
@@ -244,25 +240,6 @@ def _bridge_check(length: int, spin: dict[tuple[float, float], float]
                        all(block["passed"] for block in blocks))
 
 
-@dataclass(frozen=True)
-class _LambdaReport:
-    """Growth rates assembled from polynomial data, beside their closed forms."""
-
-    alpha: Fraction
-    beta: Fraction
-    alpha_formula: Fraction
-    beta_formula: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.alpha == self.alpha_formula and self.beta == self.beta_formula
-
-
-def _tq_lambda(n: int) -> _LambdaReport:
-    return _LambdaReport(tq.lambda_alpha(n), tq.lambda_beta(n),
-                         tq.lambda_alpha_formula(n), tq.lambda_beta_formula(n))
-
-
 # tq check name -> (report at order n, part of verify-all's tq-suite row).
 # Each entry looks its route function up when called, so a function replaced
 # after import (by a tracer or a test) is the one that runs.  lambda and
@@ -273,7 +250,7 @@ _TQ_CHECKS: dict[str, tuple[Callable[[int], Any], bool]] = {
     "wronskian": (lambda n: tq.verify_wronskian(n), True),
     "boundary": (lambda n: tq.boundary_values(n), True),
     "worksheet": (lambda n: tq.derivative_worksheet(n), True),
-    "lambda": (_tq_lambda, False),
+    "lambda": (lambda n: tq.lambda_check(n), False),
     "hyper": (lambda n: tq.hypergeometric_check(n), True),
     "recurrences": (lambda n: tq.recurrence_check(n_max=max(n, 3)), False),
     "bethe": (lambda n: tq.lambda_from_roots(n), False),
@@ -446,7 +423,7 @@ def _verify_rows(lmax: int, nmax: int) -> list[Row]:
         add(*_slope_check(length, _FD_STEP)[1])
 
     # growth rates, each evaluated once per N
-    rates = {n: _tq_lambda(n) for n in range(1, max(nmax, lmax // 2) + 1)}
+    rates = {n: tq.lambda_check(n) for n in range(1, max(nmax, lmax // 2) + 1)}
     suite = [report for report, in_suite in _TQ_CHECKS.values() if in_suite]
     for n in range(1, nmax + 1):
         lam = rates[n]

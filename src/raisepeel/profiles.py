@@ -103,19 +103,21 @@ class EventCounters:
 
 def substrate(length: int) -> HeightProfile:
     """The flat profile (0, 1, 0, 1, ...), the lowest admissible state."""
-    _check_length(length)
+    check_length(length)
     return tuple(i % 2 for i in range(length))
 
 
-def _check_length(length: int) -> None:
+def check_length(length: int) -> None:
+    """The one ring-length rule of every route: an even L >= 2."""
     if length < 2 or length % 2:
-        raise ValueError(f"ring length must be even and >= 2, got {length}")
+        raise ValueError(f"ring length must be even and >= 2, got {length}: heights "
+                         "alternate parity around the ring, so odd rings do not close")
 
 
 def check_profile(heights: HeightProfile) -> None:
     """Raise ValueError unless heights is an admissible profile."""
     length = len(heights)
-    _check_length(length)
+    check_length(length)
     for i, h in enumerate(heights):
         if h < 0:
             raise ValueError(f"negative height {h} at site {i}")
@@ -230,7 +232,7 @@ def enumerate_states(length: int) -> tuple[HeightProfile, ...]:
     space grows like 4^L / sqrt(L), and with MemoryError, before anything
     is allocated, when ``memory_estimate`` exceeds the memory available.
     """
-    _check_length(length)
+    check_length(length)
     if length > ENUMERATION_CAP:
         raise ValueError(
             f"enumeration of length {length} exceeds the cap {ENUMERATION_CAP}")

@@ -17,14 +17,31 @@ Every identity is checked with zero tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, perm
+from math import gcd, lcm, perm
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction, "QFieldElement"]
 
 
+def rising_product(start: int, n: int, step: int) -> int:
+    """The integer product start (start + step) ... (start + (n-1) step).
+
+    >>> rising_product(2, 3, 3)
+    80
+    >>> rising_product(7, 0, 1)
+    1
+    """
+    if n < 0:
+        raise ValueError("pochhammer length must be nonnegative")
+    out = 1
+    for k in range(n):
+        out *= start + k * step
+    return out
+
+
 def poch(a: Fraction | int, n: int) -> Fraction:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), exact.
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1), exact: with a = p/d,
+    the integer product p (p+d) ... (p+(n-1)d) over d^n.
 
     >>> poch(Fraction(2, 3), 2)
     Fraction(10, 9)
@@ -33,13 +50,8 @@ def poch(a: Fraction | int, n: int) -> Fraction:
     >>> poch(5, 0)
     Fraction(1, 1)
     """
-    if n < 0:
-        raise ValueError("pochhammer length must be nonnegative")
-    out = Fraction(1)
     a = Fraction(a)
-    for k in range(n):
-        out *= a + k
-    return out
+    return Fraction(rising_product(a.numerator, n, a.denominator), a.denominator ** n)
 
 
 class QFieldElement:
@@ -230,9 +242,6 @@ class QFieldElement:
             return f"{self.b}*q"
         sign = "+" if self._b > 0 else "-"
         return f"{self.a} {sign} {abs(self.b)}*q"
-
-
-Q_GEN = QFieldElement.gen()
 
 
 def _convolve(x: Iterable[int], y: tuple[int, ...], out: list[int]) -> list[int]:
@@ -471,8 +480,3 @@ def _lift(value: object) -> Polynomial | None:
         return Polynomial([value])
     return None
 
-
-def fact(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    return factorial(n)

@@ -43,6 +43,7 @@ import numpy as np
 from .profiles import (
     EventCounters,
     HeightProfile,
+    check_length,
     count_peaks,
     substrate,
     tile_count,
@@ -74,8 +75,7 @@ class SimConfig:
     report_every: float | None = None
 
     def __post_init__(self) -> None:
-        if self.length < 2 or self.length % 2:
-            raise ValueError(f"ring length must be even and >= 2, got {self.length}")
+        check_length(self.length)
         if (self.t_max is None) == (self.max_events is None):
             raise ValueError("exactly one of t_max and max_events must be set")
         if self.t_max is not None and not (isfinite(self.t_max) and self.t_max >= 0):

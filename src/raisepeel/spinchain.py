@@ -3,11 +3,11 @@
 Each local generator acts on a pair of adjacent spins through a rank-one
 block on their antiparallel subspace, with a hopping twist u and a
 diagonal built from a unimodular parameter q (the generator satisfies the
-Temperley-Lieb relations with loop weight q + 1/q).  Summing the local
-generators gives, up to constants, minus a twisted anisotropic Heisenberg
-Hamiltonian; the tilt parameters of the Markov route map onto (Delta, u),
-so the largest tilted eigenvalue can be cross-checked against the
-ground-state energy of a Hermitian matrix.  At the stochastic point the
+Temperley-Lieb relations with loop weight q + 1/q).  The twisted
+anisotropic Heisenberg Hamiltonian is built as minus the sum of the local
+generators, shifted by a constant; the tilt parameters of the Markov
+route map onto (Delta, u), so the largest tilted eigenvalue can be
+cross-checked against the ground-state energy of a Hermitian matrix.  At the stochastic point the
 ground energy is -3L/4 on the zero-magnetization sector.
 
 Basis conventions: site k of an L-site ring is bit k of an integer basis
@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import acos, exp, isfinite
-from cmath import exp as cexp, pi
+from cmath import acos as cacos, exp as cexp, pi
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, eigsh
 
+from .profiles import check_length
 from .scgf import ConvergenceError
 
 _DENSE_SECTOR_DIM = 64       # below this, skip ARPACK entirely
@@ -67,8 +68,7 @@ class XXZParams:
 @lru_cache(maxsize=None)
 def sector_basis(length: int, n_up: int | None = None) -> tuple[int, ...]:
     """Basis labels with n_up set bits (default L/2, zero magnetization), ascending."""
-    if length < 2 or length % 2:
-        raise ValueError(f"chain length must be even and >= 2, got {length}")
+    check_length(length)
     if length > MAX_CHAIN_LENGTH:
         raise ValueError(f"chain length {length} exceeds the cap of "
                          f"{MAX_CHAIN_LENGTH} sites")
@@ -85,16 +85,6 @@ def _tl_block(q: complex, u: complex) -> np.ndarray:
     block = np.zeros((4, 4), dtype=complex)
     block[2, 2], block[1, 2] = q, 1 / u
     block[1, 1], block[2, 1] = 1 / q, u
-    return block
-
-
-def _xxz_block(delta_aniso: float, hop: complex) -> np.ndarray:
-    """Two-site XXZ term: -delta/2 on parallel and +delta/2 on antiparallel
-    pairs; an up spin hops from site k+1 to k with amplitude -hop and from
-    k to k+1 with -1/hop."""
-    block = np.diag([-delta_aniso / 2, delta_aniso / 2, delta_aniso / 2,
-                     -delta_aniso / 2]).astype(complex)
-    block[1, 2], block[2, 1] = -1 / hop, -hop
     return block
 
 
@@ -139,10 +129,19 @@ def tl_generator_matrix(length: int, q: complex, u: complex, bond: int,
 
 
 def build_xxz(params: XXZParams) -> sp.csr_matrix:
-    """Hamiltonian on the zero-magnetization sector, twist spread over every bond."""
-    block = _xxz_block(params.delta_aniso, params.resolved_twist())
-    length = params.length
-    return sector_operator(length, length // 2, dict.fromkeys(range(length), block))
+    """Hamiltonian on the zero-magnetization sector, twist spread over every bond:
+    -sum_b e_b(q, u) - (L Delta / 2) 1 with q + 1/q = -2 Delta.
+
+    Each bond's -e_b - Delta/2 is the two-site XXZ term (-Delta/2 on parallel
+    and +Delta/2 on antiparallel pairs, an up spin hopping with amplitudes -u
+    and -1/u) minus (q - 1/q)/2 (n_b - n_(b+1)), n counting up spins, and
+    those extra terms cancel around the ring.
+    """
+    length, delta = params.length, params.delta_aniso
+    q = cexp(1j * cacos(-delta))
+    total = sector_operator(length, length // 2,
+                            dict.fromkeys(range(length), _tl_block(q, params.resolved_twist())))
+    return -total - (length * delta / 2) * sp.identity(total.shape[0], format="csr")
 
 
 def hermiticity_defect(matrix: sp.spmatrix) -> float:

@@ -355,8 +355,10 @@ def prob_omega_global(length: int) -> Fraction:
 def exact_drifts(length: int) -> tuple[Fraction, Fraction]:
     """Long-run currents (evacuated tiles, global avalanches) per unit time.
 
-    The pair is exact; the tile balance (evacuation current plus mean peak
-    count equals the ring length) is asserted before returning.
+    The pair is exact.  The tile balance (evacuation current plus mean
+    peak count equals the ring length) is not asserted here: the
+    ``tile_balance`` check of the stationary report and of verify-all
+    decides it.
 
     >>> exact_drifts(4)
     (Fraction(12, 5), Fraction(1, 5))
@@ -364,8 +366,6 @@ def exact_drifts(length: int) -> tuple[Fraction, Fraction]:
     table = _chain(length)
     current_diamond = _mean(length, table.d_diamond.sum(axis=1))
     current_global = _mean(length, table.d_global.sum(axis=1))
-    if current_diamond + expected_peaks(length) != length:
-        raise RuntimeError("stationary tile balance violated")
     return current_diamond, current_global
 
 

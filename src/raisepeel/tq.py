@@ -14,7 +14,8 @@ Q(q), q^2 = q - 1:
   the derivatives of f_Q at -1 and those of Q.
 * ``lambda_alpha`` / ``lambda_beta``: the two current derivatives of the
   top eigenvalue, assembled exactly from the boundary data; they come out
-  as plain rationals.
+  as plain rationals, and ``lambda_check`` compares them with their
+  closed forms.
 * ``hypergeometric_check``: the same boundary evaluations reached through
   terminating 2F1 sums.
 * ``recurrence_check``: the three pairs of derivative sums, their
@@ -30,10 +31,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
-from .qfield import Polynomial, QFieldElement, fact, poch
+from .qfield import Polynomial, QFieldElement, poch, rising_product
 
 Q = QFieldElement.gen()          # q, with q^2 = q - 1
 QI = Q.inverse()                 # q^-1 = 1 - q
@@ -66,12 +68,13 @@ def f_q_poly(n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError("system half-size must be >= 1")
-    pref = fact(n) * poch(2 * THIRD - n, n)
+    pref = factorial(n) * poch(2 * THIRD - n, n)
     coeffs = [Fraction(0)] * (3 * n + 1)
     for k in range(n + 1):
-        coeffs[3 * k] = pref / (poch(2 * THIRD - k, n) * fact(n - k) * fact(k))
+        coeffs[3 * k] = pref / (poch(2 * THIRD - k, n) * factorial(n - k) * factorial(k))
     for k in range(n):
-        coeffs[3 * k + 2] = pref / (poch(-k - 2 * THIRD, n + 1) * fact(n - k - 1) * fact(k))
+        coeffs[3 * k + 2] = pref / (poch(-k - 2 * THIRD, n + 1) * factorial(n - k - 1)
+                                    * factorial(k))
     return Polynomial(coeffs)
 
 
@@ -86,22 +89,19 @@ def f_p_poly(n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError("system half-size must be >= 1")
-    pref = fact(n) * poch(2 * THIRD, n)
+    pref = factorial(n) * poch(2 * THIRD, n)
     coeffs = [Fraction(0)] * (3 * n + 1)
     for k in range(n + 1):
-        coeffs[3 * k] = pref / (poch(k - n + 2 * THIRD, n) * fact(k) * fact(n - k))
+        coeffs[3 * k] = pref / (poch(k - n + 2 * THIRD, n) * factorial(k) * factorial(n - k))
     for k in range(n):
-        coeffs[3 * k + 1] = pref / (poch(k - n + THIRD, n + 1) * fact(k) * fact(n - k - 1))
+        coeffs[3 * k + 1] = pref / (poch(k - n + THIRD, n + 1) * factorial(k)
+                                    * factorial(n - k - 1))
     return Polynomial(coeffs)
 
 
 def _quotient(f: Polynomial, n: int) -> Polynomial:
-    """f / (1+x)^2N, which must be monic of degree N."""
-    out = f.exact_div(Polynomial([1, 1]) ** (2 * n))
-    if out.degree != n or not out.is_monic():
-        raise RuntimeError(f"quotient by (1+x)^{2 * n} has degree {out.degree}, "
-                           f"monic {out.is_monic()}; expected monic degree {n}")
-    return out
+    """f / (1+x)^2N; ``verify_tq`` reports whether it is monic of degree N."""
+    return f.exact_div(Polynomial([1, 1]) ** (2 * n))
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +126,7 @@ def p_poly(n: int) -> Polynomial:
 
 def c_constant(n: int) -> Fraction:
     """Normalization constant 3^2N N! (2/3-N)_N of the derivative identities."""
-    return Fraction(3 ** (2 * n)) * fact(n) * poch(2 * THIRD - n, n)
+    return Fraction(3 ** (2 * n)) * factorial(n) * poch(2 * THIRD - n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +250,12 @@ class BoundaryReport(_Verdict):
 def _boundary_closed_forms(n: int) -> dict[str, QFieldElement]:
     """Closed forms for the twelve boundary evaluations at x=-1 and x=q^-1."""
     q, qi = Q, QI
-    q_m1 = QFieldElement.coerce(c_constant(n) / fact(2 * n))
+    q_m1 = QFieldElement.coerce(c_constant(n) / factorial(2 * n))
     p_m1 = QFieldElement.coerce(
-        Fraction(3 ** (2 * n)) * fact(n) * poch(THIRD - n, n) / fact(2 * n))
-    q_qi = (Fraction(fact(2 * n - 1), fact(n - 1)) / poch(THIRD - n, n)
+        Fraction(3 ** (2 * n)) * factorial(n) * poch(THIRD - n, n) / factorial(2 * n))
+    q_qi = (Fraction(factorial(2 * n - 1), factorial(n - 1)) / poch(THIRD - n, n)
             * (1 - qi ** 2) / (qi + 1) ** (2 * n))
-    p_qi = (Fraction(fact(2 * n - 1), fact(n - 1)) / poch(2 * THIRD - n, n)
+    p_qi = (Fraction(factorial(2 * n - 1), factorial(n - 1)) / poch(2 * THIRD - n, n)
             * (qi + 1) ** (1 - 2 * n))
     return {
         "Q(-1)": q_m1,
@@ -300,7 +300,7 @@ def boundary_values(n: int) -> BoundaryReport:
     f = f_q_poly(n)
     f_m1 = [f.derivative(2 * n + k)(-1) for k in range(3)]
     descent = all(
-        direct[f"Q{marks}(-1)"] == f_m1[k] * Fraction(fact(k), fact(2 * n + k))
+        direct[f"Q{marks}(-1)"] == f_m1[k] * Fraction(factorial(k), factorial(2 * n + k))
         for k, marks in enumerate(("", "'", "''"))
     )
     c = c_constant(n)
@@ -404,6 +404,26 @@ def lambda_beta(n: int) -> Fraction:
     dlam_dq = stationary_term + ((1 - 3 * Q ** 2) * g + Q * (1 - Q ** 2) * g_q) / (1 + Q ** 2)
     dq_dbeta = -Q ** 2 / (Q ** 2 - 1)
     return (dlam_dq * dq_dbeta).as_fraction()
+
+
+@dataclass(frozen=True)
+class LambdaReport(_Verdict):
+    """Growth rates assembled from polynomial data, beside their closed forms."""
+    alpha: Fraction
+    beta: Fraction
+    alpha_formula: Fraction
+    beta_formula: Fraction
+    alpha_matches: bool
+    beta_matches: bool
+
+
+def lambda_check(n: int) -> LambdaReport:
+    """Both assembled growth rates against their closed forms."""
+    alpha, beta = lambda_alpha(n), lambda_beta(n)
+    alpha_formula, beta_formula = lambda_alpha_formula(n), lambda_beta_formula(n)
+    return LambdaReport(alpha, beta, alpha_formula, beta_formula,
+                        alpha_matches=alpha == alpha_formula,
+                        beta_matches=beta == beta_formula)
 
 
 @dataclass(frozen=True)
@@ -575,14 +595,6 @@ def hypergeometric_check(n: int) -> HypergeometricReport:
 # derivative sums and their recurrences
 # ---------------------------------------------------------------------------
 
-def _poch_thirds(c: int, n: int) -> int:
-    """3^n (c/3)_n = c (c+3) ... (c+3(n-1)), an integer."""
-    out = 1
-    for i in range(n):
-        out *= c + 3 * i
-    return out
-
-
 def _exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     """Sum of integer (numerator, denominator) pairs, reduced once."""
     num, den = 0, 1
@@ -599,8 +611,9 @@ def t1_sum(m: int, n: int) -> Fraction:
     is a ratio of integers over 3^N.
     """
     return _exact_sum(
-        ((-1) ** (3 * k - m) * fact(3 * k),
-         _poch_thirds(2 - 3 * k, n) * fact(n - k) * fact(k) * fact(3 * k - m) * 3 ** n)
+        ((-1) ** (3 * k - m) * factorial(3 * k),
+         rising_product(2 - 3 * k, n, 3) * factorial(n - k) * factorial(k)
+         * factorial(3 * k - m) * 3 ** n)
         for k in range(n + 1) if 3 * k >= m)
 
 
@@ -611,9 +624,9 @@ def t2_sum(m: int, n: int) -> Fraction:
     each term is 3 times a ratio of integers over 3^N.
     """
     return _exact_sum(
-        ((-1) ** (3 * k + 2 - m) * fact(3 * k + 2) * 3,
-         _poch_thirds(-3 * k - 2, n + 1) * fact(n - k - 1) * fact(k)
-         * fact(3 * k + 2 - m) * 3 ** n)
+        ((-1) ** (3 * k + 2 - m) * factorial(3 * k + 2) * 3,
+         rising_product(-3 * k - 2, n + 1, 3) * factorial(n - k - 1) * factorial(k)
+         * factorial(3 * k + 2 - m) * 3 ** n)
         for k in range(n) if 3 * k + 2 >= m)
 
 
@@ -765,13 +778,13 @@ def _bae_ratios(n: int, roots: np.ndarray) -> np.ndarray:
     ell = 2 * n
     q = np.exp(1j * np.pi / 3)
     u = np.exp(1j * np.pi / (3 * n))
-    out = np.empty(len(roots), dtype=complex)
-    for i, x in enumerate(roots):
-        lhs = u ** ell * ((x - q) / (1 - q * x)) ** ell
-        others = np.delete(roots, i)
-        rhs = (-1) ** (n - 1) * np.prod((q ** 2 * others - x) / (q ** 2 * x - others))
-        out[i] = lhs / rhs
-    return out
+    lhs = u ** ell * ((roots - q) / (1 - q * roots)) ** ell
+    # row i pairs root x_i with every root x_j; the diagonal is the one j
+    # the product leaves out
+    x, others = roots[:, None], roots[None, :]
+    factors = (q ** 2 * others - x) / (q ** 2 * x - others)
+    np.fill_diagonal(factors, 1)
+    return lhs / ((-1) ** (n - 1) * factors.prod(axis=1))
 
 
 def bae_residuals(n: int, roots: np.ndarray | None = None) -> np.ndarray:

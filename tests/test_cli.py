@@ -60,6 +60,19 @@ def test_stationary_payload():
     assert isinstance(doc["probabilities"]["2,1,2,3"], str)
 
 
+def test_tile_balance_failure_is_a_failed_row(monkeypatch):
+    # negative control: a peak mean off by one breaks the tile balance, and
+    # the reports say so instead of ending in a traceback
+    peaks = stationary_mod.expected_peaks
+    monkeypatch.setattr(stationary_mod, "expected_peaks", lambda length: peaks(length) + 1)
+    code, out = run_cli(["verify-all", "--lmax", "4", "--nmax", "1"])
+    assert code == 1
+    assert "  FAILED tile-balance-L04\n" in out
+    code, doc = run_json(["stationary", "--length", "4"])
+    assert code == 1
+    assert doc["checks"]["tile_balance"] is False
+
+
 def test_manifest_contents():
     code, doc = run_json(["stationary", "--length", "2"])
     manifest = doc["manifest"]
@@ -76,6 +89,9 @@ def test_tq_lambda_example():
     block = doc["checks"]["lambda"]
     assert block["alpha"] == "9/70"
     assert block["beta"] == "129/35"
+    assert list(block) == ["alpha", "beta", "alpha_formula", "beta_formula",
+                           "alpha_matches", "beta_matches", "passed"]
+    assert block["alpha_matches"] is True and block["beta_matches"] is True
     assert block["passed"] is True
 
 
@@ -208,7 +224,7 @@ def test_simulate_logs_event_rate_and_stepper(caplog, argv, stepper):
     assert line.endswith(f" events/s, {stepper} stepper)")
 
 
-@pytest.mark.parametrize("module", [tq_mod, spinchain_mod, cli_mod], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [tq_mod, spinchain_mod], ids=lambda m: m.__name__)
 def test_passed_is_a_property(module):
     # _jsonable reads `passed` by attribute: a method there would serialise
     # as a bound method, always truthy, whatever the report holds

@@ -1,13 +1,14 @@
 """Exact arithmetic over the rationals adjoined a sixth root of unity."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from raisepeel.qfield import Polynomial, Q_GEN, QFieldElement, fact, poch
+from raisepeel.qfield import Polynomial, QFieldElement, poch, rising_product
 from raisepeel.tq import f_q_poly
 
-Q = Q_GEN
+Q = QFieldElement.gen()
 HALF = Fraction(1, 2)
 
 
@@ -123,8 +124,10 @@ def test_polynomial_argument_scaling_and_reversal():
 
 
 def test_factorials_and_pochhammer():
-    assert fact(0) == 1
-    assert fact(5) == 120
+    assert poch(1, 0) == factorial(0)
+    assert poch(1, 5) == factorial(5)
+    assert rising_product(2, 3, 3) == 2 * 5 * 8
+    assert poch(Fraction(2, 3), 3) == Fraction(rising_product(2, 3, 3), 3 ** 3)
     assert poch(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
     assert poch(7, 0) == 1
 

@@ -299,7 +299,8 @@ def test_dense_fallback_when_iteration_stalls():
     ("stationary", {"scgf", "spinchain", "tq"}),
     ("scgf", {"stationary", "spinchain", "tq"}),
     ("tq", {"stationary", "scgf", "spinchain"}),
-    # the spin chain reuses the eigenvalue route's ConvergenceError only
+    # the spin chain reuses the eigenvalue route's ConvergenceError and the
+    # shared model's ring-length rule (profiles), nothing of another solver
     ("spinchain", {"stationary", "tq"}),
 ], ids=["stationary", "scgf", "tq", "spinchain"])
 def test_route_is_independent_of_the_other_routes(route, forbidden):

@@ -13,7 +13,6 @@ from raisepeel.scgf import DeformedParams, build_deformed, scgf_value
 from raisepeel.spinchain import (
     XXZParams,
     _tl_block,
-    _xxz_block,
     bridge_parameters,
     build_xxz,
     combinatorial_twist,
@@ -114,13 +113,40 @@ def test_gauge_equivalence_bond_vs_boundary():
     # a gauge choice; the spectra agree
     twist = combinatorial_twist(4)
     per_bond = build_xxz(XXZParams(4, -0.5, twist)).toarray()
-    # bond 3 couples sites 3 and 0, the wrap of the ring
-    boundary = sector_operator(4, 2, {bond: _xxz_block(-0.5, twist ** 4 if bond == 3 else 1.0)
-                                      for bond in range(4)}).toarray()
+    # bond 3 couples sites 3 and 0, the wrap of the ring; q + 1/q = 1 at Delta = -1/2
+    q = cmath.exp(1j * cmath.pi / 3)
+    boundary = -sector_operator(4, 2, {bond: _tl_block(q, twist ** 4 if bond == 3 else 1.0)
+                                       for bond in range(4)}).toarray() + np.eye(6)
     assert not np.allclose(per_bond, boundary)
     a = np.sort(np.linalg.eigvalsh(per_bond))
     b = np.sort(np.linalg.eigvalsh(boundary))
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+def xxz_reference(length, delta, twist):
+    """The twisted XXZ Hamiltonian bond by bond: -delta/2 on parallel and
+    +delta/2 on antiparallel pairs; an up spin hops from site k+1 to k with
+    amplitude -twist and from k to k+1 with -1/twist."""
+    block = np.diag([-delta / 2, delta / 2, delta / 2, -delta / 2]).astype(complex)
+    block[1, 2], block[2, 1] = -1 / twist, -twist
+    return sector_operator(length, length // 2, dict.fromkeys(range(length), block))
+
+
+@pytest.mark.parametrize("length", [4, 6, 8, 10])
+def test_hamiltonian_is_minus_the_generator_sum(length):
+    # H = -sum_b e_b - L Delta/2 with q + 1/q = -2 Delta is the XXZ chain:
+    # the generators' extra diagonal (q - 1/q)/2 (n_b - n_(b+1)) cancels
+    # around the ring, for any real Delta and unimodular twist
+    rng = np.random.default_rng(length)
+    for delta in (*rng.uniform(-1, 1, size=3), -2.5, 1.7):
+        twist = cmath.exp(1j * rng.uniform(0, 2 * np.pi))
+        q = cmath.exp(1j * cmath.acos(-delta))
+        assert q + 1 / q == pytest.approx(-2 * delta, abs=1e-14)
+        h = build_xxz(XXZParams(length, delta, twist)).toarray()
+        generators = sum(tl_generator_matrix(length, q, twist, bond, length // 2)
+                         for bond in range(1, length + 1)).toarray()
+        assert np.max(np.abs(h - (-generators - length * delta / 2 * np.eye(len(h))))) < 1e-14
+        assert np.max(np.abs(h - xxz_reference(length, delta, twist).toarray())) < 1e-13
 
 
 def test_bridge_parameters_stochastic_point():

@@ -1,16 +1,17 @@
 """Functional relations, boundary tables, growth rates, and recurrences."""
 
 import dataclasses
+import json
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
 import raisepeel.tq
-from raisepeel.qfield import Q_GEN, Polynomial
+from raisepeel.cli import main
+from raisepeel.qfield import Polynomial, QFieldElement
 from raisepeel.tq import (
     RefinementError,
-    _quotient,
     a1_prime_seq,
     a1_second_seq,
     a1_seq,
@@ -27,6 +28,7 @@ from raisepeel.tq import (
     lambda_alpha_formula,
     lambda_beta,
     lambda_beta_formula,
+    lambda_check,
     lambda_from_roots,
     p_poly,
     q_poly,
@@ -66,7 +68,7 @@ def test_relation_breaks_under_perturbation():
     # negative control: bump one coefficient and the twisted product
     # condition Q(1/q) = q (q-1)^n Q(q) must fail
     n = 2
-    q = Q_GEN
+    q = QFieldElement.gen()
     poly = q_poly(n)
     coeffs = list(poly.coeffs)
     coeffs[1] = coeffs[1] + F(1, 7)
@@ -85,7 +87,7 @@ def _bumped_by_smallest_step(poly, in_q_part):
     den = lcm(*(part.denominator for c in coeffs for part in (c.a, c.b)))
     step = Fraction(1, den)
     i = poly.degree // 2
-    coeffs[i] = coeffs[i] + (Q_GEN * step if in_q_part else step)
+    coeffs[i] = coeffs[i] + (QFieldElement.gen() * step if in_q_part else step)
     return type(poly)(coeffs)
 
 
@@ -139,11 +141,13 @@ VERDICT_FIELDS = {
     derivative_worksheet: 6,
     hypergeometric_check: 3,
     lambda n: recurrence_check(n_max=n): 6,
+    lambda_check: 2,
 }
 
 
 @pytest.mark.parametrize("build, count", VERDICT_FIELDS.items(),
-                         ids=["tq", "wronskian", "boundary", "worksheet", "hyper", "recurrence"])
+                         ids=["tq", "wronskian", "boundary", "worksheet", "hyper", "recurrence",
+                              "lambda"])
 def test_every_bool_field_decides_the_verdict(build, count):
     report = build(3)
     assert report.passed
@@ -231,10 +235,27 @@ def test_refinement_failure_is_a_runtime_error():
     assert issubclass(RefinementError, RuntimeError)
 
 
-def test_quotient_refuses_a_wrong_quotient():
-    square = Polynomial([1, 1]) ** 2
-    assert _quotient(square * Polynomial([3, 1]), 1) == Polynomial([3, 1])
-    with pytest.raises(RuntimeError, match="degree 1, monic False; expected monic degree 1"):
-        _quotient(square * Polynomial([1, 2]), 1)
-    with pytest.raises(RuntimeError, match="degree 2, monic True; expected monic degree 1"):
-        _quotient(square * Polynomial([0, 0, 1]), 1)
+@pytest.fixture
+def f_q_times_one_plus_x(monkeypatch):
+    """f_Q times (1 + x), so that Q comes out monic of degree N + 1; the
+    Q and P caches are cleared before and after."""
+    original = raisepeel.tq.f_q_poly
+    monkeypatch.setattr(raisepeel.tq, "f_q_poly", lambda n: original(n) * Polynomial([1, 1]))
+    q_poly.cache_clear()
+    p_poly.cache_clear()
+    yield
+    q_poly.cache_clear()
+    p_poly.cache_clear()
+
+
+def test_wrong_quotient_fails_the_report(f_q_times_one_plus_x, capsys):
+    # negative control: the report decides the degree and monicity of Q, so
+    # a wrong quotient is a failed check, not an exception before the report
+    assert q_poly(3).degree == 4
+    report = verify_tq(3)
+    assert not report.q_monic_degree
+    assert not report.passed
+    assert main(["tq", "--n", "3", "--check", "tq"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"]["tq"]["q_monic_degree"] is False
+    assert doc["passed"] is False
