@@ -235,12 +235,13 @@ def test_refinement_failure_is_a_runtime_error():
     assert issubclass(RefinementError, RuntimeError)
 
 
-@pytest.fixture
-def f_q_times_one_plus_x(monkeypatch):
-    """f_Q times (1 + x), so that Q comes out monic of degree N + 1; the
-    Q and P caches are cleared before and after."""
+@pytest.fixture(params=[Polynomial([1, 1]), Polynomial([2])], ids=["degree", "leading"])
+def f_q_times(request, monkeypatch):
+    """f_Q times (1 + x) or 2, so that Q comes out monic of degree N + 1 or
+    of degree N but not monic; the Q and P caches are cleared before and
+    after."""
     original = raisepeel.tq.f_q_poly
-    monkeypatch.setattr(raisepeel.tq, "f_q_poly", lambda n: original(n) * Polynomial([1, 1]))
+    monkeypatch.setattr(raisepeel.tq, "f_q_poly", lambda n: original(n) * request.param)
     q_poly.cache_clear()
     p_poly.cache_clear()
     yield
@@ -248,10 +249,10 @@ def f_q_times_one_plus_x(monkeypatch):
     p_poly.cache_clear()
 
 
-def test_wrong_quotient_fails_the_report(f_q_times_one_plus_x, capsys):
+def test_wrong_quotient_fails_the_report(f_q_times, capsys):
     # negative control: the report decides the degree and monicity of Q, so
     # a wrong quotient is a failed check, not an exception before the report
-    assert q_poly(3).degree == 4
+    assert (q_poly(3).degree, q_poly(3).is_monic()) != (3, True)
     report = verify_tq(3)
     assert not report.q_monic_degree
     assert not report.passed
