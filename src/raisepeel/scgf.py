@@ -9,27 +9,41 @@ come from one block power iteration: equal-size tilted matrices are
 stacked block-diagonally and advanced by one matvec per step, each block
 with its own certified quotient enclosure, read every _STRIDE steps (every
 step once an enclosure stops narrowing); a single matrix is the one-block
-case, and the Richardson stencil's eight tilts are one block solve.  Everything here is numerical and independent
-of the exact stationary solver on purpose: agreement of the two routes is
-a genuine cross-check, not a tautology.
+case, and the Richardson stencil's eight tilts are one block solve.  Each
+block starts from the modulus of ARPACK's Perron vector (R. B. Lehoucq,
+D. C. Sorensen and C. Yang, ARPACK Users' Guide, SIAM 1998), which removes
+the slow modes before the first matvec; ARPACK's eigenvalue is discarded,
+and the value and its certificate come from the enclosure alone, which
+holds for any positive start vector.  Everything here is numerical and
+independent of the exact stationary solver on purpose: agreement of the
+two routes is a genuine cross-check, not a tautology.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .profiles import transition_table
+
+log = logging.getLogger(__name__)
 
 _DENSE_FALLBACK_DIM = 512
 _TOLERANCE = 1e-13
 _DEFAULT_MAX_ITERATIONS = 1_000_000
 _STALL_LIMIT = 500
 _STRIDE = 8
+# ARPACK's Krylov dimension for a block's start vector; a block of at most
+# this many rows starts from ones (ARPACK needs ncv <= n).  On a 2-core
+# machine eigs at n = 924 takes about 2 ms up to ncv = 8 and 8 ms from
+# ncv = 10, where OpenBLAS starts threads in the dense Schur step.
+_KRYLOV_DIM = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -89,13 +103,43 @@ def _power_of_two_below(bound: float) -> float:
     return math.ldexp(1.0, math.frexp(bound)[1] - 1)
 
 
+def _arpack_seed(block: sp.csr_matrix) -> np.ndarray | None:
+    """Modulus of ARPACK's Perron vector of a shifted, scaled block, its
+    largest entry one.
+
+    None for a block of at most _KRYLOV_DIM rows, when ARPACK does not
+    converge, or when the vector is not a Perron vector: an entry is not
+    finite, or, divided by the largest entry, not of positive real part.
+    """
+    n = block.shape[0]
+    if n <= _KRYLOV_DIM:
+        return None
+    try:
+        _, vectors = eigs(block, k=1, which="LM", tol=0, v0=np.ones(n), ncv=_KRYLOV_DIM)
+    except ArpackNoConvergence:
+        return None
+    vector = vectors[:, 0]
+    seed = np.abs(vector)
+    top = int(np.argmax(seed))
+    if not (np.isfinite(seed).all() and seed[top] > 0.0
+            and ((vector / vector[top]).real > 0.0).all()):
+        return None
+    return seed / seed[top]
+
+
 def perron_roots(matrices: Iterable[sp.spmatrix | np.ndarray],
                  max_iterations: int = _DEFAULT_MAX_ITERATIONS) -> list[SCGFResult]:
     """Perron roots of equal-size shifted-nonnegative matrices, certified.
 
     Power iteration runs on every matrix + shift*I at once (shift clearing
     the diagonal sign), stacked as one block-diagonal CSR so that each step
-    is one matvec for all blocks.  Every _STRIDE matvecs each block's
+    is one matvec for all blocks.  Each block larger than _KRYLOV_DIM starts
+    from the modulus of ARPACK's Perron vector of its shifted, scaled block
+    (a Krylov space of _KRYLOV_DIM vectors from ones), kept only when every
+    entry is finite and, with one common phase divided out, strictly
+    positive; any other block, and one whose ARPACK run does not converge,
+    starts from ones.  ARPACK's eigenvalue is discarded, and iterations
+    counts power matvecs only.  Every _STRIDE matvecs each block's
     classical two-sided quotient bounds min (Av)_i/v_i <= rho <= max
     (Av)_i/v_i are read, and a block's root is recorded when its enclosure
     first pinches below _TOLERANCE.  Since Av <= max-quotient * v
@@ -156,16 +200,34 @@ def perron_roots(matrices: Iterable[sp.spmatrix | np.ndarray],
     for b in range(k):
         rescale(b, highs[b])
 
+    # the row-sum bounds above hold for any start vector; every scaled
+    # block has row sums below 2, so no start with largest entry one can
+    # grow more than twofold per step
+    v = np.ones(k * n)
+    starts = ["ones"] * k
+    for b in range(k):
+        rows = slice(b * n, (b + 1) * n)
+        seed = _arpack_seed(a[rows, rows])
+        if seed is not None:
+            v[rows], starts[b] = seed, "arpack"
+
     results: list[SCGFResult | None] = [None] * k
     since_gain = [0] * k
 
+    def report(b: int, iterations: int, method: str) -> None:
+        log.debug("perron block %d of %d (dimension %d): %s start, %d power matvecs, "
+                  "width %.3e, %s", b + 1, k, n, starts[b], iterations, highs[b] - lows[b],
+                  method)
+
     def give_up(b: int, iterations: int) -> SCGFResult:
         if n < _DENSE_FALLBACK_DIM:
+            report(b, iterations, "dense-fallback")
             rows = slice(b * n, (b + 1) * n)
             eigenvalues = np.linalg.eigvals(a[rows, rows].toarray() * scales[b])
             top = eigenvalues[int(np.argmax(eigenvalues.real))]
             return SCGFResult(float(top.real) - shifts[b], float(abs(top.imag)),
                               iterations, method="dense-fallback")
+        report(b, iterations, "refused")
         detail = ""
         if not math.isfinite(highs[b] - lows[b]):
             detail = "; the iterate left float64's range"
@@ -176,7 +238,6 @@ def perron_roots(matrices: Iterable[sp.spmatrix | np.ndarray],
             f"Perron enclosure stalled at width {best[b]:.3e} after "
             f"{iterations} iterations (tol {_TOLERANCE:.1e}, dimension {n}){detail}")
 
-    v = np.ones(k * n)
     open_blocks = list(range(k))
     done = 0
     while done < max_iterations and open_blocks:
@@ -200,6 +261,7 @@ def perron_roots(matrices: Iterable[sp.spmatrix | np.ndarray],
             width = hi - lo
             if width < _TOLERANCE:
                 results[b] = SCGFResult(0.5 * (lo + hi) - shifts[b], width, done)
+                report(b, done, results[b].method)
             elif width < 0.999 * best[b] and math.ulp(lo) <= _TOLERANCE:
                 best[b], since_gain[b] = width, 0
             else:

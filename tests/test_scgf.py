@@ -1,16 +1,20 @@
 """Tilted generators, Perron eigenvalues, and derivative cross-checks."""
 
+import logging
 from math import exp
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import raisepeel.scgf as scgf_mod
 from raisepeel.profiles import apply_move, enumerate_states
 from raisepeel.scgf import (
+    _KRYLOV_DIM,
     _STALL_LIMIT,
+    _STRIDE,
     _TOLERANCE,
     ConvergenceError,
     DeformedParams,
@@ -183,6 +187,76 @@ def test_block_solve_matches_one_matrix_reference(length, tilts):
         assert root.method == "power-iteration"
         assert root.residual <= 1e-13
         assert abs(root.lambda_value - _reference_root(matrix)) <= 1e-12
+
+
+def test_arpack_start_certifies_within_three_strides():
+    # from ones, one slow mode at L=12 decays by only 0.974 per matvec:
+    # these blocks took 736-944 matvecs before the ARPACK start
+    stencil = perron_roots(build_deformed(12, tilt) for tilt in _STENCIL)
+    tilted = largest_eigenvalue(build_deformed(12, DeformedParams(0.1, -0.05)))
+    for root in (*stencil, tilted):
+        assert root.method == "power-iteration"
+        assert root.residual <= _TOLERANCE
+        assert root.iterations <= 3 * _STRIDE
+
+
+def test_repeated_solves_are_identical():
+    # ARPACK starts from ones, not from a random vector
+    matrices = [build_deformed(12, tilt) for tilt in _STENCIL]
+    assert perron_roots(matrices) == perron_roots(matrices)
+
+
+def _eigs_returning(entry):
+    def fake_eigs(block, **kwargs):
+        vector = np.ones(block.shape[0], dtype=complex)
+        vector[3] = entry
+        return np.array([1.0 + 0.0j]), vector[:, None]
+    return fake_eigs
+
+
+def _eigs_not_converging(block, **kwargs):
+    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+
+@pytest.mark.parametrize("fake_eigs", [
+    _eigs_returning(0.0), _eigs_returning(-0.5), _eigs_returning(float("nan")),
+    _eigs_not_converging,
+], ids=["zero", "negative", "nan", "no-convergence"])
+def test_rejected_arpack_vector_starts_from_ones(monkeypatch, caplog, fake_eigs):
+    matrix = build_deformed(8, DeformedParams(0.1, -0.05))
+    with monkeypatch.context() as patch:
+        patch.setattr(scgf_mod, "_KRYLOV_DIM", matrix.shape[0])
+        from_ones = largest_eigenvalue(matrix)
+    monkeypatch.setattr(scgf_mod, "eigs", fake_eigs)
+    caplog.set_level(logging.DEBUG, logger="raisepeel.scgf")
+    root = largest_eigenvalue(matrix)
+    assert "ones start" in caplog.text
+    assert root == from_ones
+    assert root.residual <= _TOLERANCE
+    assert abs(root.lambda_value - _reference_root(matrix)) <= 1e-12
+
+
+def test_one_log_line_per_block(caplog):
+    caplog.set_level(logging.DEBUG, logger="raisepeel.scgf")
+    perron_roots([build_deformed(6, DeformedParams()), build_deformed(6, DeformedParams(0.1, 0.0))])
+    largest_eigenvalue(build_deformed(4, DeformedParams()))
+    lines = [r.getMessage() for r in caplog.records if r.name == "raisepeel.scgf"]
+    assert len(lines) == 3
+    assert all("(dimension 20): arpack start" in line for line in lines[:2])
+    # a block of at most _KRYLOV_DIM rows starts from ones
+    assert 6 <= _KRYLOV_DIM and "(dimension 6): ones start" in lines[2]
+    assert all("power matvecs, width " in line and line.endswith(", power-iteration")
+               for line in lines)
+
+
+def test_near_defective_root_is_refused_promptly():
+    # at beta=-3 the two leading eigenvalues of the L=12 block lie 1.9e-5
+    # apart; from ones the enclosure narrowed only like 1/iterations and
+    # was refused after 578 k matvecs
+    with pytest.raises(ConvergenceError, match=r"stalled at width \d") as info:
+        largest_eigenvalue(build_deformed(12, DeformedParams(0.0, -3.0)))
+    iterations = int(str(info.value).split(" after ")[1].split()[0])
+    assert iterations <= 4 * _STALL_LIMIT
 
 
 def test_block_results_do_not_depend_on_the_neighbours():
