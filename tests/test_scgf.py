@@ -20,7 +20,6 @@ from raisepeel.scgf import (
     DeformedParams,
     build_deformed,
     largest_eigenvalue,
-    perron_roots,
     scgf_derivatives,
     scgf_value,
 )
@@ -181,9 +180,9 @@ _BRIDGE_GRID = [DeformedParams(a, b) for a in (-0.1, 0.0, 0.1) for b in (-0.1, 0
 ], ids=[*(f"stencil-L{n}" for n in (2, 4, 6, 8, 10, 12)),
         *(f"bridge-L{n}" for n in (4, 6, 8))])
 def test_block_solve_matches_one_matrix_reference(length, tilts):
-    matrices = [build_deformed(length, tilt) for tilt in tilts]
-    roots = perron_roots(matrices)
-    for matrix, root in zip(matrices, roots):
+    for tilt in tilts:
+        matrix = build_deformed(length, tilt)
+        root = largest_eigenvalue(matrix)
         assert root.method == "power-iteration"
         assert root.residual <= 1e-13
         assert abs(root.lambda_value - _reference_root(matrix)) <= 1e-12
@@ -191,10 +190,9 @@ def test_block_solve_matches_one_matrix_reference(length, tilts):
 
 def test_arpack_start_certifies_within_three_strides():
     # from ones, one slow mode at L=12 decays by only 0.974 per matvec:
-    # these blocks took 736-944 matvecs before the ARPACK start
-    stencil = perron_roots(build_deformed(12, tilt) for tilt in _STENCIL)
-    tilted = largest_eigenvalue(build_deformed(12, DeformedParams(0.1, -0.05)))
-    for root in (*stencil, tilted):
+    # these matrices took 736-944 matvecs before the ARPACK start
+    for tilt in (*_STENCIL, DeformedParams(0.1, -0.05)):
+        root = largest_eigenvalue(build_deformed(12, tilt))
         assert root.method == "power-iteration"
         assert root.residual <= _TOLERANCE
         assert root.iterations <= 3 * _STRIDE
@@ -202,19 +200,20 @@ def test_arpack_start_certifies_within_three_strides():
 
 def test_repeated_solves_are_identical():
     # ARPACK starts from ones, not from a random vector
-    matrices = [build_deformed(12, tilt) for tilt in _STENCIL]
-    assert perron_roots(matrices) == perron_roots(matrices)
+    for tilt in _STENCIL:
+        matrix = build_deformed(12, tilt)
+        assert largest_eigenvalue(matrix) == largest_eigenvalue(matrix)
 
 
 def _eigs_returning(entry):
-    def fake_eigs(block, **kwargs):
-        vector = np.ones(block.shape[0], dtype=complex)
+    def fake_eigs(matrix, **kwargs):
+        vector = np.ones(matrix.shape[0], dtype=complex)
         vector[3] = entry
         return np.array([1.0 + 0.0j]), vector[:, None]
     return fake_eigs
 
 
-def _eigs_not_converging(block, **kwargs):
+def _eigs_not_converging(matrix, **kwargs):
     raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
 
 
@@ -238,19 +237,20 @@ def test_rejected_arpack_vector_starts_from_ones(monkeypatch, caplog, fake_eigs)
 
 def test_one_log_line_per_block(caplog):
     caplog.set_level(logging.DEBUG, logger="raisepeel.scgf")
-    perron_roots([build_deformed(6, DeformedParams()), build_deformed(6, DeformedParams(0.1, 0.0))])
-    largest_eigenvalue(build_deformed(4, DeformedParams()))
+    for length, tilt in ((6, DeformedParams()), (6, DeformedParams(0.1, 0.0)),
+                         (4, DeformedParams())):
+        largest_eigenvalue(build_deformed(length, tilt))
     lines = [r.getMessage() for r in caplog.records if r.name == "raisepeel.scgf"]
     assert len(lines) == 3
     assert all("(dimension 20): arpack start" in line for line in lines[:2])
-    # a block of at most _KRYLOV_DIM rows starts from ones
+    # a matrix of at most _KRYLOV_DIM rows starts from ones
     assert 6 <= _KRYLOV_DIM and "(dimension 6): ones start" in lines[2]
     assert all("power matvecs, width " in line and line.endswith(", power-iteration")
                for line in lines)
 
 
 def test_near_defective_root_is_refused_promptly():
-    # at beta=-3 the two leading eigenvalues of the L=12 block lie 1.9e-5
+    # at beta=-3 the two leading eigenvalues of the L=12 matrix lie 1.9e-5
     # apart; from ones the enclosure narrowed only like 1/iterations and
     # was refused after 578 k matvecs
     with pytest.raises(ConvergenceError, match=r"stalled at width \d") as info:
@@ -259,34 +259,15 @@ def test_near_defective_root_is_refused_promptly():
     assert iterations <= 4 * _STALL_LIMIT
 
 
-def test_block_results_do_not_depend_on_the_neighbours():
-    # rows of one block never meet another block's entries, and each block
-    # keeps its own scale and bounds: while no block stalls, each solves
-    # exactly as it would alone
-    matrices = [build_deformed(8, tilt) for tilt in _STENCIL]
-    together = perron_roots(matrices)
-    alone = [largest_eigenvalue(matrix) for matrix in matrices]
-    assert together == alone
-
-
-def test_one_stalling_block_falls_back_alone():
+def test_unresolvable_root_falls_back_to_dense():
     # at a Perron root near 6000 the spacing of float64 exceeds _TOLERANCE,
-    # so the scaled block's enclosure cannot pinch and no gain counts
+    # so the scaled matrix's enclosure cannot pinch and no gain counts
     base = build_deformed(6, DeformedParams(0.2, 0.1))
-    matrices = [build_deformed(6, DeformedParams(0.1, -0.05)), 1000.0 * base,
-                build_deformed(6, DeformedParams())]
-    first, scaled, origin = perron_roots(matrices)
-    assert first.method == origin.method == "power-iteration"
+    scaled = largest_eigenvalue(1000.0 * base)
     assert scaled.method == "dense-fallback"
     assert scaled.iterations <= _STALL_LIMIT
     assert scaled.lambda_value == pytest.approx(1000.0 * largest_eigenvalue(base).lambda_value,
                                                 rel=1e-12)
-    # the stalling block's checks come every matvec, so the others pinch
-    # at other steps than alone: equal to within the enclosure
-    for together, matrix in ((first, matrices[0]), (origin, matrices[2])):
-        alone = largest_eigenvalue(matrix)
-        assert together.lambda_value == pytest.approx(alone.lambda_value, abs=1e-12)
-        assert together.residual <= _TOLERANCE
 
 
 def test_stall_at_float_resolution_is_reported_promptly():
@@ -299,21 +280,16 @@ def test_stall_at_float_resolution_is_reported_promptly():
     assert iterations <= 4 * _STALL_LIMIT
 
 
-@pytest.mark.parametrize("position", [0, 1, 2])
-def test_negative_entry_in_any_block_refused(position):
-    matrices = [build_deformed(4, DeformedParams(0.1 * k, 0.0)) for k in range(3)]
-    bad = matrices[position].toarray()
+def test_negative_entry_refused():
+    bad = build_deformed(4, DeformedParams(0.1, 0.0)).toarray()
     bad[0, 1] = -0.5
-    matrices[position] = bad
     with pytest.raises(ValueError, match="negative off-diagonal"):
-        perron_roots(matrices)
+        largest_eigenvalue(bad)
 
 
 def test_block_shapes_and_row_sums_validated():
-    with pytest.raises(ValueError):
-        perron_roots([])
-    with pytest.raises(ValueError, match="one size"):
-        perron_roots([build_deformed(4), build_deformed(6)])
+    with pytest.raises(ValueError, match="square"):
+        largest_eigenvalue(build_deformed(6)[:, :19])
     with pytest.raises(ValueError, match="row sums"):
         largest_eigenvalue(np.array([[1e308, 1e308], [1.0, 1.0]]))
 
@@ -327,7 +303,7 @@ def _dense_root(matrix):
     (10, DeformedParams(0.0, 30.0)),
 ])
 def test_huge_finite_weights_stall_promptly(length, tilt):
-    # weights up to e^400: each block is scaled by a power of two at its
+    # weights up to e^400: the matrix is scaled by a power of two at its
     # quotient bound, so no unnormalised step overflows, the enclosure stays
     # finite, and the root, far past what float64 resolves to 1e-13, is
     # handed to the dense solve within _STALL_LIMIT matvecs
@@ -338,23 +314,25 @@ def test_huge_finite_weights_stall_promptly(length, tilt):
     assert result.lambda_value == pytest.approx(_dense_root(matrix), rel=1e-12)
 
 
-def test_stencil_is_one_block_solve(monkeypatch):
+def test_stencil_solves_each_tilt_through_largest_eigenvalue(monkeypatch):
+    # each tilt passes through the module's largest_eigenvalue, where a
+    # wrapper such as perfbench's tracer counts its matvecs
     builds, solves = [], []
-    build, solve = scgf_mod.build_deformed, scgf_mod.perron_roots
+    build, solve = scgf_mod.build_deformed, scgf_mod.largest_eigenvalue
 
     def counted_build(length, params=DeformedParams()):
         builds.append(params)
         return build(length, params)
 
-    def counted_solve(matrices, *args):
-        roots = solve(matrices, *args)
-        solves.append(len(roots))
-        return roots
+    def counted_solve(matrix, *args):
+        root = solve(matrix, *args)
+        solves.append(root)
+        return root
 
     monkeypatch.setattr(scgf_mod, "build_deformed", counted_build)
-    monkeypatch.setattr(scgf_mod, "perron_roots", counted_solve)
+    monkeypatch.setattr(scgf_mod, "largest_eigenvalue", counted_solve)
     d_alpha, d_beta = scgf_derivatives(6)
-    assert solves == [8]
+    assert len(solves) == 8
     assert len(builds) == len(set(builds)) == 8
     assert d_alpha == pytest.approx(float(global_current_formula(6)), rel=1e-6)
     assert d_beta == pytest.approx(float(diamond_current_formula(6)), rel=1e-6)
