@@ -280,8 +280,9 @@ def test_stall_at_float_resolution_is_reported_promptly():
     assert iterations <= 4 * _STALL_LIMIT
 
 
-def test_negative_entry_refused():
-    bad = build_deformed(4, DeformedParams(0.1, 0.0)).toarray()
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_negative_entry_in_any_block_refused(position):
+    bad = build_deformed(4, DeformedParams(0.1 * position, 0.0)).toarray()
     bad[0, 1] = -0.5
     with pytest.raises(ValueError, match="negative off-diagonal"):
         largest_eigenvalue(bad)
