@@ -9,9 +9,12 @@ sum from the carried time, so they are the floats an event-by-event loop
 produces, and a seed always gives the same trajectory.
 
 Each block of sites goes through a stepper chosen by ring length.  Up to
-``TABLE_MAX_LENGTH`` sites, ``_TableRing`` holds the state as a row of
-the ring's transition table: one add and one list lookup per event, then
-one ``take`` per per-event array over flat views of the table's columns.
+``TABLE_MAX_LENGTH`` sites, ``_TableRing`` holds the state as a row of a
+composed move table, which jumps k moves at once: the block's sites are
+coded k at a time, one add and one list lookup per k events, the states
+in between are rebuilt by vectorized gathers on the transition table, and
+one ``take`` per per-event array reads the counters over flat views of
+the table's columns.
 Longer rings use ``_Ring``, a mutable-heights stepper that applies a drop
 in O(1 + avalanche length) and keeps the peak count and the number of
 sites at height <= 1 up to date; it is also the tests' reference for the
@@ -31,11 +34,13 @@ ticks read the same block arrays.
 
 from __future__ import annotations
 
+import logging
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import isfinite, sqrt
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,13 +58,19 @@ from .profiles import (
 _BLOCK = 1 << 14
 _N_BATCHES = 30
 _BURN_FRACTION = 0.05
+# entries of a composed move table (see _composed_rows): at most 1 MiB of list
+_COMPOSED_ENTRIES = 1 << 17
+
+log = logging.getLogger(__name__)
 
 # Rings up to this length step through their transition table.  Longer
 # rings walk the heights: above profiles.ENUMERATION_CAP there is no
-# table, and the table stepper saves about 0.4 us per event, so building
-# the table (about 0.01, 0.04 and 0.18 s at L = 12, 14 and 16) pays for
-# itself after about 3e4 events at L = 12 but only after 1e5 and 4e5
-# events at L = 14 and 16, so short runs of those rings would lose time.
+# table, and from L = 12 on the composed table holds one move per lookup
+# (at L = 16 even that exceeds _COMPOSED_ENTRIES), where the table
+# stepper saves about 0.27 us per event, so building the tables (about
+# 0.007, 0.025 and 0.11 s at L = 12, 14 and 16) pays for itself after
+# about 3e4 events at L = 12 but only after 1e5 and 4e5 events at L = 14
+# and 16, so short runs of those rings would lose time.
 TABLE_MAX_LENGTH = 12
 
 LogWriter = Callable[[dict], None]
@@ -201,41 +212,69 @@ class _Ring:
 
 
 @lru_cache(maxsize=None)
-def _next_rows(length: int) -> list[int]:
-    """The row state * L of each move's target, indexed by the move's flat
-    index row + site in the table's (state, site) arrays."""
-    return (transition_table(length).target * length).ravel().tolist()
+def _composed_rows(length: int) -> tuple[int, list[int]]:
+    """k and the composed move table: the row state * L**k that k moves reach.
+
+    Entry state * L**k + code is the row of the state reached from state
+    by dropping tiles at k consecutive sites, coded base L with the first
+    site most significant.  k is the largest value that keeps the table
+    within _COMPOSED_ENTRIES entries (at least 1, where the table is one
+    row per move).  The entries point to n_states shared ints, so the
+    list costs 8 bytes per entry.
+    """
+    started = perf_counter()
+    target = transition_table(length).target
+    n_states = len(target)
+    k = 1
+    while n_states * length ** (k + 1) <= _COMPOSED_ENTRIES:
+        k += 1
+    reached = np.arange(n_states)
+    for _ in range(k):
+        reached = target[reached].reshape(n_states, -1)
+    stride = length ** k
+    rows = [state * stride for state in range(n_states)]
+    composed = list(map(rows.__getitem__, reached.ravel().tolist()))
+    log.debug("composed moves (L=%d): %d per lookup, %d entries, built in %.1f ms",
+              length, k, len(composed), 1e3 * (perf_counter() - started))
+    return k, composed
 
 
 class _TableRing:
-    """The ring as a row of its transition table, with ``_Ring``'s interface.
+    """The ring as a row of its composed move table, with ``_Ring``'s interface.
 
-    ``drop`` follows ``_next_rows`` one list lookup per event and reads
-    the block's counters with one ``take`` per array from flat views of
-    the table's own int8 columns; ``heights`` and ``peaks`` are looked
-    up from the current row.
+    ``drop`` codes a block's sites k at a time and follows
+    ``_composed_rows`` one list lookup per k events.  The k - 1 states
+    between lookups are rebuilt with vectorized gathers on the transition
+    table's targets, and the block's last n mod k events step through the
+    targets directly.  The counters are then read with one ``take`` per
+    array from flat views of the table's own int8 columns; ``heights`` and
+    ``peaks`` are looked up from the current row.
     """
 
-    __slots__ = ("_table", "_next_row", "_length", "_row")
+    __slots__ = ("_table", "_composed", "_span", "_weights", "_stride", "_length", "_row")
     name = "table"
 
     def __init__(self, heights: HeightProfile) -> None:
         heights = tuple(heights)
         self._length = length = len(heights)
         self._table = table = transition_table(length)
-        self._next_row = _next_rows(length)
+        span, self._composed = _composed_rows(length)
+        self._span = span
+        # the base-L digit weights of k consecutive sites, first site most significant
+        self._weights = length ** np.arange(span - 1, -1, -1)
+        self._stride = length ** span
         state = bisect_left(table.states, heights)
         if state == len(table.states) or table.states[state] != heights:
             raise ValueError(f"not an admissible profile: {heights}")
-        self._row = state * length
+        self._row = state * self._stride
 
     @property
     def heights(self) -> HeightProfile:
-        return self._table.states[self._row // self._length]
+        return self._table.states[self._row // self._stride]
 
     @property
     def peaks(self) -> int:
-        return int(self._table.peak_count[self._row // self._length])
+        return int(self._table.peak_count[self._row // self._stride])
 
     def drop(self, sites: Sequence[int]) -> tuple[np.ndarray, ...]:
         """Drop a tile at each site in turn.
@@ -244,16 +283,31 @@ class _TableRing:
         count after the drop.
         """
         table = self._table
-        next_row = self._next_row
+        length = self._length
+        composed = self._composed
+        span = self._span
+        stride = self._stride
+        sites = np.asarray(sites, dtype=np.intp)
+        n = len(sites)
+        lookups = n // span
+        head = lookups * span
+        codes = sites[:head].reshape(lookups, span) @ self._weights
         row = start = self._row
-        rows = [row := next_row[row + site] for site in sites]
-        self._row = row
-        # move k leaves the row that move k - 1 reached
-        reached = np.array([start, *rows])
-        move = reached[:-1] + np.asarray(sites, dtype=np.intp)
+        rows = [row := composed[row + code] for code in memoryview(codes)]
+        # state[i] is the state that move i leaves, and state[n] the last
+        state = np.empty(n + 1, dtype=np.intp)
+        state[0] = start // stride
+        state[span:head + 1:span] = np.fromiter(rows, np.intp, lookups) // stride
+        target = table.target.ravel()
+        for j in range(1, span):
+            state[j:head:span] = target.take(
+                state[j - 1:head:span] * length + sites[j - 1:head:span])
+        for i in range(head, n):
+            state[i + 1] = target[state[i] * length + sites[i]]
+        self._row = int(state[n]) * stride
+        move = state[:-1] * length + sites
         return (table.d_peak.ravel().take(move), table.d_diamond.ravel().take(move),
-                table.d_global.ravel().take(move),
-                table.peak_count.take(reached[1:] // self._length))
+                table.d_global.ravel().take(move), table.peak_count.take(state[1:]))
 
 
 def stepper_for(length: int) -> type:

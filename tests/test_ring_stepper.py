@@ -2,6 +2,7 @@
 reference path: apply_move on tuples, one event at a time.  The table
 stepper is also checked against the height stepper, its reference."""
 
+import logging
 from bisect import bisect_left, bisect_right
 from math import isinf, sqrt
 
@@ -18,8 +19,17 @@ from raisepeel.profiles import (
     count_peaks,
     enumerate_states,
     substrate,
+    transition_table,
 )
-from raisepeel.simulate import TABLE_MAX_LENGTH, SimConfig, _Ring, _TableRing, simulate
+from raisepeel.simulate import (
+    TABLE_MAX_LENGTH,
+    _COMPOSED_ENTRIES,
+    SimConfig,
+    _Ring,
+    _TableRing,
+    _composed_rows,
+    simulate,
+)
 
 
 def _assert_drop_matches(ring, state, site):
@@ -89,6 +99,63 @@ def test_table_stepper_blocks_match_ring(case):
             assert np.array_equal(g, w)
         assert table.heights == tuple(ring.heights)
         assert table.peaks == ring.peaks
+
+
+@pytest.mark.parametrize("length", range(2, TABLE_MAX_LENGTH + 1, 2))
+def test_composed_rows_are_k_moves(length):
+    # every state and every k sites, decoded base L first site first, and
+    # stepped one move at a time through the transition table
+    k, composed = _composed_rows(length)
+    target = transition_table(length).target
+    codes = np.arange(length ** k)
+    digits = codes[:, None] // length ** np.arange(k - 1, -1, -1) % length
+    reached = np.repeat(np.arange(len(target))[:, None], len(codes), axis=1)
+    for j in range(k):
+        reached = target[reached, digits[:, j]]
+    assert np.array_equal(np.array(composed), reached.ravel() * length ** k)
+
+
+@pytest.mark.parametrize("length", range(2, TABLE_MAX_LENGTH + 1, 2))
+def test_composed_rows_stay_small(length):
+    # k >= 1 covers every length, and shared row objects keep the list at
+    # one pointer per entry
+    k, composed = _composed_rows(length)
+    assert k >= 1
+    assert len(composed) <= _COMPOSED_ENTRIES
+    assert len({id(row) for row in composed}) <= len(enumerate_states(length))
+
+
+@pytest.mark.parametrize("length", [2, 4, 8, 12])
+def test_table_stepper_every_tail_length(length):
+    # blocks of 0 to 2k + 1 sites cover the empty block, every tail and
+    # blocks of whole lookups; a block of 3k + 1 sites then continues
+    # from wherever the first one left the ring
+    k, _ = _composed_rows(length)
+    rng = np.random.default_rng(length)
+    states = enumerate_states(length)
+    for state in states[::max(1, len(states) // 6)]:
+        for first in range(2 * k + 2):
+            ring, table = _Ring(state), _TableRing(state)
+            for n in (first, 3 * k + 1):
+                sites = rng.integers(0, length, size=n)
+                want, got = ring.drop(sites.tolist()), table.drop(memoryview(sites))
+                for w, g in zip(want, got):
+                    assert len(g) == n
+                    assert np.array_equal(g, w)
+                assert table.heights == tuple(ring.heights)
+                assert table.peaks == ring.peaks
+
+
+def test_composed_rows_log_once_per_length(caplog):
+    caplog.set_level(logging.DEBUG, logger="raisepeel.simulate")
+    _composed_rows.cache_clear()
+    for length in (4, 8, 8, 4):
+        _TableRing(substrate(length))
+    simulate(SimConfig(length=8, max_events=100, seed=1))
+    lines = [r.getMessage() for r in caplog.records if r.name == "raisepeel.simulate"]
+    assert len(lines) == 2
+    assert lines[0].startswith("composed moves (L=4): 7 per lookup, 98304 entries, built in ")
+    assert lines[1].startswith("composed moves (L=8): 3 per lookup, 35840 entries, built in ")
 
 
 def test_table_stepper_rejects_inadmissible_heights():
