@@ -4,14 +4,16 @@ A pair of polynomial families over the sixth-cyclotomic field satisfies
 a functional relation whose expansion coefficients encode the growth
 rates. This script builds both families for a few sizes, runs the full
 relation checks, prints the growth-rate constants as exact fractions,
-and closes the loop numerically through the root-based cross-check.
+decides the eigenvalue and ground energy that the roots of Q carry
+exactly, and closes the loop numerically through the root equations.
 """
 
+from fractions import Fraction
+
 from raisepeel.tq import (
-    bethe_roots,
+    bethe_check,
     lambda_alpha,
     lambda_beta,
-    lambda_from_roots,
     q_poly,
     recurrence_check,
     verify_tq,
@@ -39,8 +41,8 @@ print(f"\nthree-term recurrences to order {rec.n_max}: "
       f"{'ok' if rec.passed else 'BROKEN'}")
 
 n = 4
-roots = bethe_roots(n)
-report = lambda_from_roots(n)
-print(f"\nnumeric cross-check at n={n}: {len(roots)} roots,"
-      f" worst equation residual {report.max_bae_residual:.1e},"
-      f" energy {report.energy:.12f} (target {report.energy_target})")
+exact = verify_tq(n)
+report = bethe_check(n)
+print(f"\nroots of Q at n={n}: eigenvalue zero {exact.eigenvalue_zero},"
+      f" ground energy -3L/4 = {Fraction(-3 * n, 2)} exact {exact.ground_energy_exact};"
+      f" {len(report.roots)} roots, worst equation residual {report.max_bae_residual:.1e}")

@@ -253,7 +253,7 @@ _TQ_CHECKS: dict[str, tuple[Callable[[int], Any], bool]] = {
     "lambda": (lambda n: tq.lambda_check(n), False),
     "hyper": (lambda n: tq.hypergeometric_check(n), True),
     "recurrences": (lambda n: tq.recurrence_check(n_max=max(n, 3)), False),
-    "bethe": (lambda n: tq.lambda_from_roots(n), False),
+    "bethe": (lambda n: tq.bethe_check(n), False),
 }
 
 

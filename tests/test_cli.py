@@ -1,6 +1,7 @@
 """Subcommand behavior, exit codes, manifests, and serialization."""
 
 import dataclasses
+import importlib.metadata
 import inspect
 import io
 import json
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import raisepeel
 import raisepeel.cli as cli_mod
 import raisepeel.scgf as scgf_mod
 import raisepeel.spinchain as spinchain_mod
@@ -496,15 +498,17 @@ def test_convergence_failure_exits_3(monkeypatch, capsys):
 
 def test_bethe_refinement_failure_exits_3(capsys):
     # at N = 24 Newton refinement leaves the seeds np.roots gives it; the
-    # exact checks at the same order still run and pass
+    # exact checks at the same order still run and pass, the eigenvalue and
+    # energy the roots carry included
     code = main(["tq", "--n", "24", "--check", "bethe"])
     err = capsys.readouterr().err
     assert code == 3
     assert err == ("error: convergence failure: Newton refinement moved a root "
                    "of Q away from its seed at N=24\n")
     code = main(["tq", "--n", "24", "--check", "tq"])
-    capsys.readouterr()
+    block = json.loads(capsys.readouterr().out)["checks"]["tq"]
     assert code == 0
+    assert block["eigenvalue_zero"] is True and block["ground_energy_exact"] is True
 
 
 def test_memory_estimate_refusal_exits_3_before_enumerating():
@@ -546,6 +550,17 @@ def test_module_invocation_and_env_logging():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["checks"]["lambda"]["alpha"] == "1/2"
     assert "INFO" in proc.stderr
+
+
+def test_console_script_entry_point_version(capsys):
+    # resolves pyproject's [project.scripts] mapping as an installer would,
+    # so the mapping is tested without an install
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["raisepeel"]
+    entry = importlib.metadata.EntryPoint("raisepeel", target, "console_scripts").load()
+    assert entry(["--version"]) == 0
+    assert capsys.readouterr().out == f"raisepeel {raisepeel.__version__}\n"
 
 
 @pytest.mark.skipif(shutil.which("raisepeel") is None,

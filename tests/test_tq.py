@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 import raisepeel.tq
@@ -18,8 +19,7 @@ from raisepeel.tq import (
     a2_prime_seq,
     a2_second_seq,
     a2_seq,
-    bae_residuals,
-    bethe_roots,
+    bethe_check,
     boundary_values,
     c_constant,
     derivative_worksheet,
@@ -29,7 +29,6 @@ from raisepeel.tq import (
     lambda_beta,
     lambda_beta_formula,
     lambda_check,
-    lambda_from_roots,
     p_poly,
     q_poly,
     recurrence_check,
@@ -53,13 +52,14 @@ def test_polynomials_small_orders():
         assert p_poly(n) == rev * q.coeffs[0].inverse()
 
 
-@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("n", [*range(1, 41), 60])
 def test_functional_relations(n):
     report = verify_tq(n)
     assert report.passed
     assert report.q_relation_zero and report.p_relation_zero
     assert report.q_monic_degree and report.p_is_reversed_q
     assert report.product_condition and report.transfer_value_at_q
+    assert report.eigenvalue_zero and report.ground_energy_exact
     assert tq_residual(n, "q").degree == -1
     assert tq_residual(n, "p").degree == -1
 
@@ -135,19 +135,20 @@ def test_boundary_table_n1_degenerate_entries_flagged():
 # exact report at N = 3 -> the number of its verdict fields; a verdict field
 # typed as anything but bool would drop out of the pass rule, so pin them
 VERDICT_FIELDS = {
-    verify_tq: 7,
+    verify_tq: 9,
     verify_wronskian: 2,
     boundary_values: 2,
     derivative_worksheet: 6,
     hypergeometric_check: 3,
     lambda n: recurrence_check(n_max=n): 6,
     lambda_check: 2,
+    bethe_check: 1,
 }
 
 
 @pytest.mark.parametrize("build, count", VERDICT_FIELDS.items(),
                          ids=["tq", "wronskian", "boundary", "worksheet", "hyper", "recurrence",
-                              "lambda"])
+                              "lambda", "bethe"])
 def test_every_bool_field_decides_the_verdict(build, count):
     report = build(3)
     assert report.passed
@@ -213,6 +214,12 @@ def test_recurrences_to_order_thirty():
     assert report.passed
 
 
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_recurrence_check_needs_the_third_seed(n_max):
+    with pytest.raises(ValueError, match="n_max >= 3"):
+        recurrence_check(n_max=n_max)
+
+
 def test_difference_identity():
     for n in range(1, 25):
         assert a1_seq(n) - a2_seq(n) == 1
@@ -220,14 +227,17 @@ def test_difference_identity():
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, *range(13, 21)])
 def test_roots_and_energies(n):
-    report = lambda_from_roots(n)
-    assert report.passed
-    assert report.max_bae_residual < 1e-8
-    assert report.energy_target == -1.5 * n
-    assert abs(report.energy - report.energy_target) < 1e-8
+    report = bethe_check(n)
+    assert report.passed and report.max_bae_residual < 1e-8
     assert len(report.roots) == n
-    residuals = bae_residuals(n, bethe_roots(n))
-    assert max(residuals) < 1e-8
+    exact = verify_tq(n)
+    assert exact.eigenvalue_zero and exact.ground_energy_exact
+    # the energy summed over the roots themselves, from the per-root phases
+    # z_j, meets the exact -3L/4 that verify_tq decides through Q'/Q
+    roots = np.array(report.roots)
+    q, u = np.exp(1j * np.pi / 3), np.exp(1j * np.pi / (3 * n))
+    z = u * (roots - q) / (1 - q * roots)
+    assert abs(-n / 2 - np.sum(u / z + z / u) + 1.5 * n) < 1e-8
 
 
 def test_refinement_failure_is_a_runtime_error():
@@ -239,12 +249,12 @@ def test_refinement_failure_is_a_runtime_error():
 def f_q_times(request, monkeypatch):
     """f_Q times (1 + x) or 2, so that Q comes out monic of degree N + 1 or
     of degree N but not monic; the Q and P caches are cleared before and
-    after."""
+    after.  Yields the factor."""
     original = raisepeel.tq.f_q_poly
     monkeypatch.setattr(raisepeel.tq, "f_q_poly", lambda n: original(n) * request.param)
     q_poly.cache_clear()
     p_poly.cache_clear()
-    yield
+    yield request.param
     q_poly.cache_clear()
     p_poly.cache_clear()
 
@@ -260,3 +270,15 @@ def test_wrong_quotient_fails_the_report(f_q_times, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["checks"]["tq"]["q_monic_degree"] is False
     assert doc["passed"] is False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_wrong_quotient_moves_the_bethe_claims(f_q_times, n):
+    # negative control: the extra root -1 of (1 + x) Q adds to both root
+    # sums, so both claims fail; 2 Q has the same Q'/Q, so both still hold
+    # and only q_monic_degree fails
+    held = f_q_times.degree == 0
+    report = verify_tq(n)
+    assert report.eigenvalue_zero is held and report.ground_energy_exact is held
+    assert report.q_monic_degree is False
+    assert not report.passed
