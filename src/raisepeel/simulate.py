@@ -21,15 +21,19 @@ sites at height <= 1 up to date; it is also the tests' reference for the
 table stepper.  Both consume the same draws, so a seed gives the same
 trajectory on either.
 
-The accounting is then vectorized over the block: the peak count is
-piecewise constant between events, so its running integral F(t) is a
-cumulative sum at the event times plus a linear piece up to any later
-instant, and a batch's peak integral is F at its closing boundary minus
-F at its opening one.  Point estimates are full-run counters (or F) over
-elapsed time; standard errors come from batch means (30 equal batches
-after a 5% burn-in), time-sliced when the run is bounded by a horizon
-and event-sliced when it is bounded by an event budget.  Progress-log
-ticks read the same block arrays.
+The accounting is then vectorized over the block, in one running record:
+column k holds the run's events, reflected, evacuated and global counts
+after the block's first k events, and its last column carries into the
+next block as the run totals.  The peak count is piecewise constant
+between events, so its running integral F(t) is a cumulative sum at the
+event times plus a linear piece up to any later instant.  ``_read``
+gives F and the record at any instants; batch boundaries and
+progress-log ticks are read from it, and a batch's amounts are the
+differences between its closing and opening boundaries.  Point estimates
+are full-run counters (or F) over elapsed time; standard errors come
+from batch means (30 equal batches after a 5% burn-in), time-sliced when
+the run is bounded by a horizon and event-sliced when it is bounded by
+an event budget.
 """
 
 from __future__ import annotations
@@ -245,8 +249,7 @@ class _TableRing:
     ``drop`` codes a block's sites k at a time and follows
     ``_composed_rows`` one list lookup per k events.  The k - 1 states
     between lookups are rebuilt with vectorized gathers on the transition
-    table's targets, and the block's last n mod k events step through the
-    targets directly.  The counters are then read with one ``take`` per
+    table's targets.  The counters are then read with one ``take`` per
     array from flat views of the table's own int8 columns; ``heights`` and
     ``peaks`` are looked up from the current row.
     """
@@ -298,12 +301,12 @@ class _TableRing:
         state = np.empty(n + 1, dtype=np.intp)
         state[0] = start // stride
         state[span:head + 1:span] = np.fromiter(rows, np.intp, lookups) // stride
+        # the slices run to n: the tail's j-th event is the last of pass j,
+        # after pass j - 1 has set the state it starts from
         target = table.target.ravel()
         for j in range(1, span):
-            state[j:head:span] = target.take(
-                state[j - 1:head:span] * length + sites[j - 1:head:span])
-        for i in range(head, n):
-            state[i + 1] = target[state[i] * length + sites[i]]
+            state[j:n + 1:span] = target.take(
+                state[j - 1:n:span] * length + sites[j - 1:n:span])
         self._row = int(state[n]) * stride
         move = state[:-1] * length + sites
         return (table.d_peak.ravel().take(move), table.d_diamond.ravel().take(move),
@@ -315,15 +318,18 @@ def stepper_for(length: int) -> type:
     return _TableRing if length <= TABLE_MAX_LENGTH else _Ring
 
 
-def _integral_at(times: np.ndarray, integral: np.ndarray, held: np.ndarray,
-                 instants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Events before each instant and the peak integral F up to it.
+def _read(times: np.ndarray, integral: np.ndarray, held: np.ndarray, running: np.ndarray,
+          instants: np.ndarray) -> np.ndarray:
+    """The peak integral F and the four running counters at each instant.
 
-    times[k] carries F = integral[k], and the peak count held[k] holds
-    until times[k + 1]; every instant lies in (times[0], times[-1]].
+    times[k] carries F = integral[k] and the counters running[:, k], and
+    the peak count held[k] holds until times[k + 1]; every instant lies
+    in (times[0], times[-1]].  Row 0 of the (5, m) result is F, rows 1-4
+    the events, reflected, evacuated and global counts.
     """
     before = np.searchsorted(times, instants) - 1
-    return before, integral[before] + held[before] * (instants - times[before])
+    return np.vstack((integral[before] + held[before] * (instants - times[before]),
+                      running[:, before]))
 
 
 def _batch_estimate(full_value: float, batch_values: np.ndarray) -> Estimate:
@@ -353,9 +359,10 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
     # batch k runs from boundary k to boundary k + 1.  Horizon runs cut
     # the time after the burn-in into equal slices; budget runs cut the
     # events after the burn-in into equal counts, and a boundary is the
-    # time of the event that closes the previous batch.
+    # time of the event that closes the previous batch.  bounds holds F
+    # and the four counters at each boundary, NaN until it is reached.
     bound_time = np.full(_N_BATCHES + 1, np.nan)
-    bound_integral = np.full(_N_BATCHES + 1, np.nan)
+    bounds = np.full((5, _N_BATCHES + 1), np.nan)
     if time_mode:
         burn_time = _BURN_FRACTION * horizon
         batch_span = (horizon - burn_time) / _N_BATCHES
@@ -366,14 +373,14 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
         burn_events = int(_BURN_FRACTION * budget)
         events_per_batch = max(1, (budget - burn_events) // _N_BATCHES)
         bound_event = burn_events + np.arange(_N_BATCHES + 1) * events_per_batch
-    batch_diamond = np.zeros(_N_BATCHES)
-    batch_global = np.zeros(_N_BATCHES)
 
     next_report = cfg.report_every if log_writer is not None else None
 
     time_now = integral_now = 0.0
     peaks_now = ring.peaks
-    n_total = n_peak = n_diamond = n_global = 0
+    # running[:, k] is the run's (events, reflected, evacuated, global)
+    # after the block's first k events; its last column carries over
+    running = np.zeros((4, 1), np.int64)
     done = False
     while not done:
         waits = rng.exponential(1.0 / length, size=_BLOCK)
@@ -381,6 +388,7 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
         # sequential sums from the carried time: bitwise the times of an
         # event-by-event loop
         times = np.cumsum(np.concatenate(([time_now], waits)))
+        n_total = int(running[0, -1])
         if time_mode:
             n = int(np.searchsorted(times[1:], horizon))
             done = n < _BLOCK
@@ -389,6 +397,11 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
             done = n_total + n == budget
         # a memoryview yields Python ints, which index a list fast
         d_peak, d_diamond, d_global, peaks = ring.drop(memoryview(sites[:n]))
+        steps = np.empty((4, n + 1), np.int64)
+        steps[:, 0] = running[:, -1]
+        steps[0, 1:] = 1
+        steps[1:, 1:] = (d_peak, d_diamond, d_global)
+        running = np.cumsum(steps, axis=1, out=steps)
         # held[k] is the peak count from times[k] on; a horizon cut ends
         # the block at the horizon itself
         held = np.concatenate(([peaks_now], peaks))
@@ -399,56 +412,40 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
             held = held[:-1]
         integral = np.cumsum(np.concatenate(([integral_now], held * np.diff(times))))
 
-        event_times = times[1:n + 1]
         if time_mode:
-            counted = event_times >= burn_time
-            batch = np.minimum(
-                _N_BATCHES - 1,
-                ((event_times[counted] - burn_time) / batch_span).astype(np.int64))
             first = next_bound
             next_bound = int(np.searchsorted(bound_time, times[-1], side="right"))
-            _, bound_integral[first:next_bound] = _integral_at(
-                times, integral, held, bound_time[first:next_bound])
+            bounds[:, first:next_bound] = _read(times, integral, held, running,
+                                                bound_time[first:next_bound])
         else:
-            index = np.arange(n_total, n_total + n) - burn_events
-            counted = (index >= 0) & (index < _N_BATCHES * events_per_batch)
-            batch = index[counted] // events_per_batch
             reached = (bound_event >= n_total) & (bound_event <= n_total + n)
-            bound_time[reached] = times[bound_event[reached] - n_total]
-            bound_integral[reached] = integral[bound_event[reached] - n_total]
-        batch_diamond += np.bincount(batch, d_diamond[counted], _N_BATCHES)
-        batch_global += np.bincount(batch, d_global[counted], _N_BATCHES)
+            at = bound_event[reached] - n_total
+            bound_time[reached] = times[at]
+            bounds[:, reached] = np.vstack((integral[at], running[:, at]))
 
         if next_report is not None and next_report <= times[-1]:
             ticks = []
             while next_report <= times[-1]:
                 ticks.append(next_report)
                 next_report += cfg.report_every
-            before, tick_integral = _integral_at(times, integral, held, np.array(ticks))
-            # running (n_total, n_peak, n_diamond, n_global) after each event
-            running = np.cumsum(np.column_stack(
-                (np.ones(n, np.int64), d_peak, d_diamond, d_global)), axis=0)
-            running = np.vstack(([0, 0, 0, 0], running)) + (n_total, n_peak, n_diamond, n_global)
-            for tick, k, tick_f in zip(ticks, before, tick_integral):
-                total, peak, diamond, global_ = (int(x) for x in running[k])
+            read = _read(times, integral, held, running, np.array(ticks))
+            for tick, (tick_f, *seen) in zip(ticks, read.T.tolist()):
+                total, peak, diamond, global_ = map(int, seen)
                 log_writer({
                     "time": tick,
                     "counters": EventCounters(total, peak, diamond, global_,
                                               total - peak - diamond),
                     "drift_diamond": diamond / tick,
                     "drift_global": global_ / tick,
-                    "mean_peaks": float(tick_f) / tick,
+                    "mean_peaks": tick_f / tick,
                 })
 
-        n_total += n
-        n_peak += int(d_peak.sum())
-        n_diamond += int(d_diamond.sum())
-        n_global += int(d_global.sum())
         time_now = float(times[-1])
         integral_now = float(integral[-1])
         peaks_now = ring.peaks
 
     state = tuple(ring.heights)
+    n_total, n_peak, n_diamond, n_global = running[:, -1].tolist()
     counters = EventCounters(n_total, n_peak, n_diamond, n_global,
                              n_total - n_peak - n_diamond)
     # the stepper's evacuation counts must match the heights it left; a
@@ -460,16 +457,12 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
 
     batch_time = np.diff(bound_time)
     complete = batch_time > 0
-    batch_time = batch_time[complete]
-
-    def estimate(total: float, batch_totals: np.ndarray) -> Estimate:
-        return _batch_estimate(total / time_now, batch_totals[complete] / batch_time)
-
+    rates = np.diff(bounds)[:, complete] / batch_time[complete]
     return TrajectorySummary(
         length, cfg.seed, time_now, counters,
-        estimate(n_diamond, batch_diamond),
-        estimate(n_global, batch_global),
-        estimate(integral_now, np.diff(bound_integral)),
+        _batch_estimate(n_diamond / time_now, rates[3]),
+        _batch_estimate(n_global / time_now, rates[4]),
+        _batch_estimate(integral_now / time_now, rates[0]),
         state)
 
 

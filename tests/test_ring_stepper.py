@@ -320,6 +320,20 @@ def test_trajectory_matches_reference(monkeypatch, length, mode):
     _assert_same_trajectory(cfg, block)
 
 
+@pytest.mark.parametrize("length", [2, 4, 14])
+@pytest.mark.parametrize("mode", ["time", "events"])
+@pytest.mark.parametrize("block", [1, 3])
+def test_trajectory_matches_reference_tiny_blocks(monkeypatch, block, length, mode):
+    # one-event blocks; batch boundaries and log ticks before a block's
+    # first event, which read the counters the block carries in; and at
+    # L = 2 and 4 table-stepper blocks shorter than one composed lookup
+    monkeypatch.setattr(simulate_mod, "_BLOCK", block)
+    stop = (dict(t_max=600.0 / length + 0.37) if mode == "time"
+            else dict(max_events=500 + length))
+    cfg = SimConfig(length=length, seed=length + 5, report_every=3.0 / length, **stop)
+    _assert_same_trajectory(cfg, block)
+
+
 @pytest.mark.parametrize("cfg", [
     # past one block edge
     SimConfig(length=4, t_max=4500.0, seed=7, report_every=250.0),
