@@ -424,17 +424,18 @@ def _verify_rows(lmax: int, nmax: int) -> list[Row]:
 
     # growth rates, each evaluated once per N
     rates = {n: tq.lambda_check(n) for n in range(1, max(nmax, lmax // 2) + 1)}
-    suite = [report for report, in_suite in _TQ_CHECKS.values() if in_suite]
     for n in range(1, nmax + 1):
         lam = rates[n]
         add(Row(f"tq-lambda-N{n:02d}",
                 "growth rates assembled from polynomial data vs closed forms",
                 f"{lam.alpha_formula}, {lam.beta_formula}", f"{lam.alpha}, {lam.beta}",
                 lam.passed))
-        suite_ok = all(report(n).passed for report in suite)
+        failed = [name for name, (report, in_suite) in _TQ_CHECKS.items()
+                  if in_suite and not report(n).passed]
         add(Row(f"tq-suite-N{n:02d}",
                 "functional relations, wronskians, boundary table, worksheets",
-                "all identities exact", "pass" if suite_ok else "FAIL", suite_ok))
+                "all identities exact", f"FAIL: {', '.join(failed)}" if failed else "pass",
+                not failed))
 
     for n in range(1, lmax // 2 + 1):
         drift_diamond, drift_global = stationary.exact_drifts(2 * n)
@@ -690,7 +691,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
-        print(f"error: out of memory{detail}; reduce --length or --nmax", file=sys.stderr)
+        size = {"tq": "--n", "verify-all": "--lmax or --nmax"}.get(args.command, "--length")
+        print(f"error: out of memory{detail}; reduce {size}", file=sys.stderr)
         return 3
 
     manifest = RunManifest(

@@ -21,12 +21,16 @@ images of each state under the ring's two symmetries.  It is the one
 per-length copy of the moves, its counters int8 (no count exceeds L): the
 exact stationary solver, ``scgf`` and the Monte Carlo table stepper read
 its arrays as they are.
+
+``diamond_current_formula`` and ``global_current_formula`` state the two
+laws of large numbers, the tile and global-avalanche currents, for every route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -360,3 +364,14 @@ def transition_table(length: int) -> TransitionTable:
     reflect = np.searchsorted(keys, _keys(heights[:, (2 - sites) % length]))
     return TransitionTable(states, target, rotate, reflect, peak.astype(np.int8),
                            d_diamond, d_global, peak.sum(axis=1, dtype=np.int8), omega)
+
+
+def diamond_current_formula(length: int) -> Fraction:
+    """Closed form of the evacuated-tile current, L(5L^2-8)/(8(L^2-1))."""
+    return Fraction(length * (5 * length * length - 8),
+                    8 * (length * length - 1))
+
+
+def global_current_formula(length: int) -> Fraction:
+    """Closed form of the global-avalanche current, 3L/(4(L^2-1))."""
+    return Fraction(3 * length, 4 * (length * length - 1))

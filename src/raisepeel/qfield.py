@@ -54,6 +54,19 @@ def poch(a: Fraction | int, n: int) -> Fraction:
     return Fraction(rising_product(a.numerator, n, a.denominator), a.denominator ** n)
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by binary powering; the base is squared only
+    while bits of n remain, so no power beyond the last one used is built."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 class QFieldElement:
     """An element a + b*q of Q(q) where q^2 = q - 1.
 
@@ -193,15 +206,7 @@ class QFieldElement:
     def __pow__(self, n: int) -> "QFieldElement":
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        base = self.inverse() if n < 0 else self
-        n = abs(n)
-        out = QFieldElement(1)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self.inverse() if n < 0 else self, abs(n), QFieldElement(1))
 
     # -- predicates and conversions -------------------------------------
 
@@ -388,14 +393,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Polynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Polynomial([1]))
 
     def __call__(self, x: Scalar) -> QFieldElement:
         """Horner evaluation in the field."""

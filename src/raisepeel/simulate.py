@@ -374,7 +374,8 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
         events_per_batch = max(1, (budget - burn_events) // _N_BATCHES)
         bound_event = burn_events + np.arange(_N_BATCHES + 1) * events_per_batch
 
-    next_report = cfg.report_every if log_writer is not None else None
+    # tick k sits at k * report_every, from its index k, so ticks do not drift
+    next_tick = 1 if log_writer is not None else None
 
     time_now = integral_now = 0.0
     peaks_now = ring.peaks
@@ -423,11 +424,11 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
             bound_time[reached] = times[at]
             bounds[:, reached] = np.vstack((integral[at], running[:, at]))
 
-        if next_report is not None and next_report <= times[-1]:
-            ticks = []
-            while next_report <= times[-1]:
-                ticks.append(next_report)
-                next_report += cfg.report_every
+        ticks = []
+        while next_tick is not None and next_tick * cfg.report_every <= times[-1]:
+            ticks.append(next_tick * cfg.report_every)
+            next_tick += 1
+        if ticks:
             read = _read(times, integral, held, running, np.array(ticks))
             for tick, (tick_f, *seen) in zip(ticks, read.T.tolist()):
                 total, peak, diamond, global_ = map(int, seen)

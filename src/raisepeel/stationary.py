@@ -36,7 +36,10 @@ from operator import mul
 
 import numpy as np
 
-from .profiles import HeightProfile, TransitionTable, transition_table
+# the two current laws live in profiles, so tq states them without importing
+# this route; they stay importable from here beside the other closed forms
+from .profiles import (HeightProfile, TransitionTable, diamond_current_formula,
+                       global_current_formula, transition_table)
 
 log = logging.getLogger(__name__)
 
@@ -367,17 +370,6 @@ def exact_drifts(length: int) -> tuple[Fraction, Fraction]:
     current_diamond = _mean(length, table.d_diamond.sum(axis=1))
     current_global = _mean(length, table.d_global.sum(axis=1))
     return current_diamond, current_global
-
-
-def diamond_current_formula(length: int) -> Fraction:
-    """Closed form of the evacuated-tile current, L(5L^2-8)/(8(L^2-1))."""
-    return Fraction(length * (5 * length * length - 8),
-                    8 * (length * length - 1))
-
-
-def global_current_formula(length: int) -> Fraction:
-    """Closed form of the global-avalanche current, 3L/(4(L^2-1))."""
-    return Fraction(3 * length, 4 * (length * length - 1))
 
 
 def peak_mean_formula(length: int) -> Fraction:

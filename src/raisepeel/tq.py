@@ -1,28 +1,25 @@
-"""Exact pipeline for the avalanche current laws on the even ring.
+"""Exact T-Q route to the avalanche current laws on the even ring.
 
-The top eigenvalue of the tilted generator is controlled by a degree-N
-polynomial pair (Q, P) that solves a three-term functional relation at the
-stochastic point of the model on L = 2N sites.  Both polynomials divide
-explicit closed-form polynomials of degree 3N (``f_q_poly``/``f_p_poly``)
-by (1+x)^2N, and everything downstream is exact field arithmetic over
-Q(q), q^2 = q - 1:
+The top eigenvalue of the tilted generator on L = 2N sites is controlled
+by a monic degree-N pair (Q, P) solving Baxter's three-term relation at
+the stochastic point.  Each is the quotient by (1+x)^2N of a closed-form
+polynomial of degree 3N (``f_q_poly``/``f_p_poly``), and all that follows
+is exact arithmetic over Q(q), q^2 = q - 1:
 
-* ``verify_tq`` / ``verify_wronskian``: the functional relation and the
-  two Wronskian-type product identities, checked to literal zero;
-  ``verify_tq`` also decides the two claims the Bethe roots carry, a
-  vanishing top eigenvalue and the ground energy -3L/4, exactly from
-  Q'/Q at q and q^-1.
-* ``boundary_values``: closed forms for Q, P and their first two
-  derivatives at x = -1 and x = q^-1, plus the factorial descent between
-  the derivatives of f_Q at -1 and those of Q.
+* ``verify_tq`` / ``verify_wronskian``: the relation and the two Wronskian
+  product identities, to literal zero; ``verify_tq`` also decides the
+  vanishing top eigenvalue and the ground energy -3L/4 carried by the
+  roots, through Q'/Q at q and q^-1.
+* ``boundary_values``: the one boundary table, Q, P and their first two
+  derivatives at x = -1 and x = q^-1 keyed by (letter, order, point),
+  against closed forms, and the factorial descent from f_Q^(2N+k)(-1).
 * ``lambda_alpha`` / ``lambda_beta``: the two current derivatives of the
-  top eigenvalue, assembled exactly from the boundary data; they come out
-  as plain rationals, and ``lambda_check`` compares them with their
-  closed forms.
-* ``hypergeometric_check``: the same boundary evaluations reached through
-  terminating 2F1 sums.
+  top eigenvalue, assembled from the boundary table as plain rationals;
+  ``lambda_check`` compares them with the stationary currents at L = 2N.
+  ``derivative_worksheet`` checks the cancellations the assemblies use.
+* ``hypergeometric_check``: the values at q^-1 through terminating 2F1 sums.
 * ``recurrence_check``: the three pairs of derivative sums, their
-  second-order recurrences, and the factorial identities they encode.
+  second-order recurrences, and the same f_Q descent they reproduce.
 * ``bethe_roots`` / ``bethe_check``: the roots of Q in floating point,
   and how well they solve the root equations.
 """
@@ -38,6 +35,7 @@ from math import factorial
 import numpy as np
 
 from .qfield import Polynomial, QFieldElement, poch, rising_product
+from .profiles import diamond_current_formula, global_current_formula
 
 Q = QFieldElement.gen()          # q, with q^2 = q - 1
 QI = Q.inverse()                 # q^-1 = 1 - q
@@ -101,29 +99,33 @@ def f_p_poly(n: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _quotient(f: Polynomial, n: int) -> Polynomial:
-    """f / (1+x)^2N; ``verify_tq`` reports whether it is monic of degree N."""
-    return f.exact_div(Polynomial([1, 1]) ** (2 * n))
-
-
 @lru_cache(maxsize=None)
 def q_poly(n: int) -> Polynomial:
-    """Monic degree-N polynomial Q, the eigenvalue-equation numerator.
+    """Monic degree-N polynomial Q = f_Q / (1+x)^2N, the eigenvalue-equation
+    numerator; ``verify_tq`` reports whether it is monic of degree N.
 
     >>> q_poly(1).rational_coeffs()
     (Fraction(-1, 2), Fraction(1, 1))
     """
-    return _quotient(f_q_poly(n), n)
+    return f_q_poly(n).exact_div(_transfer_factor(n, -1))
 
 
 @lru_cache(maxsize=None)
 def p_poly(n: int) -> Polynomial:
-    """Monic degree-N partner polynomial P = x^N Q(1/x) / Q(0).
+    """Monic degree-N partner polynomial P = f_P / (1+x)^2N = x^N Q(1/x) / Q(0).
 
     >>> p_poly(1).rational_coeffs()
     (Fraction(-2, 1), Fraction(1, 1))
     """
-    return _quotient(f_p_poly(n), n)
+    return f_p_poly(n).exact_div(_transfer_factor(n, -1))
+
+
+@lru_cache(maxsize=None)
+def _f_q_descent(n: int) -> tuple[QFieldElement, ...]:
+    """f_Q^(2N+k)(-1) for k = 0, 1, 2, which division by (1+x)^2N carries
+    down to Q^(k)(-1) and the derivative sums reproduce."""
+    top = f_q_poly(n).derivative(2 * n)
+    return top(-1), top.derivative()(-1), top.derivative(2)(-1)
 
 
 def c_constant(n: int) -> Fraction:
@@ -149,8 +151,8 @@ class TQReport(_Verdict):
     ground_energy_exact: bool
 
 
-def _transfer_factor(n: int, root_shift: QFieldElement) -> Polynomial:
-    """(1 - x*root_shift)^2N as a polynomial in x."""
+def _transfer_factor(n: int, root_shift: QFieldElement | int) -> Polynomial:
+    """(1 - x*root_shift)^2N in x; T(x) = (1+x)^2N and phi(x) = (1-x)^2N at -1 and 1."""
     return Polynomial([1, -root_shift]) ** (2 * n)
 
 
@@ -163,10 +165,9 @@ def tq_residual(n: int, which: str = "q") -> Polynomial:
     """
     poly = q_poly(n) if which == "q" else p_poly(n)
     w_plus, w_minus = (Q, QI) if which == "q" else (QI, Q)
-    t = Polynomial([1, 1]) ** (2 * n)
     term_plus = _transfer_factor(n, QI) * poly.scale_argument(Q ** 2) * w_plus
     term_minus = _transfer_factor(n, Q) * poly.scale_argument(Q ** -2) * w_minus
-    return term_plus + term_minus - t * poly
+    return term_plus + term_minus - _transfer_factor(n, -1) * poly
 
 
 def verify_tq(n: int) -> TQReport:
@@ -229,12 +230,10 @@ def verify_wronskian(n: int) -> WronskianReport:
                - qp.scale_argument(shift.inverse()) * pp.scale_argument(shift) * weight.inverse())
         return lhs * denom
 
-    phi = Polynomial([1, -1]) ** (2 * n)
-    transfer = Polynomial([1, 1]) ** (2 * n)
     return WronskianReport(
         n=n,
-        phi_identity_zero=not (wron(Q, Q) - phi),
-        transfer_identity_zero=not (wron(Q ** 2, Q ** 2) - transfer),
+        phi_identity_zero=not (wron(Q, Q) - _transfer_factor(n, 1)),
+        transfer_identity_zero=not (wron(Q ** 2, Q ** 2) - _transfer_factor(n, -1)),
     )
 
 
@@ -266,7 +265,20 @@ class BoundaryReport(_Verdict):
         return super().passed and all(e.passed for e in self.entries)
 
 
-def _boundary_closed_forms(n: int) -> dict[str, QFieldElement]:
+@lru_cache(maxsize=None)
+def _boundary_atoms(n: int) -> FormalCombo:
+    """Q, P and their first two derivatives at x = -1 and x = q^-1, keyed
+    by (letter, order, point) with order 0 to 2 and point "-1" or "qi"; each
+    derivative polynomial is built once and evaluated at both points."""
+    atoms = {}
+    for letter, poly in (("Q", q_poly(n)), ("P", p_poly(n))):
+        for order in range(3):
+            derivative = poly.derivative(order)
+            atoms[letter, order, "-1"], atoms[letter, order, "qi"] = derivative(-1), derivative(QI)
+    return atoms
+
+
+def _boundary_closed_forms(n: int) -> FormalCombo:
     """Closed forms for the twelve boundary evaluations at x=-1 and x=q^-1."""
     q, qi = Q, QI
     q_m1 = QFieldElement.coerce(c_constant(n) / factorial(2 * n))
@@ -277,23 +289,23 @@ def _boundary_closed_forms(n: int) -> dict[str, QFieldElement]:
     p_qi = (Fraction(factorial(2 * n - 1), factorial(n - 1)) / poch(2 * THIRD - n, n)
             * (qi + 1) ** (1 - 2 * n))
     return {
-        "Q(-1)": q_m1,
-        "Q'(-1)": q_m1 * Fraction(-n * (n + 1), 2 * n + 1),
-        "Q''(-1)": q_m1 * Fraction(n * (n - 1) * (3 * n + 4), 6 * (2 * n + 1)),
-        "P(-1)": p_m1,
-        "P'(-1)": p_m1 * Fraction(-n * n, 2 * n + 1),
-        "P''(-1)": p_m1 * Fraction(n * (n - 1) * (3 * n - 2), 6 * (2 * n + 1)),
-        "Q(q^-1)": q_qi,
-        "Q'(q^-1)": q_qi * (n * (q - 1) * (n * (3 * q - 1) - q + 1)
-                            / ((2 * n - 1) * (q - qi))),
-        "Q''(q^-1)": q_qi * (-(n * (n * (8 * (n - 1) * q - 5 * n + 7) + 4 * (q - 1)))
-                             / (2 * (2 * n - 1) * (1 + qi) * (q - qi))),
-        "P(q^-1)": p_qi,
-        "P'(q^-1)": p_qi * (n * ((3 * n - 2) * (1 - qi ** 2) - 2 * (2 * n - 1))
-                            / ((2 * n - 1) * (qi + 1))),
-        "P''(q^-1)": p_qi * (n * (n * n * (1 - 3 * q) ** 2 - n * (q + 1) * (9 * q - 7)
-                                  + 2 * (q * (q + 2) - 1))
-                             / (2 * (2 * n - 1) * (qi + 1) ** 2)),
+        ("Q", 0, "-1"): q_m1,
+        ("Q", 1, "-1"): q_m1 * Fraction(-n * (n + 1), 2 * n + 1),
+        ("Q", 2, "-1"): q_m1 * Fraction(n * (n - 1) * (3 * n + 4), 6 * (2 * n + 1)),
+        ("P", 0, "-1"): p_m1,
+        ("P", 1, "-1"): p_m1 * Fraction(-n * n, 2 * n + 1),
+        ("P", 2, "-1"): p_m1 * Fraction(n * (n - 1) * (3 * n - 2), 6 * (2 * n + 1)),
+        ("Q", 0, "qi"): q_qi,
+        ("Q", 1, "qi"): q_qi * (n * (q - 1) * (n * (3 * q - 1) - q + 1)
+                                / ((2 * n - 1) * (q - qi))),
+        ("Q", 2, "qi"): q_qi * (-(n * (n * (8 * (n - 1) * q - 5 * n + 7) + 4 * (q - 1)))
+                                / (2 * (2 * n - 1) * (1 + qi) * (q - qi))),
+        ("P", 0, "qi"): p_qi,
+        ("P", 1, "qi"): p_qi * (n * ((3 * n - 2) * (1 - qi ** 2) - 2 * (2 * n - 1))
+                                / ((2 * n - 1) * (qi + 1))),
+        ("P", 2, "qi"): p_qi * (n * (n * n * (1 - 3 * q) ** 2 - n * (q + 1) * (9 * q - 7)
+                                     + 2 * (q * (q + 2) - 1))
+                                / (2 * (2 * n - 1) * (qi + 1) ** 2)),
     }
 
 
@@ -305,22 +317,21 @@ def boundary_values(n: int) -> BoundaryReport:
     true second derivatives are identically zero; at N = 1 those two
     entries compare the direct values against zero instead.
     """
-    direct = {name.replace("qi", "q^-1"): value
-              for name, value in _boundary_atoms(n).items()}
+    direct = _boundary_atoms(n)
     out_of_domain = ("closed form out of domain at N=1; the exact second "
                      "derivative vanishes and is checked against zero")
-    notes = dict.fromkeys(("Q''(q^-1)", "P''(q^-1)"), out_of_domain) if n == 1 else {}
+    notes = dict.fromkeys((("Q", 2, "qi"), ("P", 2, "qi")), out_of_domain) if n == 1 else {}
     entries = tuple(
-        BoundaryEntry(name, direct[name], QFieldElement(0) if name in notes else closed,
-                      notes.get(name, ""))
-        for name, closed in _boundary_closed_forms(n).items())
+        BoundaryEntry(key[0] + "'" * key[1] + ("(q^-1)" if key[2] == "qi" else "(-1)"),
+                      direct[key], QFieldElement(0) if key in notes else closed,
+                      notes.get(key, ""))
+        for key, closed in _boundary_closed_forms(n).items())
 
     # Q^(k)(-1) relates to f_Q^(2N+k)(-1) through division by (1+x)^2N.
-    f = f_q_poly(n)
-    f_m1 = [f.derivative(2 * n + k)(-1) for k in range(3)]
+    f_m1 = _f_q_descent(n)
     descent = all(
-        direct[f"Q{marks}(-1)"] == f_m1[k] * Fraction(factorial(k), factorial(2 * n + k))
-        for k, marks in enumerate(("", "'", "''"))
+        direct["Q", k, "-1"] == f_m1[k] * Fraction(factorial(k), factorial(2 * n + k))
+        for k in range(3)
     )
     c = c_constant(n)
     idents = (
@@ -339,33 +350,21 @@ def boundary_values(n: int) -> BoundaryReport:
 # the two current derivatives
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _boundary_atoms(n: int) -> dict[str, QFieldElement]:
-    """Q, P and their first two derivatives at x = -1 and x = q^-1 (qi)."""
-    qp, pp = q_poly(n), p_poly(n)
-    return {
-        "Q(-1)": qp(-1), "Q'(-1)": qp.derivative()(-1), "Q''(-1)": qp.derivative(2)(-1),
-        "P(-1)": pp(-1), "P'(-1)": pp.derivative()(-1), "P''(-1)": pp.derivative(2)(-1),
-        "Q(qi)": qp(QI), "Q'(qi)": qp.derivative()(QI), "Q''(qi)": qp.derivative(2)(QI),
-        "P(qi)": pp(QI), "P'(qi)": pp.derivative()(QI), "P''(qi)": pp.derivative(2)(QI),
-    }
-
-
 def _s_b(n: int) -> QFieldElement:
     """Four-term boundary combination that carries the whole twist response."""
     v = _boundary_atoms(n)
-    return (Q ** -2 * v["Q'(-1)"] * v["P(qi)"] + v["Q(-1)"] * v["P'(qi)"]
-            + Q ** 2 * v["Q'(qi)"] * v["P(-1)"] + v["Q(qi)"] * v["P'(-1)"])
+    return (Q ** -2 * v["Q", 1, "-1"] * v["P", 0, "qi"] + v["Q", 0, "-1"] * v["P", 1, "qi"]
+            + Q ** 2 * v["Q", 1, "qi"] * v["P", 0, "-1"] + v["Q", 0, "qi"] * v["P", 1, "-1"])
 
 
 def lambda_alpha_formula(n: int) -> Fraction:
-    """Stationary global avalanche rate: (3/2) N / (4N^2 - 1)."""
-    return Fraction(3 * n, 2 * (4 * n * n - 1))
+    """Stationary global avalanche current at L = 2N: (3/2) N / (4N^2 - 1)."""
+    return global_current_formula(2 * n)
 
 
 def lambda_beta_formula(n: int) -> Fraction:
-    """Stationary evacuated tile rate: N (5N^2 - 2) / (4N^2 - 1)."""
-    return Fraction(n * (5 * n * n - 2), 4 * n * n - 1)
+    """Stationary evacuated tile current at L = 2N: N (5N^2 - 2) / (4N^2 - 1)."""
+    return diamond_current_formula(2 * n)
 
 
 def lambda_alpha(n: int) -> Fraction:
@@ -381,13 +380,13 @@ def lambda_alpha(n: int) -> Fraction:
     return value.as_fraction()
 
 
-def _b_transfer(first: str, second: str, v: dict[str, QFieldElement]) -> QFieldElement:
+def _b_transfer(first: str, second: str, v: FormalCombo) -> QFieldElement:
     """Pure part of the transfer q-worksheet; swapping the letters gives
     its partner."""
-    return 2 * (Q * v[f"{first}'(-1)"] * v[f"{second}(qi)"]
-                + Q ** -2 * v[f"{first}''(-1)"] * v[f"{second}(qi)"]
-                + v[f"{first}(-1)"] * v[f"{second}'(qi)"]
-                + QI * v[f"{first}(-1)"] * v[f"{second}''(qi)"])
+    return 2 * (Q * v[first, 1, "-1"] * v[second, 0, "qi"]
+                + Q ** -2 * v[first, 2, "-1"] * v[second, 0, "qi"]
+                + v[first, 0, "-1"] * v[second, 1, "qi"]
+                + QI * v[first, 0, "-1"] * v[second, 2, "qi"])
 
 
 def _transfer_derivatives(n: int) -> dict[str, QFieldElement]:
@@ -400,8 +399,12 @@ def _transfer_derivatives(n: int) -> dict[str, QFieldElement]:
     r1 = t0 * (-4 * n * Q / (1 - Q ** 2) - n * QI)
     b_t, b_t_swap = _b_transfer("Q", "P", v), _b_transfer("P", "Q", v)
     t1q = Fraction(3, 2) * (Q ** 2 * b_t - Q ** -2 * b_t_swap) / (Q - QI)
+    # the first variation term of the top eigenvalue carries q(1-q^2) T'/T - L,
+    # which vanishes identically at the stochastic point; exactness proves it
+    log_derivative = Q * (1 - Q ** 2) * t1 / t0
     return {"T": t0, "T'": t1, "T''": t2, "T_q": r1 - t1, "T'_q": t1q,
-            "B_T": b_t, "B_T_swapped": b_t_swap}
+            "B_T": b_t, "B_T_swapped": b_t_swap, "log_derivative": log_derivative,
+            "stationary": -2 * Q / (1 + Q ** 2) ** 2 * (log_derivative - 2 * n)}
 
 
 def lambda_beta(n: int) -> Fraction:
@@ -414,13 +417,9 @@ def lambda_beta(n: int) -> Fraction:
     Fraction(1, 1)
     """
     t = _transfer_derivatives(n)
-    ell = 2 * n
     g = t["T'"] / t["T"]
     g_q = (t["T''"] + t["T'_q"]) / t["T"] - t["T'"] * (t["T'"] + t["T_q"]) / t["T"] ** 2
-    # the first variation term carries q(1-q^2) T'/T - L, which vanishes
-    # identically at the stochastic point; keep it and let exactness prove it
-    stationary_term = -2 * Q / (1 + Q ** 2) ** 2 * (Q * (1 - Q ** 2) * g - ell)
-    dlam_dq = stationary_term + ((1 - 3 * Q ** 2) * g + Q * (1 - Q ** 2) * g_q) / (1 + Q ** 2)
+    dlam_dq = t["stationary"] + ((1 - 3 * Q ** 2) * g + Q * (1 - Q ** 2) * g_q) / (1 + Q ** 2)
     dq_dbeta = -Q ** 2 / (Q ** 2 - 1)
     return (dlam_dq * dq_dbeta).as_fraction()
 
@@ -479,7 +478,7 @@ def _combo_equal(x: FormalCombo, y: FormalCombo) -> bool:
 
 def _combo(first: str, second: str, at: str, other: str,
            w1: QFieldElement | int, w0: QFieldElement | int,
-           v: dict[str, QFieldElement]) -> FormalCombo:
+           v: FormalCombo) -> FormalCombo:
     """One parameter-derivative block of a q-worksheet: the symbols of
     ``first`` at ``at`` and of ``second`` at ``other``, each times the
     other letter at the other point.  w1 weighs the two terms carrying a
@@ -487,10 +486,10 @@ def _combo(first: str, second: str, at: str, other: str,
     letters swaps them in the symbol and in its cofactor, so a swapped
     block is built structurally rather than by relabeling."""
     return {
-        (first, 1, at): w1 * v[f"{second}({other})"],
-        (first, 0, at): w0 * v[f"{second}'({other})"],
-        (second, 0, other): w1 * v[f"{first}'({at})"],
-        (second, 1, other): w0 * v[f"{first}({at})"],
+        (first, 1, at): w1 * v[second, 0, other],
+        (first, 0, at): w0 * v[second, 1, other],
+        (second, 0, other): w1 * v[first, 1, at],
+        (second, 1, other): w0 * v[first, 0, at],
     }
 
 
@@ -510,8 +509,8 @@ def derivative_worksheet(n: int) -> DerivativeWorksheet:
 
     # pure part of the reference-factor q-worksheet, kept in raw derived
     # form so the comparison below genuinely exercises q^3 = -1
-    b_phi = (v["Q'(qi)"] * v["P(-1)"] + qi * v["Q''(qi)"] * v["P(-1)"]
-             - q ** -2 * v["Q(qi)"] * v["P'(-1)"] - q * v["Q(qi)"] * v["P''(-1)"])
+    b_phi = (v["Q", 1, "qi"] * v["P", 0, "-1"] + qi * v["Q", 2, "qi"] * v["P", 0, "-1"]
+             - q ** -2 * v["Q", 0, "qi"] * v["P", 1, "-1"] - q * v["Q", 0, "qi"] * v["P", 2, "-1"])
     b_pair_matches = 2 * b_phi == t["B_T_swapped"]
 
     # parameter-derivative parts of the twist worksheet, one block at each
@@ -524,18 +523,14 @@ def derivative_worksheet(n: int) -> DerivativeWorksheet:
     a_twist_pair_cancels = _combo_equal(a_twist_phi, neg_a_twist)
 
     # the twist response through the boundary combination, against the
-    # eliminated closed form
+    # eliminated closed form, whose phi'(-q) is -T'(q) as phi(x) = T(-x)
     s_b = _s_b(n)
     ell = 2 * n
     twist_response = Fraction(3, 2) * ell * s_b / (q - qi)
-    phi_prime = -2 * n * (1 + q) ** (2 * n - 1)
     eliminated = Fraction(3, 2) * ell * (
-        phi_prime + 2 / (q ** 2 - 1)
-        * (qi * v["Q'(-1)"] * v["P(qi)"] + q * v["Q(-1)"] * v["P'(qi)"]))
+        -t["T'"] + 2 / (q ** 2 - 1)
+        * (qi * v["Q", 1, "-1"] * v["P", 0, "qi"] + q * v["Q", 0, "-1"] * v["P", 1, "qi"]))
     eliminated_form_matches = twist_response == eliminated
-
-    log_derivative = q * (1 - q ** 2) * t["T'"] / t["T"]
-    stationary = -2 * q / (1 + q ** 2) ** 2 * (log_derivative - ell)
 
     return DerivativeWorksheet(
         n=n, s_b=s_b, b_t=t["B_T"], b_t_swapped=t["B_T_swapped"], b_phi=b_phi,
@@ -544,8 +539,8 @@ def derivative_worksheet(n: int) -> DerivativeWorksheet:
         a_twist_pair_cancels=a_twist_pair_cancels,
         b_pair_matches=b_pair_matches,
         eliminated_form_matches=eliminated_form_matches,
-        transfer_log_derivative_is_l=(log_derivative == ell),
-        stationary_variation_vanishes=(stationary == 0),
+        transfer_log_derivative_is_l=(t["log_derivative"] == ell),
+        stationary_variation_vanishes=(t["stationary"] == 0),
     )
 
 
@@ -735,15 +730,11 @@ def recurrence_check(n_max: int = 30) -> RecurrenceReport:
 
     idents = True
     for k in range(1, min(n_max, 20) + 1):
-        f = f_q_poly(k)
-        c = c_constant(k)
-        idents = idents and f.derivative(2 * k)(-1) == c * (a1[k] - a2[k])
-        idents = idents and (f.derivative(2 * k + 1)(-1)
-                             == -c * k * (k + 1) * (b1[k] - b2[k]))
-        if k >= 2:
-            idents = idents and (f.derivative(2 * k + 2)(-1)
-                                 == c * Fraction(k * (k * k - 1) * (3 * k + 4), 6)
-                                 * (c1[k] - c2[k]))
+        f_m1, c = _f_q_descent(k), c_constant(k)
+        idents = (idents and f_m1[0] == c * (a1[k] - a2[k])
+                  and f_m1[1] == -c * k * (k + 1) * (b1[k] - b2[k])
+                  and (k < 2 or f_m1[2] == c * Fraction(k * (k * k - 1) * (3 * k + 4), 6)
+                       * (c1[k] - c2[k])))
     return RecurrenceReport(
         n_max=n_max,
         initial_values_ok=inits,

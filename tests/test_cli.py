@@ -290,6 +290,31 @@ def test_verify_all_default_matrix(tmp_path):
     assert got == fixture["rows"]
 
 
+def test_tq_suite_row_names_the_failing_reports(monkeypatch, tmp_path):
+    # every suite report runs, and the row lists each one that failed
+    boundary = tq_mod.boundary_values
+    monkeypatch.setattr(tq_mod, "boundary_values", lambda n: dataclasses.replace(
+        boundary(n), factorial_descent_ok=False))
+    out_path = tmp_path / "report.json"
+    code, _ = run_cli(["verify-all", "--lmax", "2", "--nmax", "1", "--out", str(out_path)])
+    doc = json.loads(out_path.read_text())
+    assert code == 1
+    assert doc["failures"] == ["tq-suite-N01"]
+    row = next(r for r in doc["rows"] if r["row"] == "tq-suite-N01")
+    assert row["actual"] == "FAIL: boundary"
+
+
+def test_tq_n3_reports_pinned():
+    # every exact tq report at N = 3 as JSON, boundary entry names and
+    # worksheet symbol keys included; the floating-point bethe roots are not
+    # pinned
+    fixture = json.loads((Path(__file__).parent / "data" / "tq_n3.json").read_text())
+    code, doc = run_json(["tq", "--n", "3"])
+    assert code == 0
+    assert list(doc["checks"]) == [*fixture, "bethe"]
+    assert {k: v for k, v in doc["checks"].items() if k != "bethe"} == fixture
+
+
 def test_verify_all_out_file(tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["verify-all", "--lmax", "2", "--nmax", "1",
@@ -526,7 +551,33 @@ def test_memory_estimate_refusal_exits_3_before_enumerating():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == ("error: out of memory (the exact pipeline at length 18 needs "
-                           "about 213 MB, and 1 MB is available); reduce --length or --nmax\n")
+                           "about 213 MB, and 1 MB is available); reduce --length\n")
+
+
+def test_memory_refusal_names_verify_all_flags():
+    # verify-all enumerates up to --lmax, so the hint names its own flags
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "import raisepeel.profiles as profiles\n"
+            "from raisepeel.cli import main\n"
+            "profiles._available_memory = lambda: 1 << 20\n"
+            "sys.exit(main(['verify-all', '--lmax', '18']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory (the exact pipeline at length ")
+    assert proc.stderr.endswith("; reduce --lmax or --nmax\n")
+
+
+def test_memory_failure_in_tq_names_n(monkeypatch, capsys):
+    def explode(n):
+        raise MemoryError
+
+    monkeypatch.setattr(tq_mod, "verify_tq", explode)
+    assert main(["tq", "--n", "1", "--check", "tq"]) == 3
+    assert capsys.readouterr().err == "error: out of memory; reduce --n\n"
 
 
 def test_memory_failure_exits_3(monkeypatch, capsys):

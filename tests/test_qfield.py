@@ -55,6 +55,21 @@ def test_powers_match_repeated_products():
         acc = acc * x
 
 
+def test_power_builds_no_square_past_the_last_bit(monkeypatch):
+    # 24 = 0b11000: the squares up to x^16 are used, an x^32 would not be
+    degrees = []
+    product = Polynomial.__mul__
+
+    def counted(self, other):
+        out = product(self, other)
+        degrees.append(out.degree)
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    assert Polynomial([1, 1]) ** 24 == Polynomial([1, 1]) ** 16 * Polynomial([1, 1]) ** 8
+    assert max(degrees) == 24
+
+
 def test_complex_embedding_is_a_ring_map():
     zq = complex(Q)
     assert abs(zq - (0.5 + 0.8660254037844386j)) < 1e-15

@@ -275,12 +275,13 @@ def _reference(cfg, block):
 
     records = []
     if cfg.report_every is not None:
-        tick = cfg.report_every
-        while tick <= end:
+        k = 1
+        while k * cfg.report_every <= end:
+            tick = k * cfg.report_every
             seen = trail[bisect_left(times, tick) - 1]
             records.append({"time": tick, "counters": seen,
                             "mean_peaks": peak_integral(0.0, tick) / tick})
-            tick += cfg.report_every
+            k += 1
     return state, counters, end, estimates, records
 
 

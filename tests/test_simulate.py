@@ -133,6 +133,14 @@ def test_progress_log_records():
         assert r["drift_diamond"] == r["counters"].n_diamond / r["time"]
 
 
+def test_progress_ticks_sit_on_an_exact_grid():
+    # a running sum of 0.1 would put the 8th tick at 0.7999999999999999
+    records = []
+    cfg = SimConfig(length=4, t_max=1.0, seed=0, report_every=0.1)
+    simulate(cfg, log_writer=records.append)
+    assert [r["time"] for r in records] == [k * 0.1 for k in range(1, 11)]
+
+
 def test_estimate_json_and_within():
     est = Estimate(1.5, 0.1)
     assert est.within(1.7, n_sigma=3.0)
