@@ -23,7 +23,7 @@ for alpha in (-0.2, 0.0, 0.2):
 
 origin = scgf_value(length)
 print(f"\nvalue at the origin: {origin.lambda_value:.2e} "
-      f"(method {origin.method}, {origin.iterations} iterations)")
+      f"(enclosure width {origin.residual:.1e}, {origin.iterations} iterations)")
 
 d_alpha, d_beta = scgf_derivatives(length)
 exact_global = float(global_current_formula(length))

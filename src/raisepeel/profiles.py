@@ -243,7 +243,8 @@ def enumerate_states(length: int) -> tuple[HeightProfile, ...]:
     needed, available = memory_estimate(length), _available_memory()
     if available is not None and needed > available:
         raise MemoryError(f"the exact pipeline at length {length} needs about "
-                          f"{needed >> 20} MB, and {available >> 20} MB is available")
+                          f"{needed / (1 << 20):.1f} MB, and {available / (1 << 20):.1f} MB "
+                          "is available")
     shifts = np.arange(length - 1, -1, -1)
     codes = np.arange(1 << length, dtype=np.int64)
     rises = sum((codes >> k) & 1 for k in range(length))

@@ -31,9 +31,8 @@ from .profiles import transition_table
 
 log = logging.getLogger(__name__)
 
-_DENSE_FALLBACK_DIM = 512
 _TOLERANCE = 1e-13
-_DEFAULT_MAX_ITERATIONS = 1_000_000
+_MAX_ITERATIONS = 1_000_000
 _STALL_LIMIT = 500
 _STRIDE = 8
 # ARPACK's Krylov dimension for the power iteration's start vector; a
@@ -59,9 +58,9 @@ class DeformedParams:
 class SCGFResult:
     """Largest-eigenvalue report.
 
-    residual is a certified enclosure width for the iterative path (the
-    true Perron root lies within residual of lambda_value) and the
-    imaginary leakage of the selected root for the dense path.
+    residual is always the width of the certified enclosure, below
+    _TOLERANCE, whose midpoint is lambda_value; method is always
+    "power-iteration".
     """
     lambda_value: float
     residual: float
@@ -125,8 +124,7 @@ def _arpack_seed(matrix: sp.csr_matrix) -> np.ndarray | None:
     return seed / seed[top]
 
 
-def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray,
-                       max_iterations: int = _DEFAULT_MAX_ITERATIONS) -> SCGFResult:
+def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray) -> SCGFResult:
     """Perron root of a square shifted-nonnegative matrix, certified.
 
     Power iteration runs on matrix + shift*I, the shift clearing the
@@ -145,10 +143,11 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray,
     checks grow the iterate at most twofold each, and no quotient loses a
     digit.  A narrower enclosure counts as progress only while float64 can
     still resolve _TOLERANCE at the root's lower bound; after a check
-    without progress, the next check comes one matvec later.  Without
-    progress for _STALL_LIMIT matvecs, or still open after max_iterations,
-    a small matrix falls back to a dense eigensolve; a large one raises
-    ConvergenceError with diagnostics.
+    without progress, the next check comes one matvec later.  The root is
+    the midpoint of the first enclosure narrower than _TOLERANCE, and
+    residual its width.  Without progress for _STALL_LIMIT matvecs
+    ("stalled"), or still open after _MAX_ITERATIONS, ConvergenceError is
+    raised; it names the last enclosure when both its ends are finite.
     """
     a = sp.csr_matrix(matrix, dtype=float)
     n = a.shape[0]
@@ -189,10 +188,10 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray,
                   n, start, iterations, hi - lo, method)
 
     done = since_gain = 0
-    while done < max_iterations:
+    while done < _MAX_ITERATIONS:
         # an enclosure at float64's noise floor makes no progress, and then
         # gets a chance to pinch at every step, as under a per-step check
-        steps = min(_STRIDE if since_gain == 0 else 1, max_iterations - done)
+        steps = min(_STRIDE if since_gain == 0 else 1, _MAX_ITERATIONS - done)
         for _ in range(steps - 1):
             v = a @ v
         w = a @ v
@@ -214,21 +213,20 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray,
         if math.isfinite(hi):
             rescale(hi)
 
-    if n < _DENSE_FALLBACK_DIM:
-        report(done, "dense-fallback")
-        eigenvalues = np.linalg.eigvals(a.toarray() * scale)
-        top = eigenvalues[int(np.argmax(eigenvalues.real))]
-        return SCGFResult(float(top.real) - shift, float(abs(top.imag)), done,
-                          method="dense-fallback")
     report(done, "refused")
-    detail = ""
-    if not math.isfinite(hi - lo):
+    if since_gain >= _STALL_LIMIT:
+        verdict = f"stalled at width {best:.3e} after {done} matvecs"
+    else:
+        verdict = f"still open after {done} matvecs"
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         detail = "; the iterate left float64's range"
-    elif math.ulp(lo) > _TOLERANCE:
-        detail = f"; float64 spacing at the lower bound {lo - shift:.6g} exceeds the tolerance"
-    raise ConvergenceError(
-        f"Perron enclosure stalled at width {best:.3e} after "
-        f"{done} iterations (tol {_TOLERANCE:.1e}, dimension {n}){detail}")
+    else:
+        detail = f"; last enclosure [{lo - shift!r}, {hi - shift!r}]"
+        if math.ulp(lo) > _TOLERANCE:
+            detail += (f"; float64 spacing at the lower bound {lo - shift:.6g} "
+                       "exceeds the tolerance")
+    raise ConvergenceError(f"Perron enclosure {verdict} (tol {_TOLERANCE:.1e}, "
+                           f"dimension {n}){detail}")
 
 
 def scgf_value(length: int,

@@ -167,6 +167,22 @@ def test_large_tilts_end_cleanly(beta, capsys):
         assert isfinite(float(width))
 
 
+def test_hard_negative_tilt_is_refused_with_its_enclosure():
+    # at beta=-4 the two leading eigenvalues nearly coincide and the
+    # enclosure stalls near width 1e-8; a 60-digit eigensolve puts the root
+    # at -3.99731496033, and the refusal must name an interval around it
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "raisepeel.cli", "scgf", "--length", "8", "--beta", "-4"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: convergence failure: Perron enclosure stalled")
+    lo, hi = map(float, re.search(r"last enclosure \[(\S+), (\S+)\]", proc.stderr).groups())
+    assert lo <= -3.99731496033 <= hi
+
+
 def test_xxz_reruns_print_the_same_json():
     # two fresh processes: the tilted ground energy is an ARPACK solve
     src = Path(__file__).resolve().parents[1] / "src"
@@ -551,7 +567,7 @@ def test_memory_estimate_refusal_exits_3_before_enumerating():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == ("error: out of memory (the exact pipeline at length 18 needs "
-                           "about 213 MB, and 1 MB is available); reduce --length\n")
+                           "about 213.9 MB, and 1.0 MB is available); reduce --length\n")
 
 
 def test_memory_refusal_names_verify_all_flags():
@@ -567,8 +583,10 @@ def test_memory_refusal_names_verify_all_flags():
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: out of memory (the exact pipeline at length ")
-    assert proc.stderr.endswith("; reduce --lmax or --nmax\n")
+    # the first length past the pinned memory is 12, whose estimate is about
+    # 1.16 MB: one decimal keeps the two figures apart
+    assert proc.stderr == ("error: out of memory (the exact pipeline at length 12 needs "
+                           "about 1.2 MB, and 1.0 MB is available); reduce --lmax or --nmax\n")
 
 
 def test_memory_failure_in_tq_names_n(monkeypatch, capsys):

@@ -82,7 +82,7 @@ def test_enumeration_refuses_what_memory_cannot_hold(monkeypatch):
     # the refusal comes before the enumeration allocates anything; the
     # cached enumeration is bypassed so that the check runs
     monkeypatch.setattr(profiles, "_available_memory", lambda: 100 << 20)
-    with pytest.raises(MemoryError, match="at length 18 needs about 213 MB, and 100 MB"):
+    with pytest.raises(MemoryError, match=r"at length 18 needs about 213\.9 MB, and 100\.0 MB"):
         enumerate_states.__wrapped__(18)
     assert len(enumerate_states.__wrapped__(16)) == comb(16, 8)
     monkeypatch.setattr(profiles, "_available_memory", lambda: None)

@@ -1,6 +1,7 @@
 """Tilted generators, Perron eigenvalues, and derivative cross-checks."""
 
 import logging
+import re
 from math import exp
 from pathlib import Path
 
@@ -249,35 +250,50 @@ def test_one_log_line_per_block(caplog):
                for line in lines)
 
 
+def _refusal(matrix, match):
+    """The ConvergenceError message of a refused solve."""
+    with pytest.raises(ConvergenceError, match=match) as info:
+        largest_eigenvalue(matrix)
+    return str(info.value)
+
+
+def _matvecs(message):
+    return int(message.split(" after ")[1].split()[0])
+
+
+def _enclosure(message):
+    lo, hi = re.search(r"last enclosure \[(\S+), (\S+)\]", message).groups()
+    return float(lo), float(hi)
+
+
 def test_near_defective_root_is_refused_promptly():
     # at beta=-3 the two leading eigenvalues of the L=12 matrix lie 1.9e-5
     # apart; from ones the enclosure narrowed only like 1/iterations and
     # was refused after 578 k matvecs
-    with pytest.raises(ConvergenceError, match=r"stalled at width \d") as info:
-        largest_eigenvalue(build_deformed(12, DeformedParams(0.0, -3.0)))
-    iterations = int(str(info.value).split(" after ")[1].split()[0])
-    assert iterations <= 4 * _STALL_LIMIT
+    message = _refusal(build_deformed(12, DeformedParams(0.0, -3.0)), r"stalled at width \d")
+    assert _matvecs(message) <= 4 * _STALL_LIMIT
 
 
-def test_unresolvable_root_falls_back_to_dense():
-    # at a Perron root near 6000 the spacing of float64 exceeds _TOLERANCE,
-    # so the scaled matrix's enclosure cannot pinch and no gain counts
+def test_unresolvable_root_is_refused_promptly():
+    # the shifted matrix's Perron root is near 6400, where the spacing of
+    # float64 exceeds _TOLERANCE, so its enclosure cannot pinch and no gain
+    # counts
     base = build_deformed(6, DeformedParams(0.2, 0.1))
-    scaled = largest_eigenvalue(1000.0 * base)
-    assert scaled.method == "dense-fallback"
-    assert scaled.iterations <= _STALL_LIMIT
-    assert scaled.lambda_value == pytest.approx(1000.0 * largest_eigenvalue(base).lambda_value,
-                                                rel=1e-12)
+    message = _refusal(1000.0 * base, r"stalled at width \d.*float64 spacing at the lower bound")
+    assert _matvecs(message) <= _STALL_LIMIT
+    # the last enclosure and the certified root of the base matrix, scaled,
+    # bound the same root
+    lo, hi = _enclosure(message)
+    root = largest_eigenvalue(base)
+    assert lo <= 1000.0 * (root.lambda_value + root.residual)
+    assert hi >= 1000.0 * (root.lambda_value - root.residual)
 
 
 def test_stall_at_float_resolution_is_reported_promptly():
     # the tilted root at beta=10 is about 1.7e5, where float64 cannot
-    # resolve an absolute width of 1e-13, and the matrix is too large for
-    # the dense fallback
-    with pytest.raises(ConvergenceError, match=r"stalled at width \d") as info:
-        largest_eigenvalue(build_deformed(12, DeformedParams(0.0, 10.0)))
-    iterations = int(str(info.value).split(" after ")[1].split()[0])
-    assert iterations <= 4 * _STALL_LIMIT
+    # resolve an absolute width of 1e-13
+    message = _refusal(build_deformed(12, DeformedParams(0.0, 10.0)), r"stalled at width \d")
+    assert _matvecs(message) <= 4 * _STALL_LIMIT
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
@@ -295,24 +311,19 @@ def test_block_shapes_and_row_sums_validated():
         largest_eigenvalue(np.array([[1e308, 1e308], [1.0, 1.0]]))
 
 
-def _dense_root(matrix):
-    return float(np.linalg.eigvals(matrix.toarray()).real.max())
-
-
 @pytest.mark.parametrize("length, tilt", [
     (4, DeformedParams(0.0, 100.0)), (8, DeformedParams(150.0, -3.0)),
     (10, DeformedParams(0.0, 30.0)),
 ])
 def test_huge_finite_weights_stall_promptly(length, tilt):
     # weights up to e^400: the matrix is scaled by a power of two at its
-    # quotient bound, so no unnormalised step overflows, the enclosure stays
-    # finite, and the root, far past what float64 resolves to 1e-13, is
-    # handed to the dense solve within _STALL_LIMIT matvecs
-    matrix = build_deformed(length, tilt)
-    result = largest_eigenvalue(matrix)
-    assert result.method == "dense-fallback"
-    assert result.iterations <= _STALL_LIMIT
-    assert result.lambda_value == pytest.approx(_dense_root(matrix), rel=1e-12)
+    # quotient bound, so no unnormalised step overflows and the row-sum
+    # enclosure is finite; the root, far past what float64 resolves to
+    # 1e-13, is refused within _STALL_LIMIT matvecs
+    message = _refusal(build_deformed(length, tilt), r"stalled at width \d")
+    assert _matvecs(message) <= _STALL_LIMIT
+    # an enclosure is named only when both its ends are finite
+    assert "nan" not in message and "inf" not in message
 
 
 def test_stencil_solves_each_tilt_through_largest_eigenvalue(monkeypatch):
@@ -339,13 +350,16 @@ def test_stencil_solves_each_tilt_through_largest_eigenvalue(monkeypatch):
     assert d_beta == pytest.approx(float(diamond_current_formula(6)), rel=1e-6)
 
 
-def test_dense_fallback_when_iteration_stalls():
+def test_iteration_budget_refuses_with_the_enclosure(monkeypatch):
     m = build_deformed(4, DeformedParams(0.2, 0.1))
-    res = largest_eigenvalue(m, max_iterations=1)
-    assert res.method == "dense-fallback"
     reference = largest_eigenvalue(m)
-    assert res.lambda_value == pytest.approx(reference.lambda_value, abs=1e-10)
     assert reference.method == "power-iteration"
+    monkeypatch.setattr(scgf_mod, "_MAX_ITERATIONS", 1)
+    message = _refusal(m, r"still open after 1 matvecs")
+    assert _matvecs(message) == 1
+    # the quotients of any positive iterate bound the root
+    lo, hi = _enclosure(message)
+    assert lo <= reference.lambda_value <= hi
 
 
 @pytest.mark.parametrize("route, forbidden", [
