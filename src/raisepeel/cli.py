@@ -686,7 +686,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (scgf.ConvergenceError, tq.RefinementError) as exc:
+    except profiles.ConvergenceError as exc:
         print(f"error: convergence failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

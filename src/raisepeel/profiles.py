@@ -23,7 +23,8 @@ exact stationary solver, ``scgf`` and the Monte Carlo table stepper read
 its arrays as they are.
 
 ``diamond_current_formula`` and ``global_current_formula`` state the two
-laws of large numbers, the tile and global-avalanche currents, for every route.
+laws of large numbers, the tile and global-avalanche currents, for every route,
+and ``ConvergenceError`` is the one numerical refusal the routes raise.
 """
 
 from __future__ import annotations
@@ -109,6 +110,10 @@ def substrate(length: int) -> HeightProfile:
     """The flat profile (0, 1, 0, 1, ...), the lowest admissible state."""
     check_length(length)
     return tuple(i % 2 for i in range(length))
+
+
+class ConvergenceError(RuntimeError):
+    """A numerical solve could not reach the accuracy its answer needs."""
 
 
 def check_length(length: int) -> None:

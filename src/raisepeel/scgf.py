@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
-from .profiles import transition_table
+from .profiles import ConvergenceError, transition_table
 
 log = logging.getLogger(__name__)
 
@@ -41,10 +41,6 @@ _STRIDE = 8
 # ncv = 8 and 8 ms from ncv = 10, where OpenBLAS starts threads in the
 # dense Schur step.
 _KRYLOV_DIM = 8
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative eigensolve could not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,8 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray) -> SCGFResult:
     the midpoint of the first enclosure narrower than _TOLERANCE, and
     residual its width.  Without progress for _STALL_LIMIT matvecs
     ("stalled"), or still open after _MAX_ITERATIONS, ConvergenceError is
-    raised; it names the last enclosure when both its ends are finite.
+    raised; it names the narrowest enclosure seen, the row sums' included,
+    and a stall quotes that enclosure's width.
     """
     a = sp.csr_matrix(matrix, dtype=float)
     n = a.shape[0]
@@ -167,6 +164,7 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray) -> SCGFResult:
         raise ValueError("matrix row sums are not finite in float64")
     lo, hi = float(row_sums.min()), float(row_sums.max())
     best = hi - lo
+    narrowest = (lo, hi)
     scale = 1.0
 
     def rescale(bound: float) -> None:
@@ -204,6 +202,9 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray) -> SCGFResult:
         if width < _TOLERANCE:
             report(done, "power-iteration")
             return SCGFResult(0.5 * (lo + hi) - shift, width, done)
+        # a finite width means both ends are finite
+        if width < narrowest[1] - narrowest[0]:
+            narrowest = (lo, hi)
         if width < 0.999 * best and math.ulp(lo) <= _TOLERANCE:
             best, since_gain = width, 0
         else:
@@ -214,17 +215,17 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray) -> SCGFResult:
             rescale(hi)
 
     report(done, "refused")
+    low, high = narrowest
     if since_gain >= _STALL_LIMIT:
-        verdict = f"stalled at width {best:.3e} after {done} matvecs"
+        verdict = f"stalled at width {high - low:.3e} after {done} matvecs"
     else:
         verdict = f"still open after {done} matvecs"
+    detail = f"; narrowest enclosure [{low - shift!r}, {high - shift!r}]"
+    if math.ulp(low) > _TOLERANCE:
+        detail += (f"; float64 spacing {math.ulp(low):.1e} at the shifted lower bound "
+                   f"{low:.6g} exceeds the tolerance")
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        detail = "; the iterate left float64's range"
-    else:
-        detail = f"; last enclosure [{lo - shift!r}, {hi - shift!r}]"
-        if math.ulp(lo) > _TOLERANCE:
-            detail += (f"; float64 spacing at the lower bound {lo - shift:.6g} "
-                       "exceeds the tolerance")
+        detail += "; the iterate left float64's range"
     raise ConvergenceError(f"Perron enclosure {verdict} (tol {_TOLERANCE:.1e}, "
                            f"dimension {n}){detail}")
 

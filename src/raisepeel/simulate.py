@@ -342,9 +342,11 @@ def _batch_estimate(full_value: float, batch_values: np.ndarray) -> Estimate:
 def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectorySummary:
     """One exact continuous-time trajectory from the substrate.
 
-    When cfg.report_every is set and a log_writer is given, a record with
-    the running counters and drifts is emitted at every report tick.
+    A log_writer, which needs cfg.report_every, receives a record with the
+    running counters and drifts at every report tick.
     """
+    if log_writer is not None and cfg.report_every is None:
+        raise ValueError("a log_writer needs cfg.report_every to set the tick spacing")
     length = cfg.length
     rng = np.random.default_rng(cfg.seed)
     ring = stepper_for(length)(substrate(length))

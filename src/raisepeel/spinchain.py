@@ -31,11 +31,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .profiles import check_length
-from .scgf import ConvergenceError
+from .profiles import ConvergenceError, check_length
 
-_DENSE_SECTOR_DIM = 64       # below this, skip ARPACK entirely
-_DENSE_FALLBACK_DIM = 4096   # dense rescue cap when ARPACK disappoints
+_DENSE_SECTOR_DIM = 64       # dense up to here; eigsh refuses L=2's 2 states (k >= N - 1)
 _HERMITIAN_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10        # largest accepted eigenpair residual of ARPACK
 TL_TOLERANCE = 1e-12         # worst entry of a Temperley-Lieb relation residual
@@ -155,8 +153,9 @@ def ground_energy(params: XXZParams) -> float:
 
     The iteration starts from a fixed-seed vector, so reruns return the
     same digits.  The returned value is guarded by an explicit residual
-    check; small sectors (or an unconverged iterative solve on a modest
-    one) go through a dense Hermitian eigensolve instead.
+    check; small sectors go through a dense Hermitian eigensolve, and a
+    larger one whose solve fails or misses that check is refused with
+    ConvergenceError.
     """
     twist = params.resolved_twist()
     if abs(abs(twist) - 1) > _HERMITIAN_TOL:
@@ -167,20 +166,19 @@ def ground_energy(params: XXZParams) -> float:
     n = h.shape[0]
     if n <= _DENSE_SECTOR_DIM:
         return float(np.linalg.eigvalsh(h.toarray())[0])
+    start = np.random.default_rng(0).standard_normal(n).astype(h.dtype)
     try:
-        start = np.random.default_rng(0).standard_normal(n).astype(h.dtype)
         values, vectors = eigsh(h, k=1, which="SA", tol=0.0, maxiter=50 * n, v0=start)
-        vec = vectors[:, 0]
-        residual = float(np.linalg.norm(h @ vec - values[0] * vec))
-        if residual <= _RESIDUAL_TOL:
-            return float(values[0])
-    except ArpackError:
-        residual = float("inf")
-    if n <= _DENSE_FALLBACK_DIM:
-        return float(np.linalg.eigvalsh(h.toarray())[0])
-    raise ConvergenceError(
-        f"extremal eigensolve residual {residual:.2e} exceeds "
-        f"{_RESIDUAL_TOL:.1e} on sector dimension {n}")
+    except ArpackError as exc:
+        raise ConvergenceError(f"extremal eigensolve failed on sector dimension {n}: "
+                               f"{exc}") from exc
+    vec = vectors[:, 0]
+    residual = float(np.linalg.norm(h @ vec - values[0] * vec))
+    if residual > _RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"extremal eigensolve residual {residual:.2e} exceeds "
+            f"{_RESIDUAL_TOL:.1e} on sector dimension {n}")
+    return float(values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from math import factorial
 import numpy as np
 
 from .qfield import Polynomial, QFieldElement, poch, rising_product
-from .profiles import diamond_current_formula, global_current_formula
+from .profiles import ConvergenceError, diamond_current_formula, global_current_formula
 
 Q = QFieldElement.gen()          # q, with q^2 = q - 1
 QI = Q.inverse()                 # q^-1 = 1 - q
@@ -754,10 +754,6 @@ _NEWTON_STEPS = 6
 _JACOBIAN_STEP = 1e-7
 
 
-class RefinementError(RuntimeError):
-    """Newton refinement of the roots of Q left the roots it started from."""
-
-
 def bethe_roots(n: int) -> np.ndarray:
     """Roots of Q in the complex plane, sorted by real then imaginary part.
 
@@ -781,7 +777,7 @@ def bethe_roots(n: int) -> np.ndarray:
         spacing = np.abs(np.subtract.outer(seeds, seeds))
         np.fill_diagonal(spacing, np.inf)
         if np.abs(roots - seeds).max() >= 0.25 * spacing.min():
-            raise RefinementError(f"Newton refinement moved a root of Q away from its seed at N={n}")
+            raise ConvergenceError(f"Newton refinement moved a root of Q away from its seed at N={n}")
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 

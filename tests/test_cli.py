@@ -16,7 +16,9 @@ from contextlib import redirect_stdout
 from math import exp, isfinite
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import raisepeel
 import raisepeel.cli as cli_mod
@@ -179,7 +181,7 @@ def test_hard_negative_tilt_is_refused_with_its_enclosure():
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: convergence failure: Perron enclosure stalled")
-    lo, hi = map(float, re.search(r"last enclosure \[(\S+), (\S+)\]", proc.stderr).groups())
+    lo, hi = map(float, re.search(r"narrowest enclosure \[(\S+), (\S+)\]", proc.stderr).groups())
     assert lo <= -3.99731496033 <= hi
 
 
@@ -535,6 +537,19 @@ def test_convergence_failure_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "convergence" in err
+
+
+def test_unconverged_spin_chain_solve_exits_3(monkeypatch, capsys):
+    def stall(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spinchain_mod, "eigsh", stall)
+    code = main(["xxz", "--length", "8"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: convergence failure: extremal eigensolve failed "
+                                   "on sector dimension 70")
 
 
 def test_bethe_refinement_failure_exits_3(capsys):

@@ -1,7 +1,10 @@
 """Tilted generators, Perron eigenvalues, and derivative cross-checks."""
 
 import logging
+import os
 import re
+import subprocess
+import sys
 from math import exp
 from pathlib import Path
 
@@ -262,7 +265,7 @@ def _matvecs(message):
 
 
 def _enclosure(message):
-    lo, hi = re.search(r"last enclosure \[(\S+), (\S+)\]", message).groups()
+    lo, hi = re.search(r"narrowest enclosure \[(\S+), (\S+)\]", message).groups()
     return float(lo), float(hi)
 
 
@@ -279,14 +282,20 @@ def test_unresolvable_root_is_refused_promptly():
     # float64 exceeds _TOLERANCE, so its enclosure cannot pinch and no gain
     # counts
     base = build_deformed(6, DeformedParams(0.2, 0.1))
-    message = _refusal(1000.0 * base, r"stalled at width \d.*float64 spacing at the lower bound")
+    message = _refusal(1000.0 * base,
+                       r"stalled at width \d.*float64 spacing \S+ at the shifted lower bound")
     assert _matvecs(message) <= _STALL_LIMIT
-    # the last enclosure and the certified root of the base matrix, scaled,
-    # bound the same root
+    # the narrowest enclosure and the certified root of the base matrix,
+    # scaled, bound the same root
     lo, hi = _enclosure(message)
     root = largest_eigenvalue(base)
     assert lo <= 1000.0 * (root.lambda_value + root.residual)
     assert hi >= 1000.0 * (root.lambda_value - root.residual)
+    # the stall quotes the width of that enclosure, and the spacing quoted
+    # is the one that defeats the tolerance
+    width = float(re.search(r"stalled at width (\S+) ", message).group(1))
+    assert width == pytest.approx(hi - lo, abs=1e-13)
+    assert float(re.search(r"float64 spacing (\S+) ", message).group(1)) > _TOLERANCE
 
 
 def test_stall_at_float_resolution_is_reported_promptly():
@@ -322,7 +331,7 @@ def test_huge_finite_weights_stall_promptly(length, tilt):
     # 1e-13, is refused within _STALL_LIMIT matvecs
     message = _refusal(build_deformed(length, tilt), r"stalled at width \d")
     assert _matvecs(message) <= _STALL_LIMIT
-    # an enclosure is named only when both its ends are finite
+    # the enclosure named is the narrowest one with both ends finite
     assert "nan" not in message and "inf" not in message
 
 
@@ -362,17 +371,13 @@ def test_iteration_budget_refuses_with_the_enclosure(monkeypatch):
     assert lo <= reference.lambda_value <= hi
 
 
-@pytest.mark.parametrize("route, forbidden", [
-    ("stationary", {"scgf", "spinchain", "tq"}),
-    ("scgf", {"stationary", "spinchain", "tq"}),
-    ("tq", {"stationary", "scgf", "spinchain"}),
-    # the spin chain reuses the eigenvalue route's ConvergenceError and the
-    # shared model's ring-length rule (profiles), nothing of another solver
-    ("spinchain", {"stationary", "tq"}),
-], ids=["stationary", "scgf", "tq", "spinchain"])
-def test_route_is_independent_of_the_other_routes(route, forbidden):
-    # the solvers share no code: the only cross-checks live in the tests
-    # and the verification driver
+_ROUTES = ("stationary", "scgf", "tq", "spinchain", "simulate")
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_route_is_independent_of_the_other_routes(route):
+    # the solvers share no code, only the model (profiles): the only
+    # cross-checks live in the tests and the verification driver
     import ast
     import importlib
     module = importlib.import_module(f"raisepeel.{route}")
@@ -384,11 +389,30 @@ def test_route_is_independent_of_the_other_routes(route, forbidden):
         elif isinstance(node, ast.ImportFrom):
             imported.update((node.module or "").split("."))
             imported.update(alias.name for alias in node.names)
-    assert not imported & forbidden
+    assert not imported & (set(_ROUTES) - {route})
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_importing_a_route_loads_no_other_route(route):
+    # a fresh process, so that no other test has loaded a module already
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (f"import sys, raisepeel.{route}\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('raisepeel.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=path))
+    loaded = {name.removeprefix("raisepeel.") for name in proc.stdout.split()}
+    assert route in loaded and not loaded & (set(_ROUTES) - {route})
 
 
 def test_convergence_error_is_a_runtime_error():
+    # one class, defined with the model, for every route's refusal
+    import raisepeel.profiles
+    import raisepeel.spinchain
+    import raisepeel.tq
     assert issubclass(ConvergenceError, RuntimeError)
+    assert ConvergenceError is raisepeel.profiles.ConvergenceError
+    assert raisepeel.spinchain.ConvergenceError is raisepeel.tq.ConvergenceError is ConvergenceError
 
 
 @pytest.mark.parametrize("length,alpha,beta", [(4, 1, 2), (14, 0, 10)])

@@ -133,6 +133,14 @@ def test_progress_log_records():
         assert r["drift_diamond"] == r["counters"].n_diamond / r["time"]
 
 
+def test_log_writer_without_report_every_is_refused():
+    # refused before the first draw, not with a TypeError at the first tick
+    records = []
+    with pytest.raises(ValueError, match="report_every"):
+        simulate(SimConfig(length=4, t_max=10.0), log_writer=records.append)
+    assert records == []
+
+
 def test_progress_ticks_sit_on_an_exact_grid():
     # a running sum of 0.1 would put the 8th tick at 0.7999999999999999
     records = []

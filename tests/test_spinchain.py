@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import raisepeel.spinchain as spinchain
+from raisepeel.profiles import ConvergenceError
 from raisepeel.scgf import DeformedParams, build_deformed, scgf_value
 from raisepeel.spinchain import (
     XXZParams,
@@ -219,13 +220,27 @@ def test_sector_operator_rejects_blocks_that_change_sz():
         sector_operator(4, 2, {0: block})
 
 
-def test_arpack_no_convergence_falls_back_to_dense(monkeypatch):
+def test_arpack_no_convergence_is_refused(monkeypatch):
     def stall(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(spinchain, "eigsh", stall)
     # L = 8 has sector dimension 70, above the dense-only threshold
-    assert abs(ground_energy(XXZParams(8)) + 6.0) <= 1e-10
+    with pytest.raises(ConvergenceError, match="sector dimension 70") as info:
+        ground_energy(XXZParams(8))
+    assert isinstance(info.value.__cause__, ArpackNoConvergence)
+
+
+def test_wrong_eigenpair_is_refused_by_its_residual(monkeypatch):
+    def wrong(h, **kwargs):
+        # the exact ground energy, paired with a basis vector
+        vector = np.zeros((h.shape[0], 1), dtype=h.dtype)
+        vector[0] = 1.0
+        return np.array([-6.0]), vector
+
+    monkeypatch.setattr(spinchain, "eigsh", wrong)
+    with pytest.raises(ConvergenceError, match=r"residual \S+ exceeds .* sector dimension 70"):
+        ground_energy(XXZParams(8))
 
 
 def test_other_eigensolver_errors_propagate(monkeypatch):

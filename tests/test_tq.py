@@ -11,8 +11,8 @@ import pytest
 import raisepeel.tq
 from raisepeel.cli import main
 from raisepeel.qfield import Polynomial, QFieldElement
+from raisepeel.profiles import ConvergenceError
 from raisepeel.tq import (
-    RefinementError,
     a1_prime_seq,
     a1_second_seq,
     a1_seq,
@@ -20,6 +20,7 @@ from raisepeel.tq import (
     a2_second_seq,
     a2_seq,
     bethe_check,
+    bethe_roots,
     boundary_values,
     c_constant,
     derivative_worksheet,
@@ -240,9 +241,14 @@ def test_roots_and_energies(n):
     assert abs(-n / 2 - np.sum(u / z + z / u) + 1.5 * n) < 1e-8
 
 
-def test_refinement_failure_is_a_runtime_error():
-    # the CLI exits 3 on it (tests/test_cli.py)
-    assert issubclass(RefinementError, RuntimeError)
+@pytest.mark.parametrize("n", [28, 40])
+def test_polish_that_would_leave_the_roots_of_q_is_refused(n):
+    # without the quarter-spacing guard the Newton polish lands on other
+    # solutions of the root equations here: residuals of 2.0e-14 (N=28)
+    # and 3.3e-14 (N=40), yet 2.2e-2 and 0.84 away from 80-digit roots of
+    # Q, so root_equations_hold would pass on the wrong roots
+    with pytest.raises(ConvergenceError, match=f"away from its seed at N={n}$"):
+        bethe_roots(n)
 
 
 @pytest.fixture(params=[Polynomial([1, 1]), Polynomial([2])], ids=["degree", "leading"])
