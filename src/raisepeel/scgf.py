@@ -4,17 +4,21 @@ Off-diagonal entries of the forward generator are reweighted by
 exp(alpha * dGlobal + beta * dDiamond), the exponential tilt conjugate to
 the two avalanche counters.  The largest eigenvalue of the tilted matrix
 is the scaled cumulant generating function of the pair of currents, and
-its gradient at the origin recovers the long-run drifts.  Each Perron
-root comes from a power iteration on one matrix with a certified quotient
-enclosure, read every _STRIDE steps (every step once the enclosure stops
-narrowing); the Richardson stencil solves its eight tilts one at a time.
-The iteration starts from the modulus of ARPACK's Perron vector (R. B.
-Lehoucq, D. C. Sorensen and C. Yang, ARPACK Users' Guide, SIAM 1998),
-which removes the slow modes before the first matvec; ARPACK's eigenvalue
-is discarded, and the value and its certificate come from the enclosure
-alone, which holds for any positive start vector.  Everything here is
-numerical and independent of the exact stationary solver on purpose:
-agreement of the two routes is a genuine cross-check, not a tautology.
+its gradient at the origin recovers the long-run drifts.  The matrix is
+held by columns, as numpy arrays read off the transition table: every
+state's L targets and their weights, multiplied into a vector by one
+np.bincount.  Each Perron root comes from a power iteration on one matrix
+with a certified quotient enclosure, read every _STRIDE steps (every step
+once the enclosure stops narrowing); the Richardson stencil solves its
+eight tilts one at a time.  The iteration starts from the modulus of a
+Perron vector found by a thick-restarted Arnoldi iteration from ones
+(Y. Saad, Numerical Methods for Large Eigenvalue Problems, 2nd ed., SIAM
+2011, ch. 6), which removes the slow modes before the first matvec;
+the Arnoldi eigenvalue is discarded, and the value and its certificate
+come from the enclosure alone, which holds for any positive start vector.
+Everything here is numerical and independent of the exact stationary
+solver on purpose: agreement of the two routes is a genuine cross-check,
+not a tautology.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .profiles import ConvergenceError, transition_table
 
@@ -35,12 +37,19 @@ _TOLERANCE = 1e-13
 _MAX_ITERATIONS = 1_000_000
 _STALL_LIMIT = 500
 _STRIDE = 8
-# ARPACK's Krylov dimension for the power iteration's start vector; a
-# matrix of at most this many rows starts from ones (ARPACK needs
-# ncv <= n).  On a 2-core machine eigs at n = 924 takes about 2 ms up to
-# ncv = 8 and 8 ms from ncv = 10, where OpenBLAS starts threads in the
-# dense Schur step.
-_KRYLOV_DIM = 8
+# Arnoldi basis size for the power iteration's start vector; a matrix of
+# at most this many rows gets an exact invariant subspace in one cycle.
+# numpy's products with a basis of this size stay on one OpenBLAS thread
+# up to n = 12870 (L = 16): the BLAS worker threads accrue no CPU time, as
+# /proc/self/task shows.  On the L = 12 stencil (2-core x86-64, numpy 2.4)
+# 24 vectors, 8 kept, take about 40 Arnoldi and 17 power matvecs a tilt;
+# an explicit restart from the one Ritz vector took about 60 and 14.
+_KRYLOV_DIM = 24
+_KRYLOV_KEEP = 8
+# relative Ritz residual at which the Arnoldi vector is taken, and the
+# cycles allowed to reach it
+_KRYLOV_TOL = 1e-14
+_KRYLOV_CYCLES = 20
 
 
 @dataclass(frozen=True)
@@ -64,13 +73,50 @@ class SCGFResult:
     method: str = "power-iteration"
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnMatrix:
+    """A square float64 matrix held by columns, as numpy arrays.
+
+    Column j holds diagonal[j] on the diagonal and weights[j, k] in row
+    rows[j, k] for every k, entries that share a position adding up.
+    """
+    diagonal: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray) -> ColumnMatrix:
+        """The columns of a square array."""
+        dense = np.asarray(matrix, dtype=np.float64)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValueError("matrix must be square")
+        n = len(dense)
+        return cls(np.zeros(n), np.tile(np.arange(n), (n, 1)), dense.T)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.diagonal), len(self.diagonal))
+
+    def toarray(self) -> np.ndarray:
+        dense = np.diag(self.diagonal)
+        np.add.at(dense, (self.rows, np.arange(len(self.diagonal))[:, None]), self.weights)
+        return dense
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """M v: each column's weights, times its entry of v, summed into their rows."""
+        # flat operands: a (n, L) * (n, 1) broadcast loops L entries at a time
+        products = self.weights.ravel() * np.repeat(v, self.rows.shape[1])
+        return self.diagonal * v + np.bincount(self.rows.ravel(), products, minlength=len(v))
+
+
 def build_deformed(length: int,
-                   params: DeformedParams = DeformedParams()) -> sp.csr_matrix:
-    """Tilted generator on the enumerated basis, a float64 CSR matrix.
+                   params: DeformedParams = DeformedParams()) -> ColumnMatrix:
+    """Tilted generator on the enumerated basis, by columns.
 
     Entry (target, source) collects exp(alpha*dGlobal + beta*dDiamond)
-    over the sites realizing that move; reflections stay weight one and
-    cancel against their own loss term, so the diagonal is minus the
+    over the sites realizing that move; the rows of column source are the
+    transition table's targets of that state.  Reflections stay weight one
+    and cancel against their own loss term, so the diagonal is minus the
     number of non-reflecting sites.  At (0, 0) this is the plain forward
     generator, entry for entry.  Non-finite move weights are refused.
     """
@@ -84,11 +130,7 @@ def build_deformed(length: int,
     if not np.isfinite(weights).all():
         raise ValueError(f"tilt (alpha, beta) = ({params.alpha}, {params.beta}) "
                          "gives non-finite move weights")
-    diagonal = np.arange(n)
-    rows = np.concatenate([table.target.ravel(), diagonal])
-    cols = np.concatenate([np.repeat(diagonal, length), diagonal])
-    values = np.concatenate([weights.ravel(), np.full(n, -float(length))])
-    return sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+    return ColumnMatrix(np.full(n, -float(length)), table.target, weights)
 
 
 def _power_of_two_below(bound: float) -> float:
@@ -96,70 +138,148 @@ def _power_of_two_below(bound: float) -> float:
     return math.ldexp(1.0, math.frexp(bound)[1] - 1)
 
 
-def _arpack_seed(matrix: sp.csr_matrix) -> np.ndarray | None:
-    """Modulus of ARPACK's Perron vector of a shifted, scaled matrix, its
-    largest entry one.
+def _ritz_vector(matrix: ColumnMatrix) -> np.ndarray | None:
+    """Ritz vector of the rightmost Ritz value of a thick-restarted Arnoldi
+    iteration from ones, with bases of min(_KRYLOV_DIM, n) vectors.
 
-    None for a matrix of at most _KRYLOV_DIM rows, when ARPACK does not
-    converge, or when the vector is not a Perron vector: an entry is not
-    finite, or, divided by the largest entry, not of positive real part.
+    Each cycle fills the basis, orthogonalising by classical Gram-Schmidt
+    (a second pass where the first cancels most of the new vector); a
+    basis that spans an invariant subspace ends the iteration, its Ritz
+    vectors exact.  The next cycle keeps the real span of the Ritz vectors
+    of the _KRYLOV_KEEP rightmost Ritz values (a conjugate pair whole),
+    whose projected matrix and coupling row carry the Arnoldi relation on
+    (K. Wu and H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  The
+    vector is returned once its residual is at most _KRYLOV_TOL times the
+    Ritz value's modulus, or else after _KRYLOV_CYCLES cycles: near a
+    defective root, whose two leading eigenvalues no basis separates, it
+    still lies in their subspace, from which the enclosure stalls at once
+    instead of narrowing like 1/iterations from ones.  None when no cycle
+    is allowed.
     """
     n = matrix.shape[0]
-    if n <= _KRYLOV_DIM:
+    m = min(_KRYLOV_DIM, n)
+    basis = np.empty((m + 1, n))
+    hessenberg = np.zeros((m + 1, m))
+    basis[0] = 1.0 / math.sqrt(n)
+    kept = 0
+    vector = None
+    for _ in range(_KRYLOV_CYCLES):
+        k = m
+        for j in range(kept, m):
+            w = matrix @ basis[j]
+            scale = norm = math.sqrt(w @ w)
+            # a second pass only where the first cancelled most of w
+            for _ in range(2):
+                coefficients = basis[:j + 1] @ w
+                w -= coefficients @ basis[:j + 1]
+                hessenberg[:j + 1, j] += coefficients
+                norm, previous = math.sqrt(w @ w), norm
+                if norm > 0.5 * previous:
+                    break
+            hessenberg[j + 1, j] = norm
+            if norm <= _KRYLOV_TOL * scale:
+                k = j + 1
+                break
+            basis[j + 1] = w / norm
+        values, vectors = np.linalg.eig(hessenberg[:k, :k])
+        order = np.argsort(-values.real)
+        top = order[0]
+        vector = vectors[:, top] @ basis[:k]
+        if k < m or (abs(hessenberg[m, m - 1] * vectors[m - 1, top])
+                     <= _KRYLOV_TOL * abs(values[top])):
+            return vector
+        parts = []
+        for i in order[:_KRYLOV_KEEP]:
+            if values[i].imag == 0.0:
+                parts.append(vectors[:, i].real)
+            elif values[i].imag > 0.0:
+                parts += [vectors[:, i].real, vectors[:, i].imag]
+        kept_span = np.linalg.qr(np.column_stack(parts))[0][:, :m - 1]
+        kept = kept_span.shape[1]
+        projected = kept_span.T @ hessenberg[:m, :m] @ kept_span
+        coupling = hessenberg[m, m - 1] * kept_span[m - 1]
+        hessenberg[:] = 0.0
+        hessenberg[:kept, :kept] = projected
+        hessenberg[kept, :kept] = coupling
+        basis[:kept], basis[kept] = kept_span.T @ basis[:m], basis[m]
+    return vector
+
+
+def _krylov_seed(matrix: ColumnMatrix) -> np.ndarray | None:
+    """Modulus of the Arnoldi Perron vector of a shifted, scaled matrix,
+    its largest entry one.
+
+    None when no Arnoldi cycle is allowed, or when the vector is not a
+    Perron vector: an entry is zero or not finite, or an entry above the
+    vector's error is, divided by the largest entry, not of positive real
+    part.  The error is _KRYLOV_TOL, or the largest imaginary part left
+    after that division if larger, times the largest modulus; below it an
+    entry's sign is noise.  The L=18 stationary vector spans eighteen
+    decades, and its smallest entries came out of the Arnoldi basis as
+    -3.5e-18 where the root's own vector holds 4e-18; near a defective root
+    (L=12, beta=-6) the unseparated pair leaves imaginary parts of 4e-6.
+    """
+    vector = _ritz_vector(matrix)
+    if vector is None:
         return None
-    try:
-        _, vectors = eigs(matrix, k=1, which="LM", tol=0, v0=np.ones(n), ncv=_KRYLOV_DIM)
-    except ArpackNoConvergence:
-        return None
-    vector = vectors[:, 0]
     seed = np.abs(vector)
+    if not (np.isfinite(seed).all() and (seed > 0.0).all()):
+        return None
     top = int(np.argmax(seed))
-    if not (np.isfinite(seed).all() and seed[top] > 0.0
-            and ((vector / vector[top]).real > 0.0).all()):
+    phased = vector / vector[top]
+    # a Perron vector is real: what is left imaginary is error too
+    error = max(_KRYLOV_TOL, float(np.abs(phased.imag).max()))
+    if not (phased.real[seed > error * seed[top]] > 0.0).all():
         return None
     return seed / seed[top]
 
 
-def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray) -> SCGFResult:
+def largest_eigenvalue(matrix: ColumnMatrix | np.ndarray) -> SCGFResult:
     """Perron root of a square shifted-nonnegative matrix, certified.
 
-    Power iteration runs on matrix + shift*I, the shift clearing the
-    diagonal sign.  A matrix of more than _KRYLOV_DIM rows starts from the
-    modulus of ARPACK's Perron vector of the shifted, scaled matrix (a
-    Krylov space of _KRYLOV_DIM vectors from ones), kept only when every
-    entry is finite and, with one common phase divided out, strictly
-    positive; any other matrix, and one whose ARPACK run does not
-    converge, starts from ones.  ARPACK's eigenvalue is discarded, and
-    iterations counts power matvecs only.  Every _STRIDE matvecs the
-    classical two-sided quotient bounds min (Av)_i/v_i <= rho <= max
-    (Av)_i/v_i are read, and the root is returned when the enclosure first
-    pinches below _TOLERANCE.  Since Av <= max-quotient * v componentwise,
-    the matrix is divided by the power of two just below the upper bound
-    (the row sums before the first check): the unnormalised steps between
+    A dense array is read by columns.  Power iteration runs on matrix +
+    shift*I, the shift clearing the diagonal sign.  The start is the
+    modulus of the Arnoldi Perron vector of that shifted, scaled matrix
+    (see _ritz_vector), kept only when every entry is finite and nonzero
+    and, with one common phase divided out, every entry above the vector's
+    error is strictly positive (see _krylov_seed); otherwise the iteration
+    starts from ones.  The Arnoldi eigenvalue is discarded, and iterations
+    counts power matvecs only.  Every _STRIDE matvecs the classical
+    two-sided quotient bounds min (Av)_i/v_i <= rho <= max (Av)_i/v_i are
+    read, and the root is returned when the enclosure first pinches below
+    _TOLERANCE at a lower bound where float64 resolves _TOLERANCE (an
+    exact start can round every quotient to one float, a width of zero
+    that proves nothing).  Since Av <= max-quotient * v componentwise, the
+    matrix is divided by the power of two just below the upper bound (the
+    row sums before the first check): the unnormalised steps between
     checks grow the iterate at most twofold each, and no quotient loses a
     digit.  A narrower enclosure counts as progress only while float64 can
     still resolve _TOLERANCE at the root's lower bound; after a check
     without progress, the next check comes one matvec later.  The root is
-    the midpoint of the first enclosure narrower than _TOLERANCE, and
+    the midpoint of the first such enclosure narrower than _TOLERANCE, and
     residual its width.  Without progress for _STALL_LIMIT matvecs
     ("stalled"), or still open after _MAX_ITERATIONS, ConvergenceError is
     raised; it names the narrowest enclosure seen, the row sums' included,
     and a stall quotes that enclosure's width.
     """
-    a = sp.csr_matrix(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
+    if not isinstance(matrix, ColumnMatrix):
+        matrix = ColumnMatrix.from_dense(matrix)
+    n = len(matrix.diagonal)
+    on_diagonal = matrix.rows == np.arange(n)[:, None]
+    if (matrix.weights[~on_diagonal] < 0.0).any():
+        raise ValueError("matrix has negative off-diagonal entries")
+    diagonal = matrix.diagonal + np.where(on_diagonal, matrix.weights, 0.0).sum(axis=1)
     # the extra unit keeps the diagonal strictly positive: the shifted
     # matrix is then primitive, not merely irreducible, and the quotient
     # bounds pinch geometrically
-    shift = max(0.0, -float(a.diagonal().min())) + 1.0
-    a = a + sp.csr_matrix((np.full(n, shift), np.arange(n), np.arange(n + 1)), shape=(n, n))
-    # every negative entry left is off the diagonal
-    if (a.data < 0.0).any():
-        raise ValueError("matrix has negative off-diagonal entries")
+    shift = max(0.0, -float(diagonal.min())) + 1.0
+    # a copy, scaled in place below, whose diagonal holds every diagonal
+    # entry: a reflection summed into a negative diagonal at each product
+    # cost the quotients digits, and 11 tilts of the L=12 scan their pinch
+    a = ColumnMatrix(diagonal + shift, matrix.rows, np.where(on_diagonal, 0.0, matrix.weights))
     # the start vector is all ones, so its quotients are the row sums
-    row_sums = a @ np.ones(n)
+    with np.errstate(over="ignore"):
+        row_sums = a @ np.ones(n)
     if not np.isfinite(row_sums).all():
         raise ValueError("matrix row sums are not finite in float64")
     lo, hi = float(row_sums.min()), float(row_sums.max())
@@ -171,15 +291,16 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray) -> SCGFResult:
         nonlocal scale
         new_scale = _power_of_two_below(bound)
         if new_scale != scale:
-            a.data *= scale / new_scale
+            a.diagonal[:] *= scale / new_scale
+            a.weights[:] *= scale / new_scale
             scale = new_scale
 
     rescale(hi)
     # the row-sum bounds above hold for any start vector; the scaled matrix
     # has row sums below 2, so no start with largest entry one can grow
     # more than twofold per step
-    seed = _arpack_seed(a)
-    v, start = (np.ones(n), "ones") if seed is None else (seed, "arpack")
+    seed = _krylov_seed(a)
+    v, start = (np.ones(n), "ones") if seed is None else (seed, "krylov")
 
     def report(iterations: int, method: str) -> None:
         log.debug("perron root (dimension %d): %s start, %d power matvecs, width %.3e, %s",
@@ -199,13 +320,16 @@ def largest_eigenvalue(matrix: sp.spmatrix | np.ndarray) -> SCGFResult:
             lo, hi = float(quotients.min()) * scale, float(quotients.max()) * scale
             v = w / w.max()
         width = hi - lo
-        if width < _TOLERANCE:
+        # where float64 cannot resolve _TOLERANCE, a width below it is
+        # quotients rounded to the same float, not a proof
+        resolvable = math.ulp(lo) <= _TOLERANCE
+        if width < _TOLERANCE and resolvable:
             report(done, "power-iteration")
             return SCGFResult(0.5 * (lo + hi) - shift, width, done)
         # a finite width means both ends are finite
         if width < narrowest[1] - narrowest[0]:
             narrowest = (lo, hi)
-        if width < 0.999 * best and math.ulp(lo) <= _TOLERANCE:
+        if width < 0.999 * best and resolvable:
             best, since_gain = width, 0
         else:
             since_gain += steps

@@ -48,6 +48,8 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
+# numpy loads its random submodule lazily: at import, not inside a run
+from numpy.random import default_rng
 
 from .profiles import (
     EventCounters,
@@ -64,6 +66,11 @@ _N_BATCHES = 30
 _BURN_FRACTION = 0.05
 # entries of a composed move table (see _composed_rows): at most 1 MiB of list
 _COMPOSED_ENTRIES = 1 << 17
+# a progress-log record is about 190-230 bytes of JSON (L=64, up to 1e8
+# events); a run whose log would pass 1 GiB at 256 bytes a record is
+# refused before its first draw
+_LOG_RECORD_BYTES = 256
+_MAX_LOG_RECORDS = (1 << 30) // _LOG_RECORD_BYTES
 
 log = logging.getLogger(__name__)
 
@@ -343,12 +350,22 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
     """One exact continuous-time trajectory from the substrate.
 
     A log_writer, which needs cfg.report_every, receives a record with the
-    running counters and drifts at every report tick.
+    running counters and drifts at every report tick.  A log predicted to
+    hold more than _MAX_LOG_RECORDS records (t_max / report_every, or
+    max_events / (L * report_every) for an event budget, whose events come
+    at rate L) is refused with ValueError before the first draw.
     """
     if log_writer is not None and cfg.report_every is None:
         raise ValueError("a log_writer needs cfg.report_every to set the tick spacing")
+    if log_writer is not None:
+        span = cfg.t_max if cfg.t_max is not None else cfg.max_events / cfg.length
+        records = span / cfg.report_every
+        if records > _MAX_LOG_RECORDS:
+            raise ValueError(f"a progress log every {cfg.report_every:g} time units would "
+                             f"hold {records:.3g} records, more than the {_MAX_LOG_RECORDS} "
+                             f"({_LOG_RECORD_BYTES} bytes each) a log may hold")
     length = cfg.length
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     ring = stepper_for(length)(substrate(length))
     time_mode = cfg.t_max is not None
     horizon = cfg.t_max

@@ -14,9 +14,18 @@ Basis conventions: site k of an L-site ring is bit k of an integer basis
 label, bit value 1 meaning spin up; an S_z sector is the set of labels
 with a given number of set bits in increasing label order, and the
 zero-magnetization sector has L/2 of them.  Every operator conserves S_z
-and is built directly on one sector from 4x4 blocks on the bonds.
-Generator indices are 1-based (bond i couples sites i-1 and i mod L in
-bit positions) so that the even/odd alternating products read naturally.
+and is built directly on one sector from 4x4 blocks on the bonds, as numpy
+arrays: a diagonal, and for each bond every state's partner (its two bond
+spins exchanged) with the amplitude of that exchange, so that a product
+is one gather.  Generator indices are 1-based (bond i couples sites i-1
+and i mod L in bit positions) so that the even/odd alternating products
+read naturally.
+
+Ground energies come from a dense Hermitian eigensolve on small sectors
+and from a Lanczos iteration with full reorthogonalisation (Y. Saad,
+Numerical Methods for Large Eigenvalue Problems, 2nd ed., SIAM 2011,
+ch. 6) on larger ones, answered only when the eigenpair's residual,
+computed afresh, is small.
 """
 
 from __future__ import annotations
@@ -28,17 +37,29 @@ from math import acos, exp, isfinite
 from cmath import acos as cacos, exp as cexp, pi
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, eigsh
+# numpy loads its random submodule lazily: at import, not inside a solve
+from numpy.random import default_rng
 
 from .profiles import ConvergenceError, check_length
 
-_DENSE_SECTOR_DIM = 64       # dense up to here; eigsh refuses L=2's 2 states (k >= N - 1)
+# dense up to here: on a 2-core x86-64 (numpy 2.4), XXZ sectors of 120
+# and 210 states take 2.4 and 9.2 ms dense and 4.5 and 4.9 ms by Lanczos,
+# so the two cross near 150 states (L <= 8 dense at zero magnetization)
+_DENSE_SECTOR_DIM = 150
 _HERMITIAN_TOL = 1e-12
-_RESIDUAL_TOL = 1e-10        # largest accepted eigenpair residual of ARPACK
+_RESIDUAL_TOL = 1e-10        # largest accepted eigenpair residual of the Lanczos iteration
+# Lanczos steps allowed (L = 10 to 20 take 40 to 88, one basis vector
+# each: 3 MB at L = 20), residual estimate at which the lowest Ritz pair is
+# taken, and steps between two readings of the tridiagonal matrix.  Up to
+# n = 924 the products with the basis stay on one OpenBLAS thread; the
+# tridiagonal's eigh wakes the others, at no measured cost (ground_energy
+# at L=12: 6.0 ms, and 6.4 ms with OPENBLAS_NUM_THREADS=1; 2-core x86-64)
+_LANCZOS_STEPS = 200
+_LANCZOS_TOL = 1e-12
+_LANCZOS_CHECK = 8
 TL_TOLERANCE = 1e-12         # worst entry of a Temperley-Lieb relation residual
 # longest chain: at L=20 the zero-magnetization sector has 184756 states and
-# its ground energy takes about 4 s and 0.6 GB; each +2 sites multiplies the
+# its ground energy takes about 5 s and 0.4 GB; each +2 sites multiplies the
 # sector by about 3.8
 MAX_CHAIN_LENGTH = 20
 
@@ -86,8 +107,41 @@ def _tl_block(q: complex, u: complex) -> np.ndarray:
     return block
 
 
+@dataclass(frozen=True, eq=False)
+class SectorOperator:
+    """A sum of two-site operators on one S_z sector, as numpy arrays.
+
+    Entry (i, i) is diagonal[i]; row k of partners and amplitudes belongs
+    to one bond, and adds amplitudes[k, i] at entry (i, partners[k, i]),
+    state i with that bond's two spins exchanged (i itself, with amplitude
+    zero, where they are parallel).  Bonds joining the same two sites (the
+    two bonds at L = 2) add up.
+    """
+    diagonal: np.ndarray
+    partners: np.ndarray
+    amplitudes: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.diagonal), len(self.diagonal))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """H v: each state's diagonal entry plus its partners' entries of v,
+        weighted, gathered one bond at a time (a temporary of one vector)."""
+        out = self.diagonal * v
+        for amplitudes, partners in zip(self.amplitudes, self.partners):
+            out += amplitudes * v[partners]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        dense = np.diag(self.diagonal)
+        rows = np.broadcast_to(np.arange(len(self.diagonal)), self.partners.shape)
+        np.add.at(dense, (rows, self.partners), self.amplitudes)
+        return dense
+
+
 def sector_operator(length: int, n_up: int,
-                    blocks: dict[int, np.ndarray]) -> sp.csr_matrix:
+                    blocks: dict[int, np.ndarray]) -> SectorOperator:
     """Sum of two-site operators on the sector with n_up up spins.
 
     blocks maps a bond k in 0..L-1, coupling bits k and k+1 mod L, to a
@@ -95,38 +149,38 @@ def sector_operator(length: int, n_up: int,
     Blocks must conserve the number of up spins.
     """
     basis = np.array(sector_basis(length, n_up), dtype=np.int64)
-    rows, cols, vals = [], [], []
-    for bond, block in blocks.items():
-        i, j = bond, (bond + 1) % length
-        local = 2 * ((basis >> i) & 1) + ((basis >> j) & 1)
+    n = len(basis)
+    diagonal = np.zeros(n, dtype=complex)
+    partners = np.empty((len(blocks), n), dtype=np.intp)
+    amplitudes = np.empty((len(blocks), n), dtype=complex)
+    for k, (bond, block) in enumerate(blocks.items()):
         for new, old in zip(*np.nonzero(block)):
             if bin(new).count("1") != bin(old).count("1"):
                 raise ValueError(f"block on bond {bond} changes the up-spin count")
-            source = np.nonzero(local == old)[0]
-            diff = new ^ old
-            flip = (diff >> 1) << i | (diff & 1) << j
-            rows.append(np.searchsorted(basis, basis[source] ^ flip))
-            cols.append(source)
-            vals.append(np.full(source.size, block[new, old]))
-    n = len(basis)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n), dtype=complex)
+        i, j = bond, (bond + 1) % length
+        local = 2 * ((basis >> i) & 1) + ((basis >> j) & 1)
+        diagonal += np.diagonal(block)[local]
+        # local states 1 and 2 (antiparallel) exchange into each other
+        antiparallel = (local == 1) | (local == 2)
+        partners[k] = np.searchsorted(basis, basis ^ (antiparallel * ((1 << i) | (1 << j))))
+        amplitudes[k] = np.array([0.0, block[1, 2], block[2, 1], 0.0], dtype=complex)[local]
+    return SectorOperator(diagonal, partners, amplitudes)
 
 
 def tl_generator_matrix(length: int, q: complex, u: complex, bond: int,
-                        n_up: int) -> sp.csr_matrix:
-    """Local generator of bond 1..L (cyclic) on the sector with n_up up spins.
+                        n_up: int) -> np.ndarray:
+    """Local generator of bond 1..L (cyclic) on the sector with n_up up
+    spins, a dense array.
 
     On the antiparallel pair states (up,down)/(down,up) of the bond the
     operator is [[q, u], [1/u, 1/q]]; parallel pairs are annihilated.
     """
     if not 1 <= bond <= length:
         raise ValueError(f"bond index must lie in 1..{length}, got {bond}")
-    return sector_operator(length, n_up, {bond - 1: _tl_block(q, u)})
+    return sector_operator(length, n_up, {bond - 1: _tl_block(q, u)}).toarray()
 
 
-def build_xxz(params: XXZParams) -> sp.csr_matrix:
+def build_xxz(params: XXZParams) -> SectorOperator:
     """Hamiltonian on the zero-magnetization sector, twist spread over every bond:
     -sum_b e_b(q, u) - (L Delta / 2) 1 with q + 1/q = -2 Delta.
 
@@ -137,25 +191,76 @@ def build_xxz(params: XXZParams) -> sp.csr_matrix:
     """
     length, delta = params.length, params.delta_aniso
     q = cexp(1j * cacos(-delta))
-    total = sector_operator(length, length // 2,
-                            dict.fromkeys(range(length), _tl_block(q, params.resolved_twist())))
-    return -total - (length * delta / 2) * sp.identity(total.shape[0], format="csr")
+    h = sector_operator(length, length // 2,
+                        dict.fromkeys(range(length), _tl_block(q, params.resolved_twist())))
+    # in place: at L=20 the amplitudes alone take 59 MB
+    np.negative(h.amplitudes, out=h.amplitudes)
+    h.diagonal[:] = -h.diagonal - length * delta / 2
+    return h
 
 
-def hermiticity_defect(matrix: sp.spmatrix) -> float:
-    """Largest absolute entry of M - M^dagger."""
-    defect = (matrix - matrix.getH()).tocoo()
-    return float(np.abs(defect.data).max()) if defect.nnz else 0.0
+def hermiticity_defect(matrix: SectorOperator) -> float:
+    """Largest absolute entry of M - M^dagger.
+
+    A bond's entry (i, j) meets its mirror (j, i) in the same bond's row,
+    since exchanging a pair twice is the identity.  Where two bonds join
+    the same two sites (L = 2) their entries are compared bond by bond.
+    """
+    return max([2.0 * float(np.abs(matrix.diagonal.imag).max(initial=0.0))]
+               + [float(np.abs(amplitudes - amplitudes[partners].conj()).max(initial=0.0))
+                  for amplitudes, partners in zip(matrix.amplitudes, matrix.partners)])
+
+
+def _lanczos(h: SectorOperator) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a Hermitian operator, a Lanczos iteration from a
+    fixed-seed vector, so reruns return the same digits.
+
+    Step j multiplies the newest basis vector and orthogonalises the
+    product against every basis vector by classical Gram-Schmidt (a second
+    pass where the first cancels most of it); the projections on the
+    newest vector and the remaining norm extend the tridiagonal matrix.
+    Every _LANCZOS_CHECK steps its lowest Ritz pair is read, and returned
+    once the residual estimate (the last norm times the Ritz vector's last
+    entry) is at most _LANCZOS_TOL, or at once when the basis spans an
+    invariant subspace.  ConvergenceError after _LANCZOS_STEPS steps.
+    """
+    n = h.shape[0]
+    steps = min(_LANCZOS_STEPS, n)
+    # rows that are never reached are never written, and take no memory
+    basis = np.empty((steps + 1, n), dtype=complex)
+    start = default_rng(0).standard_normal(n).astype(complex)
+    basis[0] = start / np.linalg.norm(start)
+    diagonal, off_diagonal = np.zeros(steps), np.zeros(steps)
+    for j in range(steps):
+        w = h @ basis[j]
+        scale = norm = float(np.linalg.norm(w))
+        for _ in range(2):
+            coefficients = (basis[:j + 1] @ w.conj()).conj()
+            w -= coefficients @ basis[:j + 1]
+            diagonal[j] += coefficients[j].real
+            norm, previous = np.linalg.norm(w), norm
+            if norm > 0.5 * previous:
+                break
+        off_diagonal[j] = norm
+        invariant = norm <= np.finfo(float).eps * scale
+        if invariant or (j + 1) % _LANCZOS_CHECK == 0 or j + 1 == steps:
+            tridiagonal = (np.diag(diagonal[:j + 1]) + np.diag(off_diagonal[:j], 1)
+                           + np.diag(off_diagonal[:j], -1))
+            values, vectors = np.linalg.eigh(tridiagonal)
+            if invariant or norm * abs(vectors[j, 0]) <= _LANCZOS_TOL:
+                return float(values[0]), vectors[:, 0] @ basis[:j + 1]
+        basis[j + 1] = w / norm
+    raise ConvergenceError(f"extremal eigensolve failed on sector dimension {n}: "
+                           f"no convergence within {steps} Lanczos steps")
 
 
 def ground_energy(params: XXZParams) -> float:
-    """Minimal sector eigenvalue via a restarted Lanczos-type solve.
+    """Minimal sector eigenvalue.
 
-    The iteration starts from a fixed-seed vector, so reruns return the
-    same digits.  The returned value is guarded by an explicit residual
-    check; small sectors go through a dense Hermitian eigensolve, and a
-    larger one whose solve fails or misses that check is refused with
-    ConvergenceError.
+    A sector of at most _DENSE_SECTOR_DIM states is solved by a dense
+    Hermitian eigensolve; a larger one by _lanczos, whose answer is
+    returned only when the residual of its eigenpair, computed afresh, is
+    at most _RESIDUAL_TOL, and refused with ConvergenceError otherwise.
     """
     twist = params.resolved_twist()
     if abs(abs(twist) - 1) > _HERMITIAN_TOL:
@@ -166,19 +271,13 @@ def ground_energy(params: XXZParams) -> float:
     n = h.shape[0]
     if n <= _DENSE_SECTOR_DIM:
         return float(np.linalg.eigvalsh(h.toarray())[0])
-    start = np.random.default_rng(0).standard_normal(n).astype(h.dtype)
-    try:
-        values, vectors = eigsh(h, k=1, which="SA", tol=0.0, maxiter=50 * n, v0=start)
-    except ArpackError as exc:
-        raise ConvergenceError(f"extremal eigensolve failed on sector dimension {n}: "
-                               f"{exc}") from exc
-    vec = vectors[:, 0]
-    residual = float(np.linalg.norm(h @ vec - values[0] * vec))
+    value, vector = _lanczos(h)
+    residual = float(np.linalg.norm(h @ vector - value * vector))
     if residual > _RESIDUAL_TOL:
         raise ConvergenceError(
             f"extremal eigensolve residual {residual:.2e} exceeds "
             f"{_RESIDUAL_TOL:.1e} on sector dimension {n}")
-    return float(values[0])
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +385,7 @@ def tl_relations_check(length: int, q: complex | None = None,
         return float(np.abs(m).max())
 
     def sector_errors(n_up: int) -> tuple[float, float, float, float]:
-        gens = [tl_generator_matrix(length, q, u, b, n_up).toarray()
-                for b in range(1, length + 1)]
+        gens = [tl_generator_matrix(length, q, u, b, n_up) for b in range(1, length + 1)]
         idem = max(worst(e @ e - two_q * e) for e in gens)
         neigh = max(
             worst(gens[i] @ gens[(i + d) % length] @ gens[i] - gens[i])

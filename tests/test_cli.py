@@ -16,9 +16,7 @@ from contextlib import redirect_stdout
 from math import exp, isfinite
 from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import raisepeel
 import raisepeel.cli as cli_mod
@@ -540,16 +538,14 @@ def test_convergence_failure_exits_3(monkeypatch, capsys):
 
 
 def test_unconverged_spin_chain_solve_exits_3(monkeypatch, capsys):
-    def stall(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(spinchain_mod, "eigsh", stall)
-    code = main(["xxz", "--length", "8"])
+    # a Lanczos step budget too small to converge in
+    monkeypatch.setattr(spinchain_mod, "_LANCZOS_STEPS", 4)
+    code = main(["xxz", "--length", "10"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: convergence failure: extremal eigensolve failed "
-                                   "on sector dimension 70")
+                                   "on sector dimension 252")
 
 
 def test_bethe_refinement_failure_exits_3(capsys):
@@ -583,6 +579,38 @@ def test_memory_estimate_refusal_exits_3_before_enumerating():
     assert proc.stdout == ""
     assert proc.stderr == ("error: out of memory (the exact pipeline at length 18 needs "
                            "about 213.9 MB, and 1.0 MB is available); reduce --length\n")
+
+
+def test_oversized_progress_log_exits_2_at_once(capsys):
+    # 1e9 records asked for; refused before the run, naming both counts
+    started = time.perf_counter()
+    code = main(["simulate", "--length", "4", "--time", "1", "--report-every", "1e-9",
+                 "--log", os.devnull])
+    elapsed = time.perf_counter() - started
+    err = capsys.readouterr().err
+    assert code == 2
+    assert elapsed < 1.0
+    assert "1e+09 records" in err
+    assert f"more than the {raisepeel.simulate._MAX_LOG_RECORDS} " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--length", "4"], ["scgf", "--length", "6", "--fd-check"],
+    ["xxz", "--length", "10", "--bridge-check"], ["tq", "--n", "3"],
+    ["simulate", "--length", "4", "--time", "10"], ["verify-all", "--lmax", "4", "--nmax", "2"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_runs_without_scipy(argv):
+    # a fresh process in which importing scipy fails
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from raisepeel.cli import main\n"
+            f"sys.exit(main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_memory_refusal_names_verify_all_flags():

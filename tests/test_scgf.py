@@ -11,15 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import eigs
 
 import raisepeel.scgf as scgf_mod
-from raisepeel.profiles import apply_move, enumerate_states
+from raisepeel.profiles import apply_move, enumerate_states, transition_table
 from raisepeel.scgf import (
     _KRYLOV_DIM,
     _STALL_LIMIT,
     _STRIDE,
     _TOLERANCE,
+    ColumnMatrix,
     ConvergenceError,
     DeformedParams,
     build_deformed,
@@ -32,7 +33,7 @@ from raisepeel.stationary import diamond_current_formula, global_current_formula
 
 def test_deformed_matrix_l2():
     alpha, beta = 0.3, 0.2
-    m = build_deformed(2, DeformedParams(alpha, beta))
+    m = build_deformed(2, DeformedParams(alpha, beta)).toarray()
     states = enumerate_states(2)
     lo = states.index((0, 1))
     hi = states.index((2, 1))
@@ -60,8 +61,34 @@ def test_deformed_matches_generator_at_zero_tilt():
     for length in (2, 4, 6, 8):
         m = build_deformed(length, DeformedParams())
         gen = _reference_generator(length)
-        assert m.dtype == np.float64
+        assert m.weights.dtype == m.diagonal.dtype == np.float64
         assert np.max(np.abs(m.toarray() - gen)) < 1e-14
+
+
+def _reference_csr(length, params=DeformedParams()):
+    """The tilted generator as a scipy CSR matrix, entry (target, source)
+    summed over the transition table's moves."""
+    table = transition_table(length)
+    n = len(table.states)
+    weights = np.exp(params.alpha * table.d_global.astype(float)
+                     + params.beta * table.d_diamond.astype(float))
+    diagonal = np.arange(n)
+    rows = np.concatenate([table.target.ravel(), diagonal])
+    cols = np.concatenate([np.repeat(diagonal, length), diagonal])
+    values = np.concatenate([weights.ravel(), np.full(n, -float(length))])
+    return sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("length", [2, 4, 8, 12])
+def test_scatter_product_matches_scipy(length):
+    rng = np.random.default_rng(length)
+    for params in (DeformedParams(), DeformedParams(0.3, -0.2)):
+        m = build_deformed(length, params)
+        reference = _reference_csr(length, params)
+        assert np.array_equal(m.toarray(), reference.toarray())
+        for _ in range(3):
+            v = rng.standard_normal(m.shape[0])
+            assert np.max(np.abs(m @ v - reference @ v)) < 1e-12
 
 
 def test_negative_off_diagonal_rejected():
@@ -69,7 +96,7 @@ def test_negative_off_diagonal_rejected():
     with pytest.raises(ValueError):
         largest_eigenvalue(m)
     with pytest.raises(ValueError):
-        largest_eigenvalue(sp.csr_matrix(m))
+        largest_eigenvalue(ColumnMatrix.from_dense(m))
 
 
 def test_l2_closed_form():
@@ -137,10 +164,14 @@ def test_midpoint_convexity(length, axis):
         assert mid <= (values[i] + values[i + 2]) / 2 + 1e-10
 
 
+def _dense(matrix):
+    return matrix.toarray() if isinstance(matrix, ColumnMatrix) else np.asarray(matrix, float)
+
+
 def perron_gap(matrix):
     """Modulus gap between the two leading eigenvalues of the shifted
     matrix, dense: a diagnostic that the Perron root is simple."""
-    a = sp.csr_matrix(matrix, dtype=float).toarray()
+    a = _dense(matrix)
     shift = max(0.0, -float(a.diagonal().min())) + 1.0
     moduli = np.sort(np.abs(np.linalg.eigvals(a + shift * np.eye(len(a)))))
     return float(moduli[-1] - moduli[-2])
@@ -157,7 +188,7 @@ def test_perron_gap_positive():
 def _reference_root(matrix, max_iterations=100_000):
     """One matrix at a time: power iteration on matrix + shift*I, the
     quotient bounds read after every matvec, the iterate 2-normalised."""
-    a = sp.csr_matrix(matrix, dtype=float)
+    a = sp.csr_matrix(_dense(matrix))
     shift = max(0.0, -float(a.diagonal().min())) + 1.0
     shifted = a + shift * sp.identity(a.shape[0], format="csr")
     v = np.ones(a.shape[0])
@@ -194,7 +225,7 @@ def test_block_solve_matches_one_matrix_reference(length, tilts):
 
 def test_arpack_start_certifies_within_three_strides():
     # from ones, one slow mode at L=12 decays by only 0.974 per matvec:
-    # these matrices took 736-944 matvecs before the ARPACK start
+    # these matrices took 736-944 matvecs before a Krylov start
     for tilt in (*_STENCIL, DeformedParams(0.1, -0.05)):
         root = largest_eigenvalue(build_deformed(12, tilt))
         assert root.method == "power-iteration"
@@ -203,34 +234,55 @@ def test_arpack_start_certifies_within_three_strides():
 
 
 def test_repeated_solves_are_identical():
-    # ARPACK starts from ones, not from a random vector
+    # the Arnoldi iteration starts from ones, not from a random vector
     for tilt in _STENCIL:
         matrix = build_deformed(12, tilt)
         assert largest_eigenvalue(matrix) == largest_eigenvalue(matrix)
 
 
-def _eigs_returning(entry):
-    def fake_eigs(matrix, **kwargs):
+@pytest.mark.parametrize("length", [6, 8, 10, 12])
+@pytest.mark.parametrize("params", [DeformedParams(), DeformedParams(1e-3, 0.0),
+                                    DeformedParams(0.0, -5e-4)], ids=["origin", "alpha", "beta"])
+def test_krylov_vector_matches_arpack(monkeypatch, length, params):
+    # ARPACK's Perron vector, from scipy, is the reference for the start
+    # the solve takes
+    m = build_deformed(length, params)
+    seeds = []
+    krylov_seed = scgf_mod._krylov_seed
+
+    def recorded(matrix):
+        seeds.append(krylov_seed(matrix))
+        return seeds[-1]
+
+    monkeypatch.setattr(scgf_mod, "_krylov_seed", recorded)
+    largest_eigenvalue(m)
+    seed, = seeds
+    _, vectors = eigs(_reference_csr(length, params), k=1, which="LR", tol=0,
+                      v0=np.ones(m.shape[0]))
+    reference = np.abs(vectors[:, 0])
+    assert np.max(np.abs(seed - reference / reference.max())) <= 1e-10
+
+
+def _ritz_returning(entry):
+    def fake_ritz_vector(matrix):
         vector = np.ones(matrix.shape[0], dtype=complex)
         vector[3] = entry
-        return np.array([1.0 + 0.0j]), vector[:, None]
-    return fake_eigs
+        return vector
+    return fake_ritz_vector
 
 
-def _eigs_not_converging(matrix, **kwargs):
-    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
-
-
-@pytest.mark.parametrize("fake_eigs", [
-    _eigs_returning(0.0), _eigs_returning(-0.5), _eigs_returning(float("nan")),
-    _eigs_not_converging,
+@pytest.mark.parametrize("name, value", [
+    ("_ritz_vector", _ritz_returning(0.0)), ("_ritz_vector", _ritz_returning(-0.5)),
+    ("_ritz_vector", _ritz_returning(float("nan"))), ("_KRYLOV_CYCLES", 0),
 ], ids=["zero", "negative", "nan", "no-convergence"])
-def test_rejected_arpack_vector_starts_from_ones(monkeypatch, caplog, fake_eigs):
+def test_rejected_arpack_vector_starts_from_ones(monkeypatch, caplog, name, value):
+    # a Ritz vector that is not a Perron vector, or none (no Arnoldi cycle
+    # allowed), leaves the iteration to start from ones
     matrix = build_deformed(8, DeformedParams(0.1, -0.05))
     with monkeypatch.context() as patch:
-        patch.setattr(scgf_mod, "_KRYLOV_DIM", matrix.shape[0])
+        patch.setattr(scgf_mod, "_krylov_seed", lambda matrix: None)
         from_ones = largest_eigenvalue(matrix)
-    monkeypatch.setattr(scgf_mod, "eigs", fake_eigs)
+    monkeypatch.setattr(scgf_mod, name, value)
     caplog.set_level(logging.DEBUG, logger="raisepeel.scgf")
     root = largest_eigenvalue(matrix)
     assert "ones start" in caplog.text
@@ -246,11 +298,19 @@ def test_one_log_line_per_block(caplog):
         largest_eigenvalue(build_deformed(length, tilt))
     lines = [r.getMessage() for r in caplog.records if r.name == "raisepeel.scgf"]
     assert len(lines) == 3
-    assert all("(dimension 20): arpack start" in line for line in lines[:2])
-    # a matrix of at most _KRYLOV_DIM rows starts from ones
-    assert 6 <= _KRYLOV_DIM and "(dimension 6): ones start" in lines[2]
+    assert all("(dimension 20): krylov start" in line for line in lines[:2])
+    # a matrix of at most _KRYLOV_DIM rows starts from its exact Arnoldi vector
+    assert 6 <= _KRYLOV_DIM and "(dimension 6): krylov start" in lines[2]
     assert all("power matvecs, width " in line and line.endswith(", power-iteration")
                for line in lines)
+
+
+def test_small_matrices_certify_at_the_first_check():
+    # one Arnoldi cycle spans the whole space of a matrix of at most
+    # _KRYLOV_DIM rows: the L=4 stencil took 80-88 matvecs from ones
+    for tilt in _STENCIL:
+        root = largest_eigenvalue(build_deformed(4, tilt))
+        assert root.iterations == _STRIDE
 
 
 def _refusal(matrix, match):
@@ -282,7 +342,7 @@ def test_unresolvable_root_is_refused_promptly():
     # float64 exceeds _TOLERANCE, so its enclosure cannot pinch and no gain
     # counts
     base = build_deformed(6, DeformedParams(0.2, 0.1))
-    message = _refusal(1000.0 * base,
+    message = _refusal(1000.0 * base.toarray(),
                        r"stalled at width \d.*float64 spacing \S+ at the shifted lower bound")
     assert _matvecs(message) <= _STALL_LIMIT
     # the narrowest enclosure and the certified root of the base matrix,
@@ -315,7 +375,7 @@ def test_negative_entry_in_any_block_refused(position):
 
 def test_block_shapes_and_row_sums_validated():
     with pytest.raises(ValueError, match="square"):
-        largest_eigenvalue(build_deformed(6)[:, :19])
+        largest_eigenvalue(build_deformed(6).toarray()[:, :19])
     with pytest.raises(ValueError, match="row sums"):
         largest_eigenvalue(np.array([[1e308, 1e308], [1.0, 1.0]]))
 
@@ -363,6 +423,8 @@ def test_iteration_budget_refuses_with_the_enclosure(monkeypatch):
     m = build_deformed(4, DeformedParams(0.2, 0.1))
     reference = largest_eigenvalue(m)
     assert reference.method == "power-iteration"
+    # from ones: the Arnoldi start of a 6-row matrix is exact and pinches at once
+    monkeypatch.setattr(scgf_mod, "_krylov_seed", lambda matrix: None)
     monkeypatch.setattr(scgf_mod, "_MAX_ITERATIONS", 1)
     message = _refusal(m, r"still open after 1 matvecs")
     assert _matvecs(message) == 1
@@ -421,4 +483,6 @@ def test_integer_tilts_weigh_as_float_tilts(length, alpha, beta):
     # them in int8 (10 * 14 evacuated tiles overflows, exp would round to
     # float16)
     exact = build_deformed(length, DeformedParams(float(alpha), float(beta)))
-    assert (build_deformed(length, DeformedParams(alpha, beta)) != exact).nnz == 0
+    weighed = build_deformed(length, DeformedParams(alpha, beta))
+    assert np.array_equal(weighed.weights, exact.weights)
+    assert np.array_equal(weighed.diagonal, exact.diagonal)

@@ -1,11 +1,13 @@
 """Continuous-time sampling: determinism, bookkeeping, and agreement
 with the exact stationary values."""
 
+import re
 import statistics
 from dataclasses import replace
 
 import pytest
 
+import raisepeel.simulate as simulate_mod
 from raisepeel.cli import _jsonable
 from raisepeel.profiles import tile_count
 from raisepeel.simulate import (
@@ -138,6 +140,23 @@ def test_log_writer_without_report_every_is_refused():
     records = []
     with pytest.raises(ValueError, match="report_every"):
         simulate(SimConfig(length=4, t_max=10.0), log_writer=records.append)
+    assert records == []
+
+
+@pytest.mark.parametrize("cfg, predicted", [
+    (SimConfig(length=4, t_max=1.0, report_every=1e-9), "1e+09"),
+    # an event budget lasts about max_events / L time units
+    (SimConfig(length=8, max_events=4 * 10 ** 7, report_every=1.0), "5e+06"),
+], ids=["horizon", "budget"])
+def test_oversized_progress_log_is_refused_before_the_first_draw(monkeypatch, cfg, predicted):
+    def no_draws(seed):
+        raise AssertionError("the run drew random numbers")
+
+    monkeypatch.setattr(simulate_mod, "default_rng", no_draws)
+    records = []
+    with pytest.raises(ValueError, match=re.escape(
+            f"hold {predicted} records, more than the {simulate_mod._MAX_LOG_RECORDS} ")):
+        simulate(cfg, log_writer=records.append)
     assert records == []
 
 

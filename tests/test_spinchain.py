@@ -6,7 +6,7 @@ from math import exp
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import eigsh
 
 import raisepeel.spinchain as spinchain
 from raisepeel.profiles import ConvergenceError
@@ -65,7 +65,7 @@ def test_two_site_block_trace_and_rank():
     # these are the trace and rank on the full 2^L space
     q = cmath.exp(0.9j)
     u = cmath.exp(0.31j)
-    sectors = [tl_generator_matrix(4, q, u, 1, n_up).toarray() for n_up in range(5)]
+    sectors = [tl_generator_matrix(4, q, u, 1, n_up) for n_up in range(5)]
     assert sum(np.trace(e) for e in sectors) == pytest.approx(4 * (q + 1 / q))   # 4 pairs
     assert sum(np.linalg.matrix_rank(e) for e in sectors) == 4
     for e in sectors:
@@ -145,7 +145,7 @@ def test_hamiltonian_is_minus_the_generator_sum(length):
         assert q + 1 / q == pytest.approx(-2 * delta, abs=1e-14)
         h = build_xxz(XXZParams(length, delta, twist)).toarray()
         generators = sum(tl_generator_matrix(length, q, twist, bond, length // 2)
-                         for bond in range(1, length + 1)).toarray()
+                         for bond in range(1, length + 1))
         assert np.max(np.abs(h - (-generators - length * delta / 2 * np.eye(len(h))))) < 1e-14
         assert np.max(np.abs(h - xxz_reference(length, delta, twist).toarray())) < 1e-13
 
@@ -191,13 +191,12 @@ def deformed_tl_operator(length, alpha, beta):
     p = bridge_parameters(length, alpha, beta)
     total = sector_operator(length, length // 2,
                             dict.fromkeys(range(length), _tl_block(p.q, p.twist)))
-    return exp(beta) * total - length * sp.identity(total.shape[0], format="csr")
+    return exp(beta) * total.toarray() - length * np.eye(total.shape[0])
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.1, 0.05)])
 def test_sector_operator_is_isospectral_to_the_tilted_generator(alpha, beta):
-    spin_side = np.sort(np.linalg.eigvals(
-        deformed_tl_operator(4, alpha, beta).toarray()).real)
+    spin_side = np.sort(np.linalg.eigvals(deformed_tl_operator(4, alpha, beta)).real)
     pdp_side = np.sort(np.linalg.eigvals(
         build_deformed(4, DeformedParams(alpha, beta)).toarray()).real)
     assert np.max(np.abs(spin_side - pdp_side)) < 1e-10
@@ -221,39 +220,88 @@ def test_sector_operator_rejects_blocks_that_change_sz():
 
 
 def test_arpack_no_convergence_is_refused(monkeypatch):
-    def stall(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(spinchain, "eigsh", stall)
-    # L = 8 has sector dimension 70, above the dense-only threshold
-    with pytest.raises(ConvergenceError, match="sector dimension 70") as info:
-        ground_energy(XXZParams(8))
-    assert isinstance(info.value.__cause__, ArpackNoConvergence)
+    # a Lanczos step budget too small to converge in; L = 10 has sector
+    # dimension 252, above the dense-only threshold
+    monkeypatch.setattr(spinchain, "_LANCZOS_STEPS", 4)
+    with pytest.raises(ConvergenceError, match="sector dimension 252"):
+        ground_energy(XXZParams(10))
 
 
 def test_wrong_eigenpair_is_refused_by_its_residual(monkeypatch):
-    def wrong(h, **kwargs):
+    def wrong(h):
         # the exact ground energy, paired with a basis vector
-        vector = np.zeros((h.shape[0], 1), dtype=h.dtype)
+        vector = np.zeros(h.shape[0], dtype=complex)
         vector[0] = 1.0
-        return np.array([-6.0]), vector
+        return -7.5, vector
 
-    monkeypatch.setattr(spinchain, "eigsh", wrong)
-    with pytest.raises(ConvergenceError, match=r"residual \S+ exceeds .* sector dimension 70"):
-        ground_energy(XXZParams(8))
+    monkeypatch.setattr(spinchain, "_lanczos", wrong)
+    with pytest.raises(ConvergenceError, match=r"residual \S+ exceeds .* sector dimension 252"):
+        ground_energy(XXZParams(10))
 
 
 def test_other_eigensolver_errors_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("unexpected")
 
-    monkeypatch.setattr(spinchain, "eigsh", broken)
+    monkeypatch.setattr(spinchain, "_lanczos", broken)
     with pytest.raises(RuntimeError, match="unexpected"):
-        ground_energy(XXZParams(8))
+        ground_energy(XXZParams(10))
+
+
+def _scipy_csr(h):
+    """The sector operator as a scipy CSR matrix, from its dense form."""
+    return sp.csr_matrix(h.toarray())
+
+
+@pytest.mark.parametrize("length", [4, 6, 8, 10])
+def test_gather_product_matches_scipy(length):
+    rng = np.random.default_rng(length)
+    bridge = bridge_parameters(length, 0.1, -0.05)
+    h = build_xxz(XXZParams(length, bridge.delta_aniso, bridge.twist))
+    reference = _scipy_csr(h)
+    for _ in range(3):
+        v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+        assert np.max(np.abs(h @ v - reference @ v)) < 1e-13
+
+
+def test_hermiticity_defect_matches_scipy():
+    h = build_xxz(XXZParams(8))
+    reference = _scipy_csr(h)
+    assert hermiticity_defect(h) == pytest.approx(abs(reference - reference.getH()).max(),
+                                                  abs=1e-15)
+    # perturb one exchange entry, away from its mirror
+    bond, state = 3, int(np.nonzero(h.partners[3] != np.arange(h.shape[0]))[0][0])
+    h.amplitudes[bond, state] += 0.25 - 0.125j
+    reference = _scipy_csr(h)
+    defect = abs(reference - reference.getH()).max()
+    assert defect == pytest.approx(abs(0.25 - 0.125j))
+    assert hermiticity_defect(h) == pytest.approx(defect, rel=1e-15)
+
+
+_BRIDGE_TILTS = [(0.0, 0.0), (0.1, -0.05), (-0.1, 0.1), (0.3, 0.4)]
+
+
+@pytest.mark.parametrize("length", [4, 6, 8, 10, 12, 14])
+@pytest.mark.parametrize("alpha, beta", _BRIDGE_TILTS)
+def test_ground_energy_matches_scipy(length, alpha, beta):
+    # dense eigvalsh where the sector is dense-solved, ARPACK above
+    bridge = bridge_parameters(length, alpha, beta)
+    params = XXZParams(length, bridge.delta_aniso, bridge.twist)
+    h = build_xxz(params)
+    if h.shape[0] <= spinchain._DENSE_SECTOR_DIM:
+        reference = np.linalg.eigvalsh(h.toarray())[0]
+    else:
+        rows = np.broadcast_to(np.arange(h.shape[0]), h.partners.shape)
+        csr = sp.csr_matrix((h.amplitudes.ravel(), (rows.ravel(), h.partners.ravel())),
+                            shape=h.shape) + sp.diags(h.diagonal)
+        reference = eigsh(csr, k=1, which="SA", tol=0.0,
+                          v0=np.ones(h.shape[0], dtype=complex))[0][0]
+    assert abs(ground_energy(params) - reference) <= 1e-10
 
 
 def test_ground_energy_is_reproducible():
-    # ARPACK starts from a fixed-seed vector, so a rerun gives the same bits
+    # the Lanczos iteration starts from a fixed-seed vector, so a rerun
+    # gives the same bits
     bridge = bridge_parameters(12, 0.1, -0.05)
     params = XXZParams(12, bridge.delta_aniso, bridge.twist)
     energies = []

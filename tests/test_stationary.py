@@ -52,13 +52,13 @@ L4_WEIGHTS = {
 def test_generator_l2():
     gen = build_deformed(2)
     assert gen.shape == (2, 2)
-    assert gen.dtype == np.float64
+    assert gen.toarray().dtype == np.float64
     assert gen.toarray().tolist() == [[-1, 1], [1, -1]]
 
 
 @pytest.mark.parametrize("length", [2, 4, 6, 8])
 def test_generator_columns_sum_to_zero(length):
-    gen = build_deformed(length)
+    gen = build_deformed(length).toarray()
     assert gen.dtype == np.float64
     assert not gen.sum(axis=0).any()
 
@@ -66,7 +66,7 @@ def test_generator_columns_sum_to_zero(length):
 def test_generator_row_sums_l4():
     # nonzero row sums: the chain is not doubly stochastic, so the
     # uniform vector is not stationary
-    sums = np.asarray(build_deformed(4).sum(axis=1)).ravel().tolist()
+    sums = build_deformed(4).toarray().sum(axis=1).tolist()
     assert sums == [4, -2, -2, 4, -2, -2]
     assert any(s != 0 for s in sums)
 
@@ -337,9 +337,10 @@ def test_disconnected_chain_fails_the_certificate():
 
 
 def test_exact_core_loads_no_scipy():
+    # nor does any other route: the command-line driver imports them all
     code = ("import sys\n"
             "import raisepeel.profiles, raisepeel.stationary, raisepeel.simulate, "
-            "raisepeel.qfield, raisepeel.tq\n"
+            "raisepeel.qfield, raisepeel.tq, raisepeel.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
