@@ -7,7 +7,7 @@ the defining relations of the underlying loop algebra, and the bridge
 identity that makes the two spectral routes interchangeable.
 """
 
-from raisepeel.scgf import DeformedParams, scgf_value
+from raisepeel.scgf import scgf_value
 from raisepeel.spinchain import (
     XXZParams,
     bridge_parameters,
@@ -32,7 +32,7 @@ print("\nbridge between tilt parameters and twist, L=6:")
 for alpha, beta in ((0.0, 0.0), (0.1, -0.05), (-0.1, 0.1)):
     params = bridge_parameters(6, alpha, beta)
     left = lambda_bridge(6, alpha, beta)
-    right = scgf_value(6, DeformedParams(alpha, beta)).lambda_value
+    right = scgf_value(6, alpha, beta).lambda_value
     print(f"  tilt ({alpha:+.2f}, {beta:+.2f}): twist angle"
           f" {params.theta:+.6f}, spectral gap between routes"
           f" {abs(left - right):.1e}")

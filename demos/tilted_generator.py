@@ -7,7 +7,7 @@ small grid, confirms it vanishes at the origin, and compares the
 finite-difference slopes against the exact rational currents.
 """
 
-from raisepeel.scgf import DeformedParams, scgf_derivatives, scgf_value
+from raisepeel.scgf import scgf_derivatives, scgf_value
 from raisepeel.stationary import diamond_current_formula, global_current_formula
 
 length = 6
@@ -17,7 +17,7 @@ print("cumulant function on a small grid:")
 for alpha in (-0.2, 0.0, 0.2):
     row = []
     for beta in (-0.2, 0.0, 0.2):
-        res = scgf_value(length, DeformedParams(alpha, beta))
+        res = scgf_value(length, alpha, beta)
         row.append(f"{res.lambda_value:+.6f}")
     print(f"  alpha={alpha:+.1f}:  " + "  ".join(row))
 

@@ -51,7 +51,6 @@ _LOG_LEVELS = {
     "error": logging.ERROR,
 }
 
-_FD_STEP = 1e-3
 _FD_TOLERANCE = 1e-6
 _ORIGIN_TOLERANCE = 1e-12
 _ENERGY_TOLERANCE = 1e-10
@@ -105,7 +104,8 @@ def _jsonable(value: Any) -> Any:
     become [re, im] pairs, and a non-finite float becomes null (strict
     JSON has no NaN or Infinity).  A dataclass becomes its fields in
     declaration order, plus `passed` when that is a property of its
-    class; everything else keeps its natural JSON type.
+    class; dicts, lists and tuples are converted entry by entry, and bool,
+    int, str and None kept.  Any other type is refused with TypeError.
     """
     if isinstance(value, float):
         return value if isfinite(value) else None
@@ -126,7 +126,7 @@ def _jsonable(value: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    return str(value)
+    raise TypeError(f"cannot serialize a value of type {type(value).__qualname__}")
 
 
 def _require_even_length(length: int | None) -> int:
@@ -177,14 +177,13 @@ def _stationary_checks(length: int) -> dict[str, Row]:
     }
 
 
-def _slope_check(length: int, step: float, origin: float | None = None
-                 ) -> tuple[dict[str, Any], list[Row]]:
+def _slope_check(length: int, origin: float | None = None) -> tuple[dict[str, Any], list[Row]]:
     """Tilted generator zero at the origin, gradient equal to the exact currents:
     the scgf fd_check block and the origin and slope rows.  origin is the
     cumulant value at zero tilt when the caller has already solved it."""
-    d_alpha, d_beta = scgf.scgf_derivatives(length, h_step=step)
+    d_alpha, d_beta = scgf.scgf_derivatives(length)
     if origin is None:
-        origin = scgf.scgf_value(length, scgf.DeformedParams()).lambda_value
+        origin = scgf.scgf_value(length).lambda_value
     exact_alpha = stationary.global_current_formula(length)
     exact_beta = stationary.diamond_current_formula(length)
     rel_alpha = abs(d_alpha - float(exact_alpha)) / float(exact_alpha)
@@ -198,7 +197,7 @@ def _slope_check(length: int, step: float, origin: float | None = None
             rel_alpha <= _FD_TOLERANCE and rel_beta <= _FD_TOLERANCE),
     ]
     block = {
-        "step": step,
+        "step": scgf.FD_STEP,
         "lambda_origin": origin,
         "derivative_alpha": d_alpha,
         "derivative_beta": d_beta,
@@ -229,7 +228,7 @@ def _bridge_check(length: int, spin: dict[tuple[float, float], float]
     one bridge_check block per tilt and the row for the largest difference."""
     blocks = []
     for (alpha, beta), lam_spin in spin.items():
-        lam_scgf = scgf.scgf_value(length, scgf.DeformedParams(alpha, beta)).lambda_value
+        lam_scgf = scgf.scgf_value(length, alpha, beta).lambda_value
         diff = abs(lam_spin - lam_scgf)
         blocks.append({"lambda_scgf": lam_scgf, "difference": diff,
                        "tolerance": _BRIDGE_TOLERANCE, "passed": diff <= _BRIDGE_TOLERANCE})
@@ -343,7 +342,7 @@ def cmd_stationary(args: argparse.Namespace) -> tuple[dict[str, Any], bool | Non
 
 def cmd_scgf(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
     length = _require_even_length(args.length)
-    result = scgf.scgf_value(length, scgf.DeformedParams(args.alpha, args.beta))
+    result = scgf.scgf_value(length, args.alpha, args.beta)
     payload: dict[str, Any] = {
         "length": length,
         "alpha": args.alpha,
@@ -356,8 +355,7 @@ def cmd_scgf(args: argparse.Namespace) -> tuple[dict[str, Any], bool | None]:
     if not args.fd_check:
         return payload, None
     at_origin = args.alpha == 0.0 and args.beta == 0.0
-    payload["fd_check"], _ = _slope_check(length, args.step,
-                                          result.lambda_value if at_origin else None)
+    payload["fd_check"], _ = _slope_check(length, result.lambda_value if at_origin else None)
     return payload, payload["fd_check"]["passed"]
 
 
@@ -420,7 +418,7 @@ def _verify_rows(lmax: int, nmax: int) -> list[Row]:
         add(*_stationary_checks(length).values())
 
     for length in range(2, min(lmax, 10) + 1, 2):
-        add(*_slope_check(length, _FD_STEP)[1])
+        add(*_slope_check(length)[1])
 
     # growth rates, each evaluated once per N
     rates = {n: tq.lambda_check(n) for n in range(1, max(nmax, lmax // 2) + 1)}
@@ -564,8 +562,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     help="tilt conjugate to evacuated tiles")
     sc.add_argument("--fd-check", dest="fd_check", action="store_true",
                     help="compare finite-difference slopes with exact currents")
-    sc.add_argument("--step", type=float, default=_FD_STEP,
-                    help="base step for the finite-difference check")
     by_name["scgf"] = sc
 
     tqp = subs.add_parser("tq", parents=[common],

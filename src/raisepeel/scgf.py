@@ -50,13 +50,8 @@ _KRYLOV_KEEP = 8
 # cycles allowed to reach it
 _KRYLOV_TOL = 1e-14
 _KRYLOV_CYCLES = 20
-
-
-@dataclass(frozen=True)
-class DeformedParams:
-    """Tilt strengths; (0, 0) is the undeformed stochastic point."""
-    alpha: float = 0.0
-    beta: float = 0.0
+# base step of the Richardson stencil in scgf_derivatives
+FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -109,9 +104,9 @@ class ColumnMatrix:
         return self.diagonal * v + np.bincount(self.rows.ravel(), products, minlength=len(v))
 
 
-def build_deformed(length: int,
-                   params: DeformedParams = DeformedParams()) -> ColumnMatrix:
-    """Tilted generator on the enumerated basis, by columns.
+def build_deformed(length: int, alpha: float = 0.0, beta: float = 0.0) -> ColumnMatrix:
+    """Tilted generator on the enumerated basis, by columns; (0, 0) is the
+    undeformed stochastic point.
 
     Entry (target, source) collects exp(alpha*dGlobal + beta*dDiamond)
     over the sites realizing that move; the rows of column source are the
@@ -126,9 +121,9 @@ def build_deformed(length: int,
     d_global = table.d_global.astype(np.float64)
     d_diamond = table.d_diamond.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.exp(params.alpha * d_global + params.beta * d_diamond)
+        weights = np.exp(alpha * d_global + beta * d_diamond)
     if not np.isfinite(weights).all():
-        raise ValueError(f"tilt (alpha, beta) = ({params.alpha}, {params.beta}) "
+        raise ValueError(f"tilt (alpha, beta) = ({alpha}, {beta}) "
                          "gives non-finite move weights")
     return ColumnMatrix(np.full(n, -float(length)), table.target, weights)
 
@@ -138,7 +133,7 @@ def _power_of_two_below(bound: float) -> float:
     return math.ldexp(1.0, math.frexp(bound)[1] - 1)
 
 
-def _ritz_vector(matrix: ColumnMatrix) -> np.ndarray | None:
+def _ritz_vector(matrix: ColumnMatrix) -> np.ndarray:
     """Ritz vector of the rightmost Ritz value of a thick-restarted Arnoldi
     iteration from ones, with bases of min(_KRYLOV_DIM, n) vectors.
 
@@ -150,20 +145,18 @@ def _ritz_vector(matrix: ColumnMatrix) -> np.ndarray | None:
     whose projected matrix and coupling row carry the Arnoldi relation on
     (K. Wu and H. Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  The
     vector is returned once its residual is at most _KRYLOV_TOL times the
-    Ritz value's modulus, or else after _KRYLOV_CYCLES cycles: near a
-    defective root, whose two leading eigenvalues no basis separates, it
-    still lies in their subspace, from which the enclosure stalls at once
-    instead of narrowing like 1/iterations from ones.  None when no cycle
-    is allowed.
+    Ritz value's modulus, or else after _KRYLOV_CYCLES cycles (at least
+    one): near a defective root, whose two leading eigenvalues no basis
+    separates, it still lies in their subspace, from which the enclosure
+    stalls at once instead of narrowing like 1/iterations from ones.
     """
     n = matrix.shape[0]
     m = min(_KRYLOV_DIM, n)
     basis = np.empty((m + 1, n))
     hessenberg = np.zeros((m + 1, m))
     basis[0] = 1.0 / math.sqrt(n)
-    kept = 0
-    vector = None
-    for _ in range(_KRYLOV_CYCLES):
+    kept = cycles = 0
+    while True:
         k = m
         for j in range(kept, m):
             w = matrix @ basis[j]
@@ -184,10 +177,10 @@ def _ritz_vector(matrix: ColumnMatrix) -> np.ndarray | None:
         values, vectors = np.linalg.eig(hessenberg[:k, :k])
         order = np.argsort(-values.real)
         top = order[0]
-        vector = vectors[:, top] @ basis[:k]
-        if k < m or (abs(hessenberg[m, m - 1] * vectors[m - 1, top])
-                     <= _KRYLOV_TOL * abs(values[top])):
-            return vector
+        cycles += 1
+        if k < m or cycles >= _KRYLOV_CYCLES or (
+                abs(hessenberg[m, m - 1] * vectors[m - 1, top]) <= _KRYLOV_TOL * abs(values[top])):
+            return vectors[:, top] @ basis[:k]
         parts = []
         for i in order[:_KRYLOV_KEEP]:
             if values[i].imag == 0.0:
@@ -202,36 +195,19 @@ def _ritz_vector(matrix: ColumnMatrix) -> np.ndarray | None:
         hessenberg[:kept, :kept] = projected
         hessenberg[kept, :kept] = coupling
         basis[:kept], basis[kept] = kept_span.T @ basis[:m], basis[m]
-    return vector
 
 
 def _krylov_seed(matrix: ColumnMatrix) -> np.ndarray | None:
     """Modulus of the Arnoldi Perron vector of a shifted, scaled matrix,
-    its largest entry one.
+    its largest entry one; None when an entry is zero or not finite.
 
-    None when no Arnoldi cycle is allowed, or when the vector is not a
-    Perron vector: an entry is zero or not finite, or an entry above the
-    vector's error is, divided by the largest entry, not of positive real
-    part.  The error is _KRYLOV_TOL, or the largest imaginary part left
-    after that division if larger, times the largest modulus; below it an
-    entry's sign is noise.  The L=18 stationary vector spans eighteen
-    decades, and its smallest entries came out of the Arnoldi basis as
-    -3.5e-18 where the root's own vector holds 4e-18; near a defective root
-    (L=12, beta=-6) the unseparated pair leaves imaginary parts of 4e-6.
+    Any positive vector is a valid start, since the enclosure alone
+    certifies the root: an entry's sign or phase is not checked.
     """
-    vector = _ritz_vector(matrix)
-    if vector is None:
-        return None
-    seed = np.abs(vector)
+    seed = np.abs(_ritz_vector(matrix))
     if not (np.isfinite(seed).all() and (seed > 0.0).all()):
         return None
-    top = int(np.argmax(seed))
-    phased = vector / vector[top]
-    # a Perron vector is real: what is left imaginary is error too
-    error = max(_KRYLOV_TOL, float(np.abs(phased.imag).max()))
-    if not (phased.real[seed > error * seed[top]] > 0.0).all():
-        return None
-    return seed / seed[top]
+    return seed / seed.max()
 
 
 def largest_eigenvalue(matrix: ColumnMatrix | np.ndarray) -> SCGFResult:
@@ -240,10 +216,8 @@ def largest_eigenvalue(matrix: ColumnMatrix | np.ndarray) -> SCGFResult:
     A dense array is read by columns.  Power iteration runs on matrix +
     shift*I, the shift clearing the diagonal sign.  The start is the
     modulus of the Arnoldi Perron vector of that shifted, scaled matrix
-    (see _ritz_vector), kept only when every entry is finite and nonzero
-    and, with one common phase divided out, every entry above the vector's
-    error is strictly positive (see _krylov_seed); otherwise the iteration
-    starts from ones.  The Arnoldi eigenvalue is discarded, and iterations
+    (see _ritz_vector) when every entry is finite and nonzero, and ones
+    otherwise.  The Arnoldi eigenvalue is discarded, and iterations
     counts power matvecs only.  Every _STRIDE matvecs the classical
     two-sided quotient bounds min (Av)_i/v_i <= rho <= max (Av)_i/v_i are
     read, and the root is returned when the enclosure first pinches below
@@ -354,34 +328,27 @@ def largest_eigenvalue(matrix: ColumnMatrix | np.ndarray) -> SCGFResult:
                            f"dimension {n}){detail}")
 
 
-def scgf_value(length: int,
-               params: DeformedParams = DeformedParams()) -> SCGFResult:
+def scgf_value(length: int, alpha: float = 0.0, beta: float = 0.0) -> SCGFResult:
     """Largest eigenvalue of the tilted generator at the given tilt."""
-    return largest_eigenvalue(build_deformed(length, params))
+    return largest_eigenvalue(build_deformed(length, alpha, beta))
 
 
-def scgf_derivatives(length: int, h_step: float = 1e-3) -> tuple[float, float]:
+def scgf_derivatives(length: int) -> tuple[float, float]:
     """Gradient of the cumulant generating function at the origin.
 
-    Central differences at steps h and h/2 combined by one Richardson
-    step; the truncation error is then far below the eigenvalue enclosure
-    noise.  Returns (d/dalpha, d/dbeta), i.e. the global-avalanche and
-    evacuated-tile currents.
+    Central differences at steps FD_STEP and FD_STEP/2 combined by one
+    Richardson step; the truncation error is then far below the eigenvalue
+    enclosure noise.  Returns (d/dalpha, d/dbeta), i.e. the
+    global-avalanche and evacuated-tile currents.
     """
-    if not 0.0 < h_step <= 1e-3:
-        raise ValueError(f"h_step must lie in (0, 1e-3], got {h_step}")
+    def slope(tilts: list[tuple[float, float]]) -> float:
+        """One Richardson step from the roots at one axis's tilts
+        +FD_STEP, -FD_STEP, +FD_STEP/2 and -FD_STEP/2, in that order."""
+        lam = [largest_eigenvalue(build_deformed(length, alpha, beta)).lambda_value
+               for alpha, beta in tilts]
+        wide = (lam[0] - lam[1]) / (2.0 * FD_STEP)
+        narrow = (lam[2] - lam[3]) / FD_STEP
+        return (4.0 * narrow - wide) / 3.0
 
-    def tilt(axis: int, t: float) -> DeformedParams:
-        return DeformedParams(t, 0.0) if axis == 0 else DeformedParams(0.0, t)
-
-    lam = {(axis, h, sign):
-           largest_eigenvalue(build_deformed(length, tilt(axis, sign * h))).lambda_value
-           for axis in (0, 1) for h in (h_step, h_step / 2) for sign in (1.0, -1.0)}
-
-    def central(axis: int, h: float) -> float:
-        return (lam[axis, h, 1.0] - lam[axis, h, -1.0]) / (2.0 * h)
-
-    def richardson(axis: int) -> float:
-        return (4.0 * central(axis, h_step / 2) - central(axis, h_step)) / 3.0
-
-    return richardson(0), richardson(1)
+    steps = (FD_STEP, -FD_STEP, FD_STEP / 2, -FD_STEP / 2)
+    return slope([(t, 0.0) for t in steps]), slope([(0.0, t) for t in steps])

@@ -104,6 +104,8 @@ class SimConfig:
             raise ValueError(f"t_max must be finite and nonnegative, got {self.t_max}")
         if self.max_events is not None and self.max_events < 0:
             raise ValueError(f"max_events must be nonnegative, got {self.max_events}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.report_every is not None and not self.report_every > 0:
             raise ValueError("report_every must be positive when set")
 

@@ -15,7 +15,7 @@ from raisepeel.profiles import (
     tile_count,
     transitions,
 )
-from raisepeel.scgf import DeformedParams, scgf_derivatives, scgf_value
+from raisepeel.scgf import scgf_derivatives, scgf_value
 from raisepeel.simulate import SimConfig, simulate
 from raisepeel.spinchain import (
     XXZParams,
@@ -152,8 +152,7 @@ def test_criterion_6_spin_chain_bridge():
         for alpha in (-0.1, 0.0, 0.1):
             for beta in (-0.1, 0.0, 0.1):
                 gap = abs(lambda_bridge(length, alpha, beta)
-                          - scgf_value(length,
-                                       DeformedParams(alpha, beta)).lambda_value)
+                          - scgf_value(length, alpha, beta).lambda_value)
                 worst_bridge = max(worst_bridge, gap)
     ok = ok and worst_bridge <= 1e-8
     _report(6, "ground energies -3L/4 to 1e-10 for L of 4..14, algebra "

@@ -16,6 +16,7 @@ from contextlib import redirect_stdout
 from math import exp, isfinite
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import raisepeel
@@ -140,14 +141,14 @@ def test_scgf_fd_check_solves_the_origin_once(monkeypatch):
     calls = []
     solve = scgf_mod.scgf_value
 
-    def counted(length, params=scgf_mod.DeformedParams()):
-        calls.append(params)
-        return solve(length, params)
+    def counted(length, alpha=0.0, beta=0.0):
+        calls.append((alpha, beta))
+        return solve(length, alpha, beta)
 
     monkeypatch.setattr(scgf_mod, "scgf_value", counted)
     code, doc = run_json(["scgf", "--length", "6", "--fd-check"])
     assert code == 0
-    assert calls == [scgf_mod.DeformedParams(0.0, 0.0)]
+    assert calls == [(0.0, 0.0)]
     assert doc["fd_check"]["lambda_origin"] == doc["lambda"]
 
 
@@ -273,6 +274,25 @@ def test_serializer_writes_nonfinite_floats_as_null_and_keeps_passed_fields():
     assert doc["lambda"] is None
     assert doc["values"] == [None, 1.5, [None]]
     json.dumps(doc, allow_nan=False)
+
+
+@pytest.mark.parametrize("value, name", [(np.int64(5), "int64"), (object(), "object")])
+def test_serializer_refuses_unknown_types(value, name):
+    # a numpy integer must not be written as the string "5"
+    with pytest.raises(TypeError, match=f"cannot serialize a value of type {name}"):
+        cli_mod._jsonable({"values": [value]})
+
+
+def test_negative_seed_is_refused_by_name():
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "raisepeel.cli", "simulate", "--length", "4", "--time", "1",
+         "--seed", "-1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: seed must be nonnegative, got -1\n"
 
 
 def test_verify_all_small():
@@ -404,7 +424,7 @@ def test_config_defaults_and_override(tmp_path):
     ["simulate", "--length", "4", "--time", "10", "--log", "x.jsonl"],
     ["stationary", "--length", "3"],
     ["stationary"],
-    ["scgf", "--length", "4", "--fd-check", "--step", "0.5"],
+    ["scgf", "--length", "5", "--fd-check"],
     ["tq", "--check", "lambda"],
     ["tq", "--n", "0"],
     ["xxz", "--length", "6", "--beta", "-5.0"],

@@ -312,7 +312,7 @@ def test_transition_table_matches_apply_move(length):
             check_table_entry(table, k, site)
 
 
-@pytest.mark.parametrize("length", [14, 16])
+@pytest.mark.parametrize("length", [14, 16, 18])
 def test_transition_table_matches_apply_move_sampled(length):
     # a fixed-seed sample of (state, site) pairs where the full sweep is slow
     table = transition_table(length)

@@ -17,12 +17,12 @@ import raisepeel.scgf as scgf_mod
 from raisepeel.profiles import apply_move, enumerate_states, transition_table
 from raisepeel.scgf import (
     _KRYLOV_DIM,
+    FD_STEP,
     _STALL_LIMIT,
     _STRIDE,
     _TOLERANCE,
     ColumnMatrix,
     ConvergenceError,
-    DeformedParams,
     build_deformed,
     largest_eigenvalue,
     scgf_derivatives,
@@ -33,7 +33,7 @@ from raisepeel.stationary import diamond_current_formula, global_current_formula
 
 def test_deformed_matrix_l2():
     alpha, beta = 0.3, 0.2
-    m = build_deformed(2, DeformedParams(alpha, beta)).toarray()
+    m = build_deformed(2, alpha, beta).toarray()
     states = enumerate_states(2)
     lo = states.index((0, 1))
     hi = states.index((2, 1))
@@ -59,19 +59,19 @@ def _reference_generator(length):
 
 def test_deformed_matches_generator_at_zero_tilt():
     for length in (2, 4, 6, 8):
-        m = build_deformed(length, DeformedParams())
+        m = build_deformed(length)
         gen = _reference_generator(length)
         assert m.weights.dtype == m.diagonal.dtype == np.float64
         assert np.max(np.abs(m.toarray() - gen)) < 1e-14
 
 
-def _reference_csr(length, params=DeformedParams()):
+def _reference_csr(length, alpha=0.0, beta=0.0):
     """The tilted generator as a scipy CSR matrix, entry (target, source)
     summed over the transition table's moves."""
     table = transition_table(length)
     n = len(table.states)
-    weights = np.exp(params.alpha * table.d_global.astype(float)
-                     + params.beta * table.d_diamond.astype(float))
+    weights = np.exp(alpha * table.d_global.astype(float)
+                     + beta * table.d_diamond.astype(float))
     diagonal = np.arange(n)
     rows = np.concatenate([table.target.ravel(), diagonal])
     cols = np.concatenate([np.repeat(diagonal, length), diagonal])
@@ -82,9 +82,9 @@ def _reference_csr(length, params=DeformedParams()):
 @pytest.mark.parametrize("length", [2, 4, 8, 12])
 def test_scatter_product_matches_scipy(length):
     rng = np.random.default_rng(length)
-    for params in (DeformedParams(), DeformedParams(0.3, -0.2)):
-        m = build_deformed(length, params)
-        reference = _reference_csr(length, params)
+    for tilt in ((0.0, 0.0), (0.3, -0.2)):
+        m = build_deformed(length, *tilt)
+        reference = _reference_csr(length, *tilt)
         assert np.array_equal(m.toarray(), reference.toarray())
         for _ in range(3):
             v = rng.standard_normal(m.shape[0])
@@ -103,7 +103,7 @@ def test_l2_closed_form():
     # the 2x2 tilted matrix has top eigenvalue -1 + exp((alpha+2*beta)/2)
     for alpha, beta in [(0.0, 0.0), (0.4, -0.1), (-0.3, 0.25), (0.35, 0.0)]:
         expected = -1.0 + exp((alpha + 2 * beta) / 2)
-        got = scgf_value(2, DeformedParams(alpha, beta)).lambda_value
+        got = scgf_value(2, alpha, beta).lambda_value
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -139,14 +139,7 @@ def test_derivatives_match_exact_currents(length):
 ])
 def test_nonfinite_move_weights_refused(alpha, beta):
     with pytest.raises(ValueError, match=r"tilt \(alpha, beta\) = .* non-finite"):
-        build_deformed(4, DeformedParams(alpha, beta))
-
-
-def test_step_validation():
-    with pytest.raises(ValueError):
-        scgf_derivatives(4, h_step=0.0)
-    with pytest.raises(ValueError):
-        scgf_derivatives(4, h_step=2e-3)
+        build_deformed(4, alpha, beta)
 
 
 @pytest.mark.parametrize("length", [4, 6])
@@ -155,8 +148,8 @@ def test_midpoint_convexity(length, axis):
     points = np.linspace(-0.5, 0.5, 9)
 
     def lam(t):
-        tilt = DeformedParams(t, 0.0) if axis == 0 else DeformedParams(0.0, t)
-        return scgf_value(length, tilt).lambda_value
+        tilt = (t, 0.0) if axis == 0 else (0.0, t)
+        return scgf_value(length, *tilt).lambda_value
 
     values = [lam(t) for t in points]
     for i in range(len(points) - 2):
@@ -178,7 +171,7 @@ def perron_gap(matrix):
 
 
 def test_perron_gap_positive():
-    gaps = {length: perron_gap(build_deformed(length, DeformedParams()))
+    gaps = {length: perron_gap(build_deformed(length))
             for length in (2, 4, 6, 8)}
     assert all(g > 0.3 for g in gaps.values())
     assert gaps[2] == pytest.approx(2.0, rel=1e-9)
@@ -202,11 +195,11 @@ def _reference_root(matrix, max_iterations=100_000):
     raise AssertionError("reference power iteration did not pinch")
 
 
-_STENCIL = ([DeformedParams(t, 0.0) for t in (1e-3, -1e-3, 5e-4, -5e-4)]
-            + [DeformedParams(0.0, t) for t in (1e-3, -1e-3, 5e-4, -5e-4)])
+_STENCIL = ([(t, 0.0) for t in (1e-3, -1e-3, 5e-4, -5e-4)]
+            + [(0.0, t) for t in (1e-3, -1e-3, 5e-4, -5e-4)])
 
 
-_BRIDGE_GRID = [DeformedParams(a, b) for a in (-0.1, 0.0, 0.1) for b in (-0.1, 0.0, 0.1)]
+_BRIDGE_GRID = [(a, b) for a in (-0.1, 0.0, 0.1) for b in (-0.1, 0.0, 0.1)]
 
 
 @pytest.mark.parametrize("length, tilts", [
@@ -216,7 +209,7 @@ _BRIDGE_GRID = [DeformedParams(a, b) for a in (-0.1, 0.0, 0.1) for b in (-0.1, 0
         *(f"bridge-L{n}" for n in (4, 6, 8))])
 def test_block_solve_matches_one_matrix_reference(length, tilts):
     for tilt in tilts:
-        matrix = build_deformed(length, tilt)
+        matrix = build_deformed(length, *tilt)
         root = largest_eigenvalue(matrix)
         assert root.method == "power-iteration"
         assert root.residual <= 1e-13
@@ -226,8 +219,8 @@ def test_block_solve_matches_one_matrix_reference(length, tilts):
 def test_arpack_start_certifies_within_three_strides():
     # from ones, one slow mode at L=12 decays by only 0.974 per matvec:
     # these matrices took 736-944 matvecs before a Krylov start
-    for tilt in (*_STENCIL, DeformedParams(0.1, -0.05)):
-        root = largest_eigenvalue(build_deformed(12, tilt))
+    for tilt in (*_STENCIL, (0.1, -0.05)):
+        root = largest_eigenvalue(build_deformed(12, *tilt))
         assert root.method == "power-iteration"
         assert root.residual <= _TOLERANCE
         assert root.iterations <= 3 * _STRIDE
@@ -236,17 +229,17 @@ def test_arpack_start_certifies_within_three_strides():
 def test_repeated_solves_are_identical():
     # the Arnoldi iteration starts from ones, not from a random vector
     for tilt in _STENCIL:
-        matrix = build_deformed(12, tilt)
+        matrix = build_deformed(12, *tilt)
         assert largest_eigenvalue(matrix) == largest_eigenvalue(matrix)
 
 
 @pytest.mark.parametrize("length", [6, 8, 10, 12])
-@pytest.mark.parametrize("params", [DeformedParams(), DeformedParams(1e-3, 0.0),
-                                    DeformedParams(0.0, -5e-4)], ids=["origin", "alpha", "beta"])
-def test_krylov_vector_matches_arpack(monkeypatch, length, params):
+@pytest.mark.parametrize("tilt", [(0.0, 0.0), (1e-3, 0.0), (0.0, -5e-4)],
+                         ids=["origin", "alpha", "beta"])
+def test_krylov_vector_matches_arpack(monkeypatch, length, tilt):
     # ARPACK's Perron vector, from scipy, is the reference for the start
     # the solve takes
-    m = build_deformed(length, params)
+    m = build_deformed(length, *tilt)
     seeds = []
     krylov_seed = scgf_mod._krylov_seed
 
@@ -257,7 +250,7 @@ def test_krylov_vector_matches_arpack(monkeypatch, length, params):
     monkeypatch.setattr(scgf_mod, "_krylov_seed", recorded)
     largest_eigenvalue(m)
     seed, = seeds
-    _, vectors = eigs(_reference_csr(length, params), k=1, which="LR", tol=0,
+    _, vectors = eigs(_reference_csr(length, *tilt), k=1, which="LR", tol=0,
                       v0=np.ones(m.shape[0]))
     reference = np.abs(vectors[:, 0])
     assert np.max(np.abs(seed - reference / reference.max())) <= 1e-10
@@ -271,18 +264,15 @@ def _ritz_returning(entry):
     return fake_ritz_vector
 
 
-@pytest.mark.parametrize("name, value", [
-    ("_ritz_vector", _ritz_returning(0.0)), ("_ritz_vector", _ritz_returning(-0.5)),
-    ("_ritz_vector", _ritz_returning(float("nan"))), ("_KRYLOV_CYCLES", 0),
-], ids=["zero", "negative", "nan", "no-convergence"])
-def test_rejected_arpack_vector_starts_from_ones(monkeypatch, caplog, name, value):
-    # a Ritz vector that is not a Perron vector, or none (no Arnoldi cycle
-    # allowed), leaves the iteration to start from ones
-    matrix = build_deformed(8, DeformedParams(0.1, -0.05))
+@pytest.mark.parametrize("entry", [0.0, float("nan")], ids=["zero", "nan"])
+def test_rejected_arpack_vector_starts_from_ones(monkeypatch, caplog, entry):
+    # a Ritz vector with a zero or non-finite entry has no positive modulus
+    # and leaves the iteration to start from ones
+    matrix = build_deformed(8, 0.1, -0.05)
     with monkeypatch.context() as patch:
         patch.setattr(scgf_mod, "_krylov_seed", lambda matrix: None)
         from_ones = largest_eigenvalue(matrix)
-    monkeypatch.setattr(scgf_mod, name, value)
+    monkeypatch.setattr(scgf_mod, "_ritz_vector", _ritz_returning(entry))
     caplog.set_level(logging.DEBUG, logger="raisepeel.scgf")
     root = largest_eigenvalue(matrix)
     assert "ones start" in caplog.text
@@ -291,11 +281,31 @@ def test_rejected_arpack_vector_starts_from_ones(monkeypatch, caplog, name, valu
     assert abs(root.lambda_value - _reference_root(matrix)) <= 1e-12
 
 
+def test_negative_ritz_entry_starts_from_its_modulus(monkeypatch, caplog):
+    # the enclosure bounds the root from any positive start, so a sign the
+    # Arnoldi vector gets wrong costs matvecs, not correctness
+    matrix = build_deformed(8, 0.1, -0.05)
+    monkeypatch.setattr(scgf_mod, "_ritz_vector", _ritz_returning(-0.5))
+    caplog.set_level(logging.DEBUG, logger="raisepeel.scgf")
+    root = largest_eigenvalue(matrix)
+    assert "krylov start" in caplog.text and "ones start" not in caplog.text
+    assert root.residual <= _TOLERANCE
+    assert abs(root.lambda_value - _reference_root(matrix)) <= 1e-12
+
+
+def test_every_stencil_solve_at_l12_takes_the_krylov_start(caplog):
+    # the benchmark's L=12 fd-check solves its stencil from Arnoldi vectors
+    caplog.set_level(logging.DEBUG, logger="raisepeel.scgf")
+    scgf_derivatives(12)
+    lines = [r.getMessage() for r in caplog.records if r.name == "raisepeel.scgf"]
+    assert sum("krylov start" in line for line in lines) == 8
+    assert not any("ones start" in line for line in lines)
+
+
 def test_one_log_line_per_block(caplog):
     caplog.set_level(logging.DEBUG, logger="raisepeel.scgf")
-    for length, tilt in ((6, DeformedParams()), (6, DeformedParams(0.1, 0.0)),
-                         (4, DeformedParams())):
-        largest_eigenvalue(build_deformed(length, tilt))
+    for length, tilt in ((6, (0.0, 0.0)), (6, (0.1, 0.0)), (4, (0.0, 0.0))):
+        largest_eigenvalue(build_deformed(length, *tilt))
     lines = [r.getMessage() for r in caplog.records if r.name == "raisepeel.scgf"]
     assert len(lines) == 3
     assert all("(dimension 20): krylov start" in line for line in lines[:2])
@@ -309,7 +319,7 @@ def test_small_matrices_certify_at_the_first_check():
     # one Arnoldi cycle spans the whole space of a matrix of at most
     # _KRYLOV_DIM rows: the L=4 stencil took 80-88 matvecs from ones
     for tilt in _STENCIL:
-        root = largest_eigenvalue(build_deformed(4, tilt))
+        root = largest_eigenvalue(build_deformed(4, *tilt))
         assert root.iterations == _STRIDE
 
 
@@ -333,7 +343,7 @@ def test_near_defective_root_is_refused_promptly():
     # at beta=-3 the two leading eigenvalues of the L=12 matrix lie 1.9e-5
     # apart; from ones the enclosure narrowed only like 1/iterations and
     # was refused after 578 k matvecs
-    message = _refusal(build_deformed(12, DeformedParams(0.0, -3.0)), r"stalled at width \d")
+    message = _refusal(build_deformed(12, 0.0, -3.0), r"stalled at width \d")
     assert _matvecs(message) <= 4 * _STALL_LIMIT
 
 
@@ -341,7 +351,7 @@ def test_unresolvable_root_is_refused_promptly():
     # the shifted matrix's Perron root is near 6400, where the spacing of
     # float64 exceeds _TOLERANCE, so its enclosure cannot pinch and no gain
     # counts
-    base = build_deformed(6, DeformedParams(0.2, 0.1))
+    base = build_deformed(6, 0.2, 0.1)
     message = _refusal(1000.0 * base.toarray(),
                        r"stalled at width \d.*float64 spacing \S+ at the shifted lower bound")
     assert _matvecs(message) <= _STALL_LIMIT
@@ -361,13 +371,13 @@ def test_unresolvable_root_is_refused_promptly():
 def test_stall_at_float_resolution_is_reported_promptly():
     # the tilted root at beta=10 is about 1.7e5, where float64 cannot
     # resolve an absolute width of 1e-13
-    message = _refusal(build_deformed(12, DeformedParams(0.0, 10.0)), r"stalled at width \d")
+    message = _refusal(build_deformed(12, 0.0, 10.0), r"stalled at width \d")
     assert _matvecs(message) <= 4 * _STALL_LIMIT
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_negative_entry_in_any_block_refused(position):
-    bad = build_deformed(4, DeformedParams(0.1 * position, 0.0)).toarray()
+    bad = build_deformed(4, 0.1 * position, 0.0).toarray()
     bad[0, 1] = -0.5
     with pytest.raises(ValueError, match="negative off-diagonal"):
         largest_eigenvalue(bad)
@@ -381,15 +391,14 @@ def test_block_shapes_and_row_sums_validated():
 
 
 @pytest.mark.parametrize("length, tilt", [
-    (4, DeformedParams(0.0, 100.0)), (8, DeformedParams(150.0, -3.0)),
-    (10, DeformedParams(0.0, 30.0)),
+    (4, (0.0, 100.0)), (8, (150.0, -3.0)), (10, (0.0, 30.0)),
 ])
 def test_huge_finite_weights_stall_promptly(length, tilt):
     # weights up to e^400: the matrix is scaled by a power of two at its
     # quotient bound, so no unnormalised step overflows and the row-sum
     # enclosure is finite; the root, far past what float64 resolves to
     # 1e-13, is refused within _STALL_LIMIT matvecs
-    message = _refusal(build_deformed(length, tilt), r"stalled at width \d")
+    message = _refusal(build_deformed(length, *tilt), r"stalled at width \d")
     assert _matvecs(message) <= _STALL_LIMIT
     # the enclosure named is the narrowest one with both ends finite
     assert "nan" not in message and "inf" not in message
@@ -401,9 +410,9 @@ def test_stencil_solves_each_tilt_through_largest_eigenvalue(monkeypatch):
     builds, solves = [], []
     build, solve = scgf_mod.build_deformed, scgf_mod.largest_eigenvalue
 
-    def counted_build(length, params=DeformedParams()):
-        builds.append(params)
-        return build(length, params)
+    def counted_build(length, alpha=0.0, beta=0.0):
+        builds.append((alpha, beta))
+        return build(length, alpha, beta)
 
     def counted_solve(matrix, *args):
         root = solve(matrix, *args)
@@ -414,13 +423,15 @@ def test_stencil_solves_each_tilt_through_largest_eigenvalue(monkeypatch):
     monkeypatch.setattr(scgf_mod, "largest_eigenvalue", counted_solve)
     d_alpha, d_beta = scgf_derivatives(6)
     assert len(solves) == 8
-    assert len(builds) == len(set(builds)) == 8
+    steps = {FD_STEP, -FD_STEP, FD_STEP / 2, -FD_STEP / 2}
+    assert len(builds) == 8
+    assert set(builds) == {(t, 0.0) for t in steps} | {(0.0, t) for t in steps}
     assert d_alpha == pytest.approx(float(global_current_formula(6)), rel=1e-6)
     assert d_beta == pytest.approx(float(diamond_current_formula(6)), rel=1e-6)
 
 
 def test_iteration_budget_refuses_with_the_enclosure(monkeypatch):
-    m = build_deformed(4, DeformedParams(0.2, 0.1))
+    m = build_deformed(4, 0.2, 0.1)
     reference = largest_eigenvalue(m)
     assert reference.method == "power-iteration"
     # from ones: the Arnoldi start of a 6-row matrix is exact and pinches at once
@@ -482,7 +493,7 @@ def test_integer_tilts_weigh_as_float_tilts(length, alpha, beta):
     # the table's counters are int8; an integer tilt must not be applied to
     # them in int8 (10 * 14 evacuated tiles overflows, exp would round to
     # float16)
-    exact = build_deformed(length, DeformedParams(float(alpha), float(beta)))
-    weighed = build_deformed(length, DeformedParams(alpha, beta))
+    exact = build_deformed(length, float(alpha), float(beta))
+    weighed = build_deformed(length, alpha, beta)
     assert np.array_equal(weighed.weights, exact.weights)
     assert np.array_equal(weighed.diagonal, exact.diagonal)

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import eigsh
 
 import raisepeel.spinchain as spinchain
 from raisepeel.profiles import ConvergenceError
-from raisepeel.scgf import DeformedParams, build_deformed, scgf_value
+from raisepeel.scgf import build_deformed, scgf_value
 from raisepeel.spinchain import (
     XXZParams,
     _tl_block,
@@ -182,7 +182,7 @@ def test_bridge_vanishes_at_zero_tilt():
 @pytest.mark.parametrize("alpha,beta", [(0.1, -0.05), (-0.1, 0.1)])
 def test_bridge_against_tilted_generator(alpha, beta):
     lam_spin = lambda_bridge(6, alpha, beta)
-    lam_pdp = scgf_value(6, DeformedParams(alpha, beta)).lambda_value
+    lam_pdp = scgf_value(6, alpha, beta).lambda_value
     assert lam_spin == pytest.approx(lam_pdp, abs=1e-8)
 
 
@@ -198,7 +198,7 @@ def deformed_tl_operator(length, alpha, beta):
 def test_sector_operator_is_isospectral_to_the_tilted_generator(alpha, beta):
     spin_side = np.sort(np.linalg.eigvals(deformed_tl_operator(4, alpha, beta)).real)
     pdp_side = np.sort(np.linalg.eigvals(
-        build_deformed(4, DeformedParams(alpha, beta)).toarray()).real)
+        build_deformed(4, alpha, beta).toarray()).real)
     assert np.max(np.abs(spin_side - pdp_side)) < 1e-10
 
 
