@@ -14,13 +14,14 @@ tile current.
 
 ``apply_move`` is the reference for a single move.  ``enumerate_states``
 lists the profiles from their balanced step patterns in one numpy pass,
-and ``transition_table`` builds every move of every state with one numpy
-pass per site over the (states, sites) height array, the targets found by
-``searchsorted`` on a sorted integer key of the profiles, as are the
-images of each state under the ring's two symmetries.  It is the one
-per-length copy of the moves, its counters int8 (no count exceeds L): the
-exact stationary solver, ``scgf`` and the Monte Carlo table stepper read
-its arrays as they are.
+and ``transition_table`` classifies site 0's move for every state in one
+numpy pass over the (states, sites) height array and gathers the other
+sites' targets through the shifted rotation, which commutes with the
+moves; targets are found by ``searchsorted`` on a sorted integer key of
+the profiles, as are the images of each state under the ring's two
+symmetries.  It is the one per-length copy of the moves, its counters
+int8 (no count exceeds L): the exact stationary solver, ``scgf`` and the
+Monte Carlo table stepper read its arrays as they are.
 
 ``diamond_current_formula`` and ``global_current_formula`` state the two
 laws of large numbers, the tile and global-avalanche currents, for every route,
@@ -323,18 +324,21 @@ def _keys(heights: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def transition_table(length: int) -> TransitionTable:
-    """The transition table of the ring, built in one numpy pass per site.
+    """The transition table of the ring, from one classification pass.
 
-    For each site every state's move is classified from its neighbours
-    with (n, L) arrays: a peak reflects; a valley absorbs the tile, or
-    lowers the whole lifted profile by two when every other site sits at
-    level 2 or more (global avalanche); a slope peels every site up to
-    the first return to the slope level in the rising direction (local
-    avalanche).  Targets and symmetry images are looked up by their sort
-    key, and the evacuated tiles follow from the tile balance.
+    Site 0's move is classified for every state with (n, L) arrays: a
+    peak reflects; a valley absorbs the tile, or lowers the whole lifted
+    profile by two when every other site sits at level 2 or more (global
+    avalanche); a slope peels every site up to the first return to the
+    slope level in the rising direction (local avalanche).  The moves
+    commute with the shifted rotation, so dropping at site i is rotating,
+    dropping at site i - 1 and rotating back, and the other columns of
+    targets follow by gathers.  Targets and symmetry images are looked up
+    by their sort key, and the evacuated tiles follow from the tile balance.
     """
     states = enumerate_states(length)
     heights = np.array(states, dtype=np.int64)
+    n = len(states)
     keys = _keys(heights)
     left = np.roll(heights, 1, axis=1)
     right = np.roll(heights, -1, axis=1)
@@ -345,31 +349,36 @@ def transition_table(length: int) -> TransitionTable:
     # a filled valley lifts the profile off the bottom levels when it is
     # the only site below level 2
     sole_low = (heights < 2).sum(axis=1) == 1
+    lowered = valley & sole_low[:, None] & (heights < 2)
     sites = np.arange(length)
-    target = np.empty_like(heights)
-    d_diamond = np.empty(heights.shape, np.int8)
-    d_global = np.zeros(heights.shape, np.int8)
-    for site in range(length):
-        here = heights[:, site]
-        # distance from the site along the slope's rising direction
-        offset = np.where((right[:, site] > here)[:, None],
-                          (sites - site) % length, (site - sites) % length)
-        first = np.where((heights == here[:, None]) & (offset > 0),
-                         offset, length).min(axis=1)
-        drop = 2 * ((offset > 0) & (offset < first[:, None]))
-        fill = valley[:, site]
-        drop[peak[:, site] | fill] = 0
-        drop[fill, site] = -2
-        lowered = fill & sole_low & (here < 2)
-        drop[lowered] += 2
-        target[:, site] = np.searchsorted(keys, _keys(heights - drop))
-        d_diamond[:, site] = drop.sum(axis=1) // 2 + 1 - peak[:, site]
-        d_global[:, site] = lowered
     shift = np.where(heights.min(axis=1) == 0, 1, -1)
     rotate = np.searchsorted(keys, _keys(right + shift[:, None]))
     reflect = np.searchsorted(keys, _keys(heights[:, (2 - sites) % length]))
+    # a raise, not an assert, so that python -O keeps the check
+    if not (np.bincount(rotate, minlength=n) == 1).all():
+        raise RuntimeError(f"the shifted rotation does not permute the L={length} states")
+    unrotate = np.empty_like(rotate)
+    unrotate[rotate] = np.arange(n)
+
+    here = heights[:, 0]
+    # distance from site 0 along the slope's rising direction
+    offset = np.where((right[:, 0] > here)[:, None], sites, -sites % length)
+    first = np.where((heights == here[:, None]) & (offset > 0),
+                     offset, length).min(axis=1)
+    drop = 2 * ((offset > 0) & (offset < first[:, None]))
+    fill = valley[:, 0]
+    drop[peak[:, 0] | fill] = 0
+    drop[fill, 0] = -2
+    drop[lowered[:, 0]] += 2
+    target = np.empty_like(heights)
+    target[:, 0] = np.searchsorted(keys, _keys(heights - drop))
+    for site in range(1, length):
+        target[:, site] = unrotate[target[rotate, site - 1]]
+    tiles = (heights.sum(axis=1) - length // 2) // 2
+    d_diamond = np.where(peak, 0, 1 + tiles[:, None] - tiles[target])
     return TransitionTable(states, target, rotate, reflect, peak.astype(np.int8),
-                           d_diamond, d_global, peak.sum(axis=1, dtype=np.int8), omega)
+                           d_diamond.astype(np.int8), lowered.astype(np.int8),
+                           peak.sum(axis=1, dtype=np.int8), omega)
 
 
 def diamond_current_formula(length: int) -> Fraction:

@@ -21,19 +21,18 @@ sites at height <= 1 up to date; it is also the tests' reference for the
 table stepper.  Both consume the same draws, so a seed gives the same
 trajectory on either.
 
-The accounting is then vectorized over the block, in one running record:
-column k holds the run's events, reflected, evacuated and global counts
-after the block's first k events, and its last column carries into the
-next block as the run totals.  The peak count is piecewise constant
-between events, so its running integral F(t) is a cumulative sum at the
-event times plus a linear piece up to any later instant.  ``_read``
-gives F and the record at any instants; batch boundaries and
-progress-log ticks are read from it, and a batch's amounts are the
-differences between its closing and opening boundaries.  Point estimates
-are full-run counters (or F) over elapsed time; standard errors come
-from batch means (30 equal batches after a 5% burn-in), time-sliced when
-the run is bounded by a horizon and event-sliced when it is bounded by
-an event budget.
+The accounting reads each block only where the run reports: at batch
+boundaries, progress-log ticks and the block's end.  Those event indices
+cut the block into a few segments; one ``reduceat`` per per-event array
+sums them, and a cumulative sum of those few sums, added to the totals
+carried in, gives the counters at every cut.  The peak count is
+piecewise constant between events, so its integral F(t) is read the same
+way at the last event before t, plus a linear piece up to t.  A batch's
+amounts are the differences between its two boundaries.  Point
+estimates are full-run counters (or F) over elapsed time; standard
+errors come from batch means (30 equal batches after a 5% burn-in),
+time-sliced when the run is bounded by a horizon and event-sliced when
+it is bounded by an event budget.
 """
 
 from __future__ import annotations
@@ -327,18 +326,22 @@ def stepper_for(length: int) -> type:
     return _TableRing if length <= TABLE_MAX_LENGTH else _Ring
 
 
-def _read(times: np.ndarray, integral: np.ndarray, held: np.ndarray, running: np.ndarray,
-          instants: np.ndarray) -> np.ndarray:
-    """The peak integral F and the four running counters at each instant.
+def _cuts(reads: np.ndarray, end: int) -> np.ndarray:
+    """0, the reads and end, sorted, each once (np.unique would import numpy.ma)."""
+    cuts = np.sort(np.concatenate(([0], reads, [end])))
+    return cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
 
-    times[k] carries F = integral[k] and the counters running[:, k], and
-    the peak count held[k] holds until times[k + 1]; every instant lies
-    in (times[0], times[-1]].  Row 0 of the (5, m) result is F, rows 1-4
-    the events, reflected, evacuated and global counts.
+
+def _prefix_sums(values: np.ndarray, cuts: np.ndarray, dtype: type) -> np.ndarray:
+    """sum(values[:k]) at each cut k, then sum(values) if the cuts stop short of it.
+
+    cuts rises strictly from 0 to at most len(values): one reduceat sums
+    the segments between cuts, and a cumsum of those few sums the rest.
     """
-    before = np.searchsorted(times, instants) - 1
-    return np.vstack((integral[before] + held[before] * (instants - times[before]),
-                      running[:, before]))
+    starts = cuts[:np.searchsorted(cuts, len(values))]
+    sums = np.zeros(len(starts) + 1, dtype)
+    np.cumsum(np.add.reduceat(values, starts, dtype=dtype), out=sums[1:])
+    return sums
 
 
 def _batch_estimate(full_value: float, batch_values: np.ndarray) -> Estimate:
@@ -400,9 +403,7 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
 
     time_now = integral_now = 0.0
     peaks_now = ring.peaks
-    # running[:, k] is the run's (events, reflected, evacuated, global)
-    # after the block's first k events; its last column carries over
-    running = np.zeros((4, 1), np.int64)
+    n_total = n_peak = n_diamond = n_global = 0
     done = False
     while not done:
         waits = rng.exponential(1.0 / length, size=_BLOCK)
@@ -410,7 +411,6 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
         # sequential sums from the carried time: bitwise the times of an
         # event-by-event loop
         times = np.cumsum(np.concatenate(([time_now], waits)))
-        n_total = int(running[0, -1])
         if time_mode:
             n = int(np.searchsorted(times[1:], horizon))
             done = n < _BLOCK
@@ -419,55 +419,55 @@ def simulate(cfg: SimConfig, log_writer: LogWriter | None = None) -> TrajectoryS
             done = n_total + n == budget
         # a memoryview yields Python ints, which index a list fast
         d_peak, d_diamond, d_global, peaks = ring.drop(memoryview(sites[:n]))
-        steps = np.empty((4, n + 1), np.int64)
-        steps[:, 0] = running[:, -1]
-        steps[0, 1:] = 1
-        steps[1:, 1:] = (d_peak, d_diamond, d_global)
-        running = np.cumsum(steps, axis=1, out=steps)
-        # held[k] is the peak count from times[k] on; a horizon cut ends
-        # the block at the horizon itself
+        # held[k] is the peak count from times[k] on, up to the horizon in its block
         held = np.concatenate(([peaks_now], peaks))
         times = times[:n + 1]
         if time_mode and done:
             times = np.append(times, horizon)
-        else:
-            held = held[:-1]
-        integral = np.cumsum(np.concatenate(([integral_now], held * np.diff(times))))
+        area = held[:len(times) - 1] * np.diff(times)
 
+        # each read is an instant and the index of the last event before
+        # it; an event-mode boundary is the instant of its event
         if time_mode:
             first = next_bound
             next_bound = int(np.searchsorted(bound_time, times[-1], side="right"))
-            bounds[:, first:next_bound] = _read(times, integral, held, running,
-                                                bound_time[first:next_bound])
+            reached = slice(first, next_bound)
+            bound_at = np.searchsorted(times, bound_time[reached]) - 1
         else:
             reached = (bound_event >= n_total) & (bound_event <= n_total + n)
-            at = bound_event[reached] - n_total
-            bound_time[reached] = times[at]
-            bounds[:, reached] = np.vstack((integral[at], running[:, at]))
-
+            bound_at = bound_event[reached] - n_total
+            bound_time[reached] = times[bound_at]
         ticks = []
         while next_tick is not None and next_tick * cfg.report_every <= times[-1]:
             ticks.append(next_tick * cfg.report_every)
             next_tick += 1
-        if ticks:
-            read = _read(times, integral, held, running, np.array(ticks))
-            for tick, (tick_f, *seen) in zip(ticks, read.T.tolist()):
-                total, peak, diamond, global_ = map(int, seen)
-                log_writer({
-                    "time": tick,
-                    "counters": EventCounters(total, peak, diamond, global_,
-                                              total - peak - diamond),
-                    "drift_diamond": diamond / tick,
-                    "drift_global": global_ / tick,
-                    "mean_peaks": tick_f / tick,
-                })
+        instants = np.concatenate((bound_time[reached], ticks))
+        at = np.concatenate((bound_at, np.searchsorted(times, ticks) - 1))
+        # F and the four counters after the block's first cuts[j] events
+        cuts = _cuts(at, n)
+        integral = integral_now + _prefix_sums(area, cuts, np.float64)
+        seen = np.vstack((n_total + cuts,
+                          n_peak + _prefix_sums(d_peak, cuts, np.int64),
+                          n_diamond + _prefix_sums(d_diamond, cuts, np.int64),
+                          n_global + _prefix_sums(d_global, cuts, np.int64)))
+        j = np.searchsorted(cuts, at)
+        read = np.vstack((integral[j] + held[at] * (instants - times[at]), seen[:, j]))
+        bounds[:, reached] = read[:, :len(bound_at)]
+
+        for tick, (tick_f, *counts) in zip(ticks, read[:, len(bound_at):].T.tolist()):
+            total, peak, diamond, global_ = map(int, counts)
+            log_writer({"time": tick,
+                        "counters": EventCounters(total, peak, diamond, global_,
+                                                  total - peak - diamond),
+                        "drift_diamond": diamond / tick, "drift_global": global_ / tick,
+                        "mean_peaks": tick_f / tick})
 
         time_now = float(times[-1])
         integral_now = float(integral[-1])
         peaks_now = ring.peaks
+        n_total, n_peak, n_diamond, n_global = seen[:, -1].tolist()
 
     state = tuple(ring.heights)
-    n_total, n_peak, n_diamond, n_global = running[:, -1].tolist()
     counters = EventCounters(n_total, n_peak, n_diamond, n_global,
                              n_total - n_peak - n_diamond)
     # the stepper's evacuation counts must match the heights it left; a

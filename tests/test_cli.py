@@ -633,6 +633,34 @@ def test_every_subcommand_runs_without_scipy(argv):
     assert proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--length", "2"], ["scgf", "--length", "2", "--fd-check"],
+    ["xxz", "--length", "2", "--bridge-check"], ["tq", "--n", "1"],
+    ["verify-all", "--lmax", "2", "--nmax", "1"],
+    ["simulate", "--length", "4", "--time", "10"], ["simulate", "--length", "14", "--time", "1"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_cold_call_imports_nothing_inside_main(argv):
+    # a module imported lazily inside a call (numpy.ma from np.unique costs
+    # 9-16 ms) lands in every cold call's wall time; only argparse's
+    # gettext lookup, which imports locale, is allowed.  L = 4 and 14 run
+    # the table and the ring stepper.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import contextlib, io, sys\n"
+            "from raisepeel.cli import main\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, *sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    status, *loaded = proc.stdout.split()
+    assert status == "0"
+    assert [name for name in loaded if name not in ("locale", "_locale")
+            and not name.startswith("encodings.")] == []
+
+
 def test_memory_refusal_names_verify_all_flags():
     # verify-all enumerates up to --lmax, so the hint names its own flags
     src = Path(__file__).resolve().parents[1] / "src"

@@ -4,7 +4,7 @@ The move oracles below were worked out by hand; the exhaustive
 suites then push the same invariants across every state and site for
 rings up to length 10, and the numpy transition table is checked against
 the reference move for every state and site up to length 12 and on a
-fixed-seed sample at lengths 14 and 16.
+fixed-seed sample at lengths 14, 16 and 18.
 """
 
 import ast
@@ -344,6 +344,16 @@ def test_tracer_wraps_live_names(monkeypatch):
     transition_table.cache_clear()
     transition_table(4)
     assert calls == [4]
+
+
+def test_transition_table_refuses_states_the_rotation_does_not_permute(monkeypatch):
+    # the columns past site 0 are gathered through the inverse of the
+    # shifted rotation, which a state set it leaves does not have
+    states = enumerate_states(6)
+    monkeypatch.setattr(profiles, "enumerate_states", lambda length: states[:-1])
+    transition_table.cache_clear()
+    with pytest.raises(RuntimeError, match="rotation does not permute the L=6 states"):
+        transition_table(6)
 
 
 @pytest.mark.parametrize("length", [2, 8, 12])

@@ -1,10 +1,13 @@
 """Continuous-time sampling: determinism, bookkeeping, and agreement
 with the exact stationary values."""
 
+import json
 import re
 import statistics
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import raisepeel.simulate as simulate_mod
@@ -182,3 +185,69 @@ def test_estimate_json_and_within():
     flat = Estimate(1.0, 0.0)
     assert flat.within(1.0)
     assert not flat.within(1.0000001)
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "simulate_pinned.json").read_text())
+
+
+def _assert_pinned(got, want):
+    # integers, times and drifts exactly.  The peak integral is a float sum
+    # whose order the accounting may change: its estimate to 1e-12
+    # relative, and its stderr, a spread of batch differences that cancel
+    # leading digits, to 1e-12 of the estimate
+    assert set(got) == set(want)
+    for key, value in want.items():
+        if key == "mean_peaks_hat":
+            assert got[key]["value"] == pytest.approx(value["value"], rel=1e-12)
+            assert got[key]["stderr"] == pytest.approx(value["stderr"],
+                                                       abs=1e-12 * value["value"])
+        elif key == "mean_peaks":
+            assert got[key] == pytest.approx(value, rel=1e-12)
+        else:
+            assert got[key] == value, key
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_trajectories_match_the_pinned_runs(name):
+    # tests/data/simulate_pinned.json holds whole runs at the default block
+    # length, written by the accounting that kept a per-event running record
+    case = PINNED[name]
+    cfg = SimConfig(**case["config"])
+    records = []
+    if cfg.report_every is None:
+        runs = run_ensemble(cfg, case["replicas"])
+    else:
+        runs = [simulate(cfg, log_writer=records.append)]
+        assert len(records) == len(case["log"])
+        for got, want in zip(_jsonable(records), case["log"]):
+            _assert_pinned(got, want)
+    assert len(runs) == len(case["runs"])
+    for got, want in zip(_jsonable(runs), case["runs"]):
+        _assert_pinned(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.intc, np.float64])
+@pytest.mark.parametrize("n", [0, 1, 2, 37, 5000])
+def test_prefix_sums_match_cumsum(dtype, n):
+    rng = np.random.default_rng(n)
+    if dtype == np.float64:
+        values, acc = rng.random(n), np.float64
+    else:
+        values, acc = rng.integers(-100, 100, n).astype(dtype), np.int64
+    running = np.concatenate(([0], np.cumsum(values, dtype=acc)))
+    # a counter's cuts end at n; the peak area of a horizon run's last
+    # block has one entry past its last event, so its cuts end short
+    for end in {n, max(n - 1, 0)}:
+        for reads in ([], [0], [end], [0, 0, end, end], [end, 0, end // 2, end // 2],
+                      rng.integers(0, end + 1, 300), range(end + 1)):
+            reads = np.asarray(reads, np.intp)
+            cuts = simulate_mod._cuts(reads, end)
+            assert cuts[0] == 0 and (np.diff(cuts) > 0).all()
+            assert set(cuts.tolist()) == {0, end, *reads.tolist()}
+            got = simulate_mod._prefix_sums(values, cuts, acc)
+            want = running[cuts] if end == n else running[np.append(cuts, n)]
+            assert got.dtype == acc
+            if acc == np.int64:
+                assert (got == want).all()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
