@@ -242,8 +242,7 @@ def _bridge_check(length: int, spin: dict[tuple[float, float], float]
 # tq check name -> (report at order n, part of verify-all's tq-suite row).
 # Each entry looks its route function up when called, so a function replaced
 # after import (by a tracer or a test) is the one that runs.  lambda and
-# recurrences have rows of their own; the floating-point Bethe roots stay out
-# of the exact matrix.
+# recurrences have rows of their own.
 _TQ_CHECKS: dict[str, tuple[Callable[[int], Any], bool]] = {
     "tq": (lambda n: tq.verify_tq(n), True),
     "wronskian": (lambda n: tq.verify_wronskian(n), True),
@@ -252,7 +251,7 @@ _TQ_CHECKS: dict[str, tuple[Callable[[int], Any], bool]] = {
     "lambda": (lambda n: tq.lambda_check(n), False),
     "hyper": (lambda n: tq.hypergeometric_check(n), True),
     "recurrences": (lambda n: tq.recurrence_check(n_max=max(n, 3)), False),
-    "bethe": (lambda n: tq.bethe_check(n), False),
+    "bethe": (lambda n: tq.bethe_check(n), True),
 }
 
 

@@ -10,7 +10,7 @@ Every scalar operation and every polynomial sum, product and derivative
 is integer arithmetic with one gcd reduction per result, and so is
 division, which takes only a monic divisor with integer coefficients;
 evaluation and argument scaling are field arithmetic on the
-coefficients.
+coefficients, and ``residues`` reduces the numerators mod a prime.
 Every identity is checked with zero tolerance.
 """
 
@@ -457,8 +457,18 @@ class Polynomial:
     def rational_coeffs(self) -> tuple[Fraction, ...]:
         return tuple(c.as_fraction() for c in self.coeffs)
 
-    def complex_coeffs(self) -> tuple[complex, ...]:
-        return tuple(complex(c) for c in self.coeffs)
+    def residues(self, p: int, root: int) -> tuple[int, ...] | None:
+        """The coefficients mod a prime p, lowest degree first, with q sent
+        to ``root``, a root of x^2 - x + 1 mod p; None when p divides the
+        denominator, where the reduction does not exist.
+
+        >>> (Polynomial.x() * QFieldElement.gen() + Fraction(1, 2)).residues(7, 3)
+        (4, 3)
+        """
+        if self._den % p == 0:
+            return None
+        inv = pow(self._den, -1, p)
+        return tuple((a + b * root) * inv % p for a, b in zip(self._a, self._b))
 
     def is_monic(self) -> bool:
         return bool(self) and self._a[-1] == self._den and self._b[-1] == 0

@@ -20,22 +20,20 @@ is exact arithmetic over Q(q), q^2 = q - 1:
 * ``hypergeometric_check``: the values at q^-1 through terminating 2F1 sums.
 * ``recurrence_check``: the three pairs of derivative sums, their
   second-order recurrences, and the same f_Q descent they reproduce.
-* ``bethe_roots`` / ``bethe_check``: the roots of Q in floating point,
-  and how well they solve the root equations.
+* ``bethe_check``: the root equations, decided from three coprimality
+  facts about Q that make the relation at each root the root equation.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-import numpy as np
-
 from .qfield import Polynomial, QFieldElement, poch, rising_product
-from .profiles import ConvergenceError, diamond_current_formula, global_current_formula
+from .profiles import diamond_current_formula, global_current_formula
 
 Q = QFieldElement.gen()          # q, with q^2 = q - 1
 QI = Q.inverse()                 # q^-1 = 1 - q
@@ -747,80 +745,79 @@ def recurrence_check(n_max: int = 30) -> RecurrenceReport:
 
 
 # ---------------------------------------------------------------------------
-# numerical confirmation through the roots
+# the root equations, decided through coprimality
 # ---------------------------------------------------------------------------
 
-_NEWTON_STEPS = 6
-_JACOBIAN_STEP = 1e-7
+# p = 2^61 - 1 is 1 mod 3, so q has the image (1 + sqrt(-3))/2 mod p, and
+# 3 mod 4, so sqrt(-3) = (-3)^((p+1)/4) mod p
+_PRIME = 2 ** 61 - 1
+_OMEGA = (1 + pow(_PRIME - 3, (_PRIME + 1) // 4, _PRIME)) * pow(2, -1, _PRIME) % _PRIME
 
 
-def bethe_roots(n: int) -> np.ndarray:
-    """Roots of Q in the complex plane, sorted by real then imaginary part.
-
-    np.roots is backward stable, but the root equations magnify the
-    forward error of its roots (to 1e-3 at N = 20), so a few Newton steps
-    on the logarithmic root equations, with a forward-difference
-    Jacobian, polish them.  Each root must stay within a quarter of the
-    smallest root spacing of its seed, i.e. remain the same root of Q.
-    """
-    coeffs = list(reversed(q_poly(n).complex_coeffs()))
-    seeds = np.roots(coeffs)
-    roots = seeds.copy()
-    eye = np.eye(len(roots))
-    for _ in range(_NEWTON_STEPS):
-        f = np.log(_bae_ratios(n, roots))
-        jac = np.column_stack([
-            (np.log(_bae_ratios(n, roots + _JACOBIAN_STEP * e)) - f) / _JACOBIAN_STEP
-            for e in eye])
-        roots = roots - np.linalg.solve(jac, f)
-    if len(seeds) > 1:
-        spacing = np.abs(np.subtract.outer(seeds, seeds))
-        np.fill_diagonal(spacing, np.inf)
-        if np.abs(roots - seeds).max() >= 0.25 * spacing.min():
-            raise ConvergenceError(f"Newton refinement moved a root of Q away from its seed at N={n}")
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
-
-
-def _bae_ratios(n: int, roots: np.ndarray) -> np.ndarray:
-    """lhs/rhs of the root equation for each root; one at an exact solution."""
-    ell = 2 * n
-    q = np.exp(1j * np.pi / 3)
-    u = np.exp(1j * np.pi / (3 * n))
-    lhs = u ** ell * ((roots - q) / (1 - q * roots)) ** ell
-    # row i pairs root x_i with every root x_j; the diagonal is the one j
-    # the product leaves out
-    x, others = roots[:, None], roots[None, :]
-    factors = (q ** 2 * others - x) / (q ** 2 * x - others)
-    np.fill_diagonal(factors, 1)
-    return lhs / ((-1) ** (n - 1) * factors.prod(axis=1))
-
-
-def bae_residuals(n: int, roots: np.ndarray) -> np.ndarray:
-    """Multiplicative residuals of the coupled root equations.
-
-    For each root x_i the twisted L-th power of the shifted Moebius map
-    must balance the product over the other roots; the residual is
-    |lhs/rhs - 1|.
-    """
-    return np.abs(_bae_ratios(n, roots) - 1)
+def _coprime_mod_p(f: Sequence[int], g: Sequence[int]) -> bool:
+    """Whether Euclid over GF(p) ends in a nonzero constant; coefficients
+    lowest degree first, with nonzero leading ones."""
+    while g:
+        f, inv, top = list(f), pow(g[-1], -1, _PRIME), len(g) - 1
+        while len(f) > top:
+            c, base = f.pop() * inv % _PRIME, len(f) - top
+            for i in range(top):
+                f[base + i] = (f[base + i] - c * g[i]) % _PRIME
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    return len(f) == 1
 
 
 @dataclass(frozen=True)
 class RootReport(_Verdict):
     n: int
-    roots: tuple[complex, ...]
-    max_bae_residual: float
-    root_equations_hold: bool
+    squarefree: bool
+    nonzero_at_q_and_qi: bool
+    coprime_to_shifts: bool
+
+
+def root_equation_facts(poly: Polynomial) -> RootReport:
+    """The three facts that make the T-Q relation, at each root x_j of a
+    solution Q of degree n = ``poly.degree``, the root equations.
+
+    At x_j, T(x) Q(x) = q phi(x/q) Q(q^2 x) + q^-1 phi(q x) Q(q^-2 x) leaves
+    q phi(x_j/q) Q(q^2 x_j) = -q^-1 phi(q x_j) Q(q^-2 x_j).  Cancelling the
+    k = j root factors (q^2 - 1) x_j and (q^-2 - 1) x_j, with x_j != 0, leaves
+
+        ((x_j - q) / (1 - q x_j))^2N = q^-2 prod_{k != j} (x_j - q^2 x_k) / (q^2 x_j - x_k),
+
+    that is u^2N ((x_j - q)/(1 - q x_j))^2N = (-1)^(N-1) prod_{k != j}
+    (q^2 x_k - x_j)/(q^2 x_j - x_k) with the twist u^2N = q^2.  The steps hold when:
+
+    * ``squarefree``: gcd(Q, Q') = 1, so "each root" means N equations;
+    * ``nonzero_at_q_and_qi``: Q(q) != 0 and Q(q^-1) != 0, decided exactly,
+      so no root is q or q^-1 and neither phi factor vanishes;
+    * ``coprime_to_shifts``: Q(x) shares no root with Q(q^2 x) or Q(q^-2 x),
+      so no factor q^2 x_j - x_k or x_j - q^2 x_k vanishes, nor does x_j
+      (a root 0 of Q is one of Q(q^2 x) too).
+
+    The gcd facts are decided mod p.  A constant gcd there proves
+    coprimality over Q(q): the monic gcd h over Q(q) divides Q, whose
+    leading coefficient is a unit at p, so h and its cofactors are
+    p-integral (Gauss's lemma over the integers of Q(q)); mod p, h keeps
+    its degree and divides both reductions.  Where p divides a denominator
+    or the leading coefficient, nothing is proved and both read false.
+    """
+    res = poly.residues(_PRIME, _OMEGA)
+    squarefree = shifts = False
+    if res and res[-1]:
+        derivative = [k * c % _PRIME for k, c in enumerate(res)][1:]
+        shifted = [[c * pow(_OMEGA, s * k, _PRIME) % _PRIME for k, c in enumerate(res)]
+                   for s in (2, -2)]
+        squarefree = _coprime_mod_p(res, derivative)
+        shifts = all(_coprime_mod_p(res, g) for g in shifted)
+    return RootReport(n=poly.degree, squarefree=squarefree,
+                      nonzero_at_q_and_qi=bool(poly(Q)) and bool(poly(QI)),
+                      coprime_to_shifts=shifts)
 
 
 def bethe_check(n: int) -> RootReport:
-    """The roots of Q, and whether they solve the root equations to 1e-8.
-
-    The eigenvalue and energy the roots carry are decided exactly by
-    ``verify_tq``; this check is what needs the roots themselves.
-    """
-    roots = bethe_roots(n)
-    worst = float(np.max(bae_residuals(n, roots)))
-    return RootReport(n=n, roots=tuple(roots), max_bae_residual=worst,
-                      root_equations_hold=worst < 1e-8)
+    """Whether the roots of Q solve the root equations, decided exactly;
+    the eigenvalue and energy they carry are ``verify_tq``'s."""
+    return root_equation_facts(q_poly(n))

@@ -23,7 +23,6 @@ from raisepeel.profiles import (
     MoveClass,
     TransitionRecord,
     apply_move,
-    check_profile,
     classify_move,
     count_peaks,
     enumerate_states,
@@ -34,6 +33,7 @@ from raisepeel.profiles import (
     transition_table,
     transitions,
 )
+from profile_rules import check_profile
 
 LENGTHS = (2, 4, 6, 8, 10)
 

@@ -15,7 +15,6 @@ from raisepeel import simulate as simulate_mod
 from raisepeel.profiles import (
     EventCounters,
     apply_move,
-    check_profile,
     count_peaks,
     enumerate_states,
     substrate,
@@ -30,6 +29,7 @@ from raisepeel.simulate import (
     _composed_rows,
     simulate,
 )
+from profile_rules import check_profile
 
 
 def _assert_drop_matches(ring, state, site):

@@ -482,10 +482,9 @@ def test_convergence_error_is_a_runtime_error():
     # one class, defined with the model, for every route's refusal
     import raisepeel.profiles
     import raisepeel.spinchain
-    import raisepeel.tq
     assert issubclass(ConvergenceError, RuntimeError)
     assert ConvergenceError is raisepeel.profiles.ConvergenceError
-    assert raisepeel.spinchain.ConvergenceError is raisepeel.tq.ConvergenceError is ConvergenceError
+    assert raisepeel.spinchain.ConvergenceError is ConvergenceError
 
 
 @pytest.mark.parametrize("length,alpha,beta", [(4, 1, 2), (14, 0, 10)])

@@ -11,7 +11,6 @@ import pytest
 import raisepeel.tq
 from raisepeel.cli import main
 from raisepeel.qfield import Polynomial, QFieldElement
-from raisepeel.profiles import ConvergenceError
 from raisepeel.tq import (
     a1_prime_seq,
     a1_second_seq,
@@ -20,7 +19,6 @@ from raisepeel.tq import (
     a2_second_seq,
     a2_seq,
     bethe_check,
-    bethe_roots,
     boundary_values,
     c_constant,
     derivative_worksheet,
@@ -33,6 +31,7 @@ from raisepeel.tq import (
     p_poly,
     q_poly,
     recurrence_check,
+    root_equation_facts,
     tq_residual,
     verify_tq,
     verify_wronskian,
@@ -143,7 +142,7 @@ VERDICT_FIELDS = {
     hypergeometric_check: 3,
     lambda n: recurrence_check(n_max=n): 6,
     lambda_check: 2,
-    bethe_check: 1,
+    bethe_check: 3,
 }
 
 
@@ -226,29 +225,73 @@ def test_difference_identity():
         assert a1_seq(n) - a2_seq(n) == 1
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8, *range(13, 21)])
+def _root_equation_residuals(n, roots):
+    """|lhs/rhs - 1| at each root of two forms of the root equation: the
+    product form root_equation_facts derives from the T-Q relation, and the
+    twisted form with u^2N = q^2 and the sign (-1)^(N-1)."""
+    q, u = np.exp(1j * np.pi / 3), np.exp(1j * np.pi / (3 * n))
+    moebius = ((roots - q) / (1 - q * roots)) ** (2 * n)
+    x, others = roots[:, None], roots[None, :]
+    product = (x - q ** 2 * others) / (q ** 2 * x - others)
+    twisted = (q ** 2 * others - x) / (q ** 2 * x - others)
+    np.fill_diagonal(product, 1)
+    np.fill_diagonal(twisted, 1)
+    return (np.abs(moebius / (q ** -2 * product.prod(axis=1)) - 1),
+            np.abs(u ** (2 * n) * moebius / ((-1) ** (n - 1) * twisted.prod(axis=1)) - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 def test_roots_and_energies(n):
-    report = bethe_check(n)
-    assert report.passed and report.max_bae_residual < 1e-8
-    assert len(report.roots) == n
+    # float reference for the exact verdict, at orders where plain np.roots
+    # is accurate enough: its roots meet both forms of the root equation,
+    # and the energy summed over them meets the exact -3L/4 that verify_tq
+    # decides through Q'/Q
     exact = verify_tq(n)
     assert exact.eigenvalue_zero and exact.ground_energy_exact
-    # the energy summed over the roots themselves, from the per-root phases
-    # z_j, meets the exact -3L/4 that verify_tq decides through Q'/Q
-    roots = np.array(report.roots)
+    roots = np.roots([complex(c) for c in reversed(q_poly(n).coeffs)])
+    assert len(roots) == n
+    for residuals in _root_equation_residuals(n, roots):
+        assert residuals.max() < 1e-8
     q, u = np.exp(1j * np.pi / 3), np.exp(1j * np.pi / (3 * n))
     z = u * (roots - q) / (1 - q * roots)
     assert abs(-n / 2 - np.sum(u / z + z / u) + 1.5 * n) < 1e-8
 
 
-@pytest.mark.parametrize("n", [28, 40])
-def test_polish_that_would_leave_the_roots_of_q_is_refused(n):
-    # without the quarter-spacing guard the Newton polish lands on other
-    # solutions of the root equations here: residuals of 2.0e-14 (N=28)
-    # and 3.3e-14 (N=40), yet 2.2e-2 and 0.84 away from 80-digit roots of
-    # Q, so root_equations_hold would pass on the wrong roots
-    with pytest.raises(ConvergenceError, match=f"away from its seed at N={n}$"):
-        bethe_roots(n)
+@pytest.mark.parametrize("n", range(1, 41))
+def test_root_equations_hold_exactly(n):
+    report = bethe_check(n)
+    assert report.passed and report.n == n
+
+
+_X, _Q = Polynomial.x(), QFieldElement.gen()
+_ROOT_FACTS = ("squarefree", "nonzero_at_q_and_qi", "coprime_to_shifts")
+
+
+@pytest.mark.parametrize("factor, broken", [
+    ((_X - 2) ** 2, "squarefree"),
+    ((_X - 3) * (_X - 3 * _Q ** 2), "coprime_to_shifts"),
+    (_X - _Q, "nonzero_at_q_and_qi"),
+], ids=["double-root", "root-pair-a-shift-apart", "root-at-q"])
+@pytest.mark.parametrize("n", [1, 3, 8, 20])
+def test_each_broken_fact_fails_alone(factor, broken, n):
+    # negative controls: Q times a factor that breaks one fact flips that
+    # field alone, and the verdict with it
+    report = root_equation_facts(q_poly(n) * factor)
+    assert {name: getattr(report, name) for name in _ROOT_FACTS} == {
+        name: name != broken for name in _ROOT_FACTS}
+    assert not report.passed
+
+
+@pytest.mark.parametrize("poly", [
+    Polynomial([F(1, 2 ** 61 - 1), 1]),
+    Polynomial([1, 2 ** 61 - 1]),
+], ids=["denominator", "leading-coefficient"])
+def test_no_reduction_mod_p_proves_no_gcd_fact(poly):
+    # the prime divides a denominator or the leading coefficient: the gcd
+    # facts are reported unproved rather than raising
+    report = root_equation_facts(poly)
+    assert not report.squarefree and not report.coprime_to_shifts
+    assert report.nonzero_at_q_and_qi and not report.passed
 
 
 @pytest.fixture(params=[Polynomial([1, 1]), Polynomial([2])], ids=["degree", "leading"])
