@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 
@@ -240,16 +241,58 @@ def _root_equation_residuals(n, roots):
             np.abs(u ** (2 * n) * moebius / ((-1) ** (n - 1) * twisted.prod(axis=1)) - 1))
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+def _roots_of_q(n, digits=60):
+    """The roots of Q as complex floats: the np.roots seeds, each refined
+    by Newton on Q itself in `digits`-digit decimal arithmetic.  np.roots
+    alone is 1e-9 off at N = 13 and 2e-5 off at N = 20, while the closest
+    two roots stay more than 0.08 apart up to N = 20."""
+    poly = q_poly(n)
+
+    def real(c):
+        return Decimal(c.numerator) / c.denominator
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def add(x, y):
+        return x[0] + y[0], x[1] + y[1]
+
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = digits
+        half_root3 = Decimal(3).sqrt() / 2
+        coeffs = [(real(c.a) + real(c.b) / 2, real(c.b) * half_root3) for c in poly.coeffs]
+        converged = Decimal(10) ** (20 - 2 * digits)
+        for seed in np.roots([complex(c) for c in reversed(poly.coeffs)]):
+            x = Decimal(seed.real), Decimal(seed.imag)
+            for _ in range(50):
+                value = slope = Decimal(0), Decimal(0)
+                for c in reversed(coeffs):
+                    slope = add(mul(slope, x), value)
+                    value = add(mul(value, x), c)
+                norm = slope[0] ** 2 + slope[1] ** 2
+                step = ((value[0] * slope[0] + value[1] * slope[1]) / norm,
+                        (value[1] * slope[0] - value[0] * slope[1]) / norm)
+                x = x[0] - step[0], x[1] - step[1]
+                if step[0] ** 2 + step[1] ** 2 < converged:
+                    break
+            else:
+                raise AssertionError(f"Newton on Q did not converge at N={n}")
+            out.append(complex(float(x[0]), float(x[1])))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [*range(1, 11), *range(13, 21)])
 def test_roots_and_energies(n):
-    # float reference for the exact verdict, at orders where plain np.roots
-    # is accurate enough: its roots meet both forms of the root equation,
-    # and the energy summed over them meets the exact -3L/4 that verify_tq
-    # decides through Q'/Q
+    # float reference for the exact verdict: the roots of Q meet both forms
+    # of the root equation, and the energy summed over them meets the exact
+    # -3L/4 that verify_tq decides through Q'/Q
     exact = verify_tq(n)
     assert exact.eigenvalue_zero and exact.ground_energy_exact
-    roots = np.roots([complex(c) for c in reversed(q_poly(n).coeffs)])
+    roots = _roots_of_q(n)
+    # n pairwise distinct zeros of a degree-n polynomial are all its roots
     assert len(roots) == n
+    assert all(abs(a - b) > 1e-3 for i, a in enumerate(roots) for b in roots[i + 1:])
     for residuals in _root_equation_residuals(n, roots):
         assert residuals.max() < 1e-8
     q, u = np.exp(1j * np.pi / 3), np.exp(1j * np.pi / (3 * n))
