@@ -19,9 +19,10 @@ numpy pass over the (states, sites) height array and gathers the other
 sites' targets through the shifted rotation, which commutes with the
 moves; targets are found by ``searchsorted`` on a sorted integer key of
 the profiles, as are the images of each state under the ring's two
-symmetries.  It is the one per-length copy of the moves, its counters
-int8 (no count exceeds L): the exact stationary solver, ``scgf`` and the
-Monte Carlo table stepper read its arrays as they are.
+symmetries, which also give each state's orbit label.  It is the one
+per-length copy of the moves and of the orbits, its counters int8 (no
+count exceeds L): the exact stationary solver, ``scgf`` and the Monte
+Carlo table stepper read its arrays as they are.
 
 ``diamond_current_formula`` and ``global_current_formula`` state the two
 laws of large numbers, the tile and global-avalanche currents, for every route,
@@ -285,13 +286,18 @@ class TransitionTable(NamedTuple):
     peak count and avalanche-armed flag, computed from the profiles.  The
     four counter arrays are int8, and no count exceeds L <= ENUMERATION_CAP.
     rotate and reflect index each state's image under rotation by one site
-    (heights shifted by +1 or -1 to restore parity and the bottom level)
-    and reflection h[(2 - i) % L]; they commute with the moves.
+    (heights shifted by shift, +1 where the profile touches level 0 and -1
+    elsewhere, to restore parity and the bottom level) and reflection
+    h[(2 - i) % L]; they commute with the moves.  shift is int8.  orbit
+    labels each state's orbit under the two maps, orbits numbered in order
+    of their first (smallest) state.
     """
     states: tuple[HeightProfile, ...]
     target: np.ndarray
     rotate: np.ndarray
     reflect: np.ndarray
+    shift: np.ndarray
+    orbit: np.ndarray
     d_peak: np.ndarray
     d_diamond: np.ndarray
     d_global: np.ndarray
@@ -307,6 +313,18 @@ def _keys(heights: np.ndarray) -> np.ndarray:
     return heights[:, 0] << length | rising @ (1 << np.arange(length - 1, -1, -1))
 
 
+def _orbits(rotate: np.ndarray, reflect: np.ndarray) -> np.ndarray:
+    """Orbit label of each state under the two symmetry maps of the ring,
+    given as the index of each state's image.  Labels fall to the smallest
+    index of the orbit, and those indices are then numbered in order.
+    """
+    label = np.arange(len(rotate))
+    while ((lowered := np.minimum(label, np.minimum(label[rotate], label[reflect])))
+           != label).any():
+        label = lowered
+    return (np.cumsum(label == np.arange(len(label))) - 1)[label]
+
+
 @lru_cache(maxsize=None)
 def transition_table(length: int) -> TransitionTable:
     """The transition table of the ring, from one classification pass.
@@ -319,7 +337,8 @@ def transition_table(length: int) -> TransitionTable:
     commute with the shifted rotation, so dropping at site i is rotating,
     dropping at site i - 1 and rotating back, and the other columns of
     targets follow by gathers.  Targets and symmetry images are looked up
-    by their sort key, and the evacuated tiles follow from the tile balance.
+    by their sort key, the orbits follow from the images, and the evacuated
+    tiles follow from the tile balance.
     """
     states = enumerate_states(length)
     heights = np.array(states, dtype=np.int64)
@@ -344,6 +363,7 @@ def transition_table(length: int) -> TransitionTable:
         raise RuntimeError(f"the shifted rotation does not permute the L={length} states")
     unrotate = np.empty_like(rotate)
     unrotate[rotate] = np.arange(n)
+    orbit = _orbits(rotate, reflect)
 
     here = heights[:, 0]
     # distance from site 0 along the slope's rising direction
@@ -361,7 +381,8 @@ def transition_table(length: int) -> TransitionTable:
         target[:, site] = unrotate[target[rotate, site - 1]]
     tiles = (heights.sum(axis=1) - length // 2) // 2
     d_diamond = np.where(peak, 0, 1 + tiles[:, None] - tiles[target])
-    return TransitionTable(states, target, rotate, reflect, peak.astype(np.int8),
+    return TransitionTable(states, target, rotate, reflect, shift.astype(np.int8), orbit,
+                           peak.astype(np.int8),
                            d_diamond.astype(np.int8), lowered.astype(np.int8),
                            peak.sum(axis=1, dtype=np.int8), omega)
 

@@ -7,7 +7,18 @@ is the scaled cumulant generating function of the pair of currents, and
 its gradient at the origin recovers the long-run drifts.  The matrix is
 held by columns, as numpy arrays read off the transition table: every
 state's L targets and their weights, multiplied into a vector by one
-np.bincount.  Each Perron root comes from a power iteration on one matrix
+np.bincount.  The shifted rotation changes both counters by coboundaries
+of the table's height shift, so a diagonal gauge makes the tilted matrix
+commute with the ring's rotation and reflection at every tilt.
+scgf_value and scgf_derivatives find each root on the gauged matrix
+lumped onto the symmetry orbits (56 rows instead of 924 at L = 12),
+whose Perron root and enclosures are the full matrix's; the integer
+identities behind that are checked once per length.  An eigenvalue
+close to the Perron root but in another symmetry sector then no longer
+slows the enclosure: at beta = -3 and L = 10 to 14 the full matrix's
+root was refused, and the orbit matrix's certifies.
+
+Each Perron root comes from a power iteration on one matrix
 with a certified quotient enclosure, read every _STRIDE steps (every step
 once the enclosure stops narrowing); the Richardson stencil solves its
 eight tilts one at a time.  The iteration starts from the modulus of a
@@ -26,6 +37,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,9 +53,10 @@ _STRIDE = 8
 # at most this many rows gets an exact invariant subspace in one cycle.
 # numpy's products with a basis of this size stay on one OpenBLAS thread
 # up to n = 12870 (L = 16): the BLAS worker threads accrue no CPU time, as
-# /proc/self/task shows.  On the L = 12 stencil (2-core x86-64, numpy 2.4)
-# 24 vectors, 8 kept, take about 40 Arnoldi and 17 power matvecs a tilt;
-# an explicit restart from the one Ritz vector took about 60 and 14.
+# /proc/self/task shows.  On the full L = 12 stencil matrices (2-core
+# x86-64, numpy 2.4) 24 vectors, 8 kept, take about 40 Arnoldi and 17
+# power matvecs a tilt; an explicit restart from the one Ritz vector took
+# about 60 and 14.
 _KRYLOV_DIM = 24
 _KRYLOV_KEEP = 8
 # relative Ritz residual at which the Arnoldi vector is taken, and the
@@ -328,9 +341,103 @@ def largest_eigenvalue(matrix: ColumnMatrix | np.ndarray) -> SCGFResult:
                            f"dimension {n}){detail}")
 
 
+@lru_cache(maxsize=None)
+def _orbit_columns(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns the orbit matrix takes at this length, once the ring's
+    symmetries are checked to lump the tilted generator at every tilt.
+
+    Returns each orbit's smallest state, and that state's d_global,
+    d_diamond and quarter shift change (shift[s] - shift[t]) / 4 per site,
+    as float64.  The checks are integer identities of the transition
+    table, and RuntimeError names each one that fails:
+
+    - the shifted rotation and the reflection commute with the moves (the
+      rotation takes site i to site i - 1, the reflection to 2 - i);
+    - the reflection keeps both counters and the shift;
+    - the rotation negates the shift, and changes d_global by
+      (shift[s] - shift[t]) / 2 and d_diamond by L (shift[s] - shift[t]) / 2,
+      both coboundaries, which the gauge of _orbit_matrix cancels;
+    - the orbit labels are constant on both images, numbered in order of
+      their first state, and each label holds one orbit: every state is
+      the image of its orbit's first state under a rotation, or under the
+      reflection and then a rotation.
+    """
+    table = transition_table(length)
+    target, rotate, reflect, orbit = table.target, table.rotate, table.reflect, table.orbit
+    # the int8 counters and shifts stay int8: no sum or product below
+    # leaves [-2L, 2L], L <= 18
+    shift, d_global, d_diamond = table.shift, table.d_global, table.d_diamond
+    sites = np.arange(length)
+    turned, mirrored = (sites - 1) % length, (2 - sites) % length
+    rotated, reflected = rotate[:, None], reflect[:, None]
+    jump = shift[:, None] - shift[target]
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(orbit), prepend=-1))
+    reached = np.zeros(len(orbit), dtype=bool)
+    images = np.stack([first, reflect[first]])
+    for _ in range(length):
+        reached[images] = True
+        images = rotate[images]
+    identities = {
+        "rotation commutes with the moves": target[rotated, turned] == rotate[target],
+        "reflection commutes with the moves": target[reflected, mirrored] == reflect[target],
+        "reflection keeps d_global": d_global[reflected, mirrored] == d_global,
+        "reflection keeps d_diamond": d_diamond[reflected, mirrored] == d_diamond,
+        "reflection keeps the shift": shift[reflect] == shift,
+        "rotation negates the shift": shift[rotate] == -shift,
+        "rotation changes d_global by its coboundary":
+            d_global[rotated, turned] - d_global == jump // 2,
+        "rotation changes d_diamond by its coboundary":
+            d_diamond[rotated, turned] - d_diamond == length // 2 * jump,
+        "orbit labels are constant on the images":
+            (orbit[rotate] == orbit) & (orbit[reflect] == orbit),
+        "orbit labels are numbered by first state": orbit[first] == np.arange(len(first)),
+        "each orbit label holds one orbit": reached,
+    }
+    failed = [name for name, holds in identities.items() if not holds.all()]
+    if failed:
+        raise RuntimeError(f"the ring's symmetries do not lump the tilted generator at "
+                           f"L={length}: these identities fail: {'; '.join(failed)}")
+    return (first, d_global[first].astype(np.float64), d_diamond[first].astype(np.float64),
+            jump[first] / 4.0)
+
+
+def _orbit_matrix(matrix: ColumnMatrix, alpha: float, beta: float) -> ColumnMatrix:
+    """The tilted generator build_deformed(L, alpha, beta), gauged and
+    lumped onto the ring's symmetry orbits; its Perron root is the full
+    matrix's.
+
+    The gauge is the diagonal similarity A[t, s] exp(-(alpha + beta L)
+    (shift[t] - shift[s]) / 4), which cancels the counters' coboundaries
+    under the shifted rotation, so the gauged matrix commutes with both
+    symmetries.  Its weights are exp of the combined exponent, one
+    rounding each, and a non-finite one is refused.  The orbit matrix is
+    P^T A P D^-1 for the state-to-orbit indicator P and the orbit sizes D
+    (J. G. Kemeny and J. L. Snell, Finite Markov Chains, 1960, sec. 6.3):
+    column o is the gauged column of orbit o's first state, its rows
+    relabelled by orbit.  It is similar to the gauged matrix on the
+    vectors constant on each orbit, which hold its Perron vector, and
+    (Bx)_o / x_o is the gauged matrix's quotient (Av)_i / v_i at
+    v_i = x_o / |o| for every state i of orbit o; the gauge is a
+    similarity, so an enclosure of B's root encloses the full root.  The
+    full matrix gives the diagonal and rows, and its refusal of
+    non-finite move weights stands as it was.
+    """
+    length = matrix.rows.shape[1]
+    first, d_global, d_diamond, quarter_jump = _orbit_columns(length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(alpha * d_global + beta * d_diamond
+                         + (alpha + beta * length) * quarter_jump)
+    if not np.isfinite(weights).all():
+        raise ValueError(f"tilt (alpha, beta) = ({alpha}, {beta}) "
+                         "gives non-finite gauged move weights")
+    orbit = transition_table(length).orbit
+    return ColumnMatrix(matrix.diagonal[first], orbit[matrix.rows[first]], weights)
+
+
 def scgf_value(length: int, alpha: float = 0.0, beta: float = 0.0) -> SCGFResult:
-    """Largest eigenvalue of the tilted generator at the given tilt."""
-    return largest_eigenvalue(build_deformed(length, alpha, beta))
+    """Largest eigenvalue of the tilted generator at the given tilt, found
+    on its orbit matrix."""
+    return largest_eigenvalue(_orbit_matrix(build_deformed(length, alpha, beta), alpha, beta))
 
 
 def scgf_derivatives(length: int) -> tuple[float, float]:
@@ -338,13 +445,15 @@ def scgf_derivatives(length: int) -> tuple[float, float]:
 
     Central differences at steps FD_STEP and FD_STEP/2 combined by one
     Richardson step; the truncation error is then far below the eigenvalue
-    enclosure noise.  Returns (d/dalpha, d/dbeta), i.e. the
-    global-avalanche and evacuated-tile currents.
+    enclosure noise.  Each root is found on the orbit matrix.  Returns
+    (d/dalpha, d/dbeta), i.e. the global-avalanche and evacuated-tile
+    currents.
     """
     def slope(tilts: list[tuple[float, float]]) -> float:
         """One Richardson step from the roots at one axis's tilts
         +FD_STEP, -FD_STEP, +FD_STEP/2 and -FD_STEP/2, in that order."""
-        lam = [largest_eigenvalue(build_deformed(length, alpha, beta)).lambda_value
+        lam = [largest_eigenvalue(_orbit_matrix(build_deformed(length, alpha, beta),
+                                                alpha, beta)).lambda_value
                for alpha, beta in tilts]
         wide = (lam[0] - lam[1]) / (2.0 * FD_STEP)
         narrow = (lam[2] - lam[3]) / FD_STEP

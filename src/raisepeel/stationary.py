@@ -1,11 +1,11 @@
 """Exact stationary states of the raise-and-peel ring.
 
 Everything here reads the ring's transition table as it is (move targets,
-the images of each state under the ring's two symmetries, rotation with a
+each state's orbit under the ring's two symmetries, rotation with a
 height shift and reflection, and the move counters) and builds no
-generator matrix.  The moves are counted between the orbits of the two
-maps, one bincount, and the small lumped chain is one square integer
-system: its balance matrix with the first orbit's weight fixed at one.
+generator matrix.  The moves are counted between the orbits, one
+bincount, and the small lumped chain is one square integer system: its
+balance matrix with the first orbit's weight fixed at one.
 That system is solved exactly by p-adic (Dixon) lifting: one blocked LU
 factorization modulo a prime below 2**22 in float64, one base-p digit of
 the solution per step with exact integer residuals, and the rationals
@@ -75,19 +75,6 @@ def _chain(length: int) -> TransitionTable:
 
 # ---------------------------------------------------------------------------
 # kernel solver
-
-
-def _orbits(rotate: np.ndarray, reflect: np.ndarray) -> np.ndarray:
-    """Orbit label of each state under the two symmetry maps of the ring,
-    given as the index of each state's image.  Labels fall to the smallest
-    index of the orbit; orbits are numbered in order of their first state.
-    """
-    label = np.arange(len(rotate))
-    while True:
-        lowered = np.minimum(label, np.minimum(label[rotate], label[reflect]))
-        if (lowered == label).all():
-            return np.unique(label, return_inverse=True)[1]
-        label = lowered
 
 
 # the largest prime below 2**22: an entry of _lu_mod takes at most _PANEL
@@ -312,7 +299,7 @@ def stationary_distribution(length: int) -> StationaryVector:
     (Fraction(1, 2), Fraction(1, 2))
     """
     table = _chain(length)
-    weights = _solve_lumped(table.target, _orbits(table.rotate, table.reflect))
+    weights = _solve_lumped(table.target, table.orbit)
     _certify(table.target, weights)
     total = sum(weights)
     return StationaryVector(

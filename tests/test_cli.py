@@ -168,20 +168,57 @@ def test_large_tilts_end_cleanly(beta, capsys):
         assert isfinite(float(width))
 
 
-def test_hard_negative_tilt_is_refused_with_its_enclosure():
-    # at beta=-4 the two leading eigenvalues nearly coincide and the
-    # enclosure stalls near width 1e-8; a 60-digit eigensolve puts the root
-    # at -3.99731496033, and the refusal must name an interval around it
+def run_scgf_process(*argv):
+    """`raisepeel scgf` in a fresh process: the completed process and its
+    wall time."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "raisepeel.cli", "scgf", "--length", "8", "--beta", "-4"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "raisepeel.cli", "scgf", *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return proc, time.perf_counter() - started
+
+
+# Perron roots of the full 70-state tilted generator at L=8, from mpmath
+# eigensolves at 50 digits of the dense matrix, made outside the package
+ROOT_L8_BETA_MINUS_4 = -3.997314960332769789847
+ROOT_L8_BETA_10 = 392071.6560756244151628580
+
+
+def test_hard_negative_tilt_certifies_its_root():
+    # at beta=-4 the two leading eigenvalues of the full matrix nearly
+    # coincide, and its enclosure stalled near width 1e-8; the second one
+    # lies in another symmetry sector, so the orbit matrix certifies
+    proc, _ = run_scgf_process("--length", "8", "--beta", "-4")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["residual"] < 1e-13
+    assert abs(doc["lambda"] - ROOT_L8_BETA_MINUS_4) <= doc["residual"]
+
+
+def test_float_resolution_tilt_is_refused_with_its_enclosure():
+    # at beta=10 the root is about 3.9e5, where float64 cannot resolve an
+    # absolute width of 1e-13: exit 3, nothing on stdout, and a named
+    # enclosure around the root
+    proc, _ = run_scgf_process("--length", "8", "--beta", "10")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: convergence failure: Perron enclosure stalled")
+    assert re.search(r"float64 spacing \S+ at the shifted lower bound \S+ exceeds the tolerance",
+                     proc.stderr)
     lo, hi = map(float, re.search(r"narrowest enclosure \[(\S+), (\S+)\]", proc.stderr).groups())
-    assert lo <= -3.99731496033 <= hi
+    assert lo <= ROOT_L8_BETA_10 <= hi
+
+
+@pytest.mark.parametrize("length", ["10", "12", "14"])
+def test_beta_minus_three_certifies_promptly(length):
+    # the full matrices' two leading eigenvalues nearly coincide here (at
+    # L=10 the enclosure ran 1e6 matvecs and 18 s before its refusal); on
+    # the orbit matrix the root certifies at once
+    proc, elapsed = run_scgf_process("--length", length, "--beta", "-3")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["residual"] < 1e-13
+    assert elapsed < 2.0
 
 
 def test_xxz_reruns_print_the_same_json():

@@ -359,9 +359,11 @@ def test_transition_table_refuses_states_the_rotation_does_not_permute(monkeypat
 @pytest.mark.parametrize("length", [2, 8, 12])
 def test_every_route_reads_the_one_table(length):
     # one per-length copy of the moves: the stationary layer and the table
-    # stepper hold transition_table(L) itself, whose counters are int8
+    # stepper hold transition_table(L) itself, whose counters and height
+    # shifts are int8
     table = transition_table(length)
     assert stationary._chain(length) is table
     assert simulate._TableRing(substrate(length))._table is table
-    for column in (table.d_peak, table.d_diamond, table.d_global, table.peak_count):
+    for column in (table.d_peak, table.d_diamond, table.d_global, table.peak_count,
+                   table.shift):
         assert column.dtype == np.int8

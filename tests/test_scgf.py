@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from math import exp
+from math import exp, ulp
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,8 @@ from raisepeel.scgf import (
     _STRIDE,
     _TOLERANCE,
     ColumnMatrix,
+    _orbit_columns,
+    _orbit_matrix,
     ConvergenceError,
     build_deformed,
     largest_eigenvalue,
@@ -496,3 +498,73 @@ def test_integer_tilts_weigh_as_float_tilts(length, alpha, beta):
     weighed = build_deformed(length, alpha, beta)
     assert np.array_equal(weighed.weights, exact.weights)
     assert np.array_equal(weighed.diagonal, exact.diagonal)
+
+
+# ---------------------------------------------------------------------------
+# the orbit matrix
+
+
+@pytest.mark.parametrize("length", range(2, 19, 2))
+def test_symmetries_lump_every_tilt(length):
+    # the integer identities behind the gauge and the lumping hold, and each
+    # orbit's column is taken from its smallest state
+    first, d_global, d_diamond, quarter_jump = _orbit_columns(length)
+    orbit = transition_table(length).orbit
+    smallest = np.full(orbit.max() + 1, len(orbit))
+    np.minimum.at(smallest, orbit, np.arange(len(orbit)))
+    assert first.tolist() == smallest.tolist()
+    assert d_global.shape == d_diamond.shape == quarter_jump.shape == (len(first), length)
+    assert set(quarter_jump.ravel().tolist()) <= {-0.5, 0.0, 0.5}
+
+
+def test_corrupted_counter_breaks_the_lumping(monkeypatch):
+    # one avalanche that reports one global avalanche too many is no longer
+    # the rotation's image of its neighbours' moves
+    table = transition_table(8)
+    d_global = table.d_global.copy()
+    d_global[35, 1] += 1
+    corrupted = table._replace(d_global=d_global)
+    monkeypatch.setattr(scgf_mod, "transition_table", lambda length: corrupted)
+    _orbit_columns.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=r"lump the tilted generator at L=8: "
+                                               r".*rotation changes d_global by its coboundary"):
+            scgf_value(8, 0.1, 0.0)
+    finally:
+        _orbit_columns.cache_clear()
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8])
+def test_orbit_matrix_is_the_gauged_matrix_lumped(length):
+    # B = P^T G A G^-1 P D^-1, G the diagonal gauge, P the orbit indicator
+    # and D the orbit sizes, entry for entry
+    table = transition_table(length)
+    orbit = table.orbit
+    indicator = (orbit[:, None] == np.arange(orbit.max() + 1)).astype(float)
+    sizes = indicator.sum(axis=0)
+    for alpha, beta in ((0.3, -0.2), (-2.0, 1.0)):
+        full = build_deformed(length, alpha, beta)
+        gauge = np.exp(-(alpha + beta * length) * table.shift / 4.0)
+        gauged = gauge[:, None] * full.toarray() / gauge
+        expected = indicator.T @ gauged @ indicator / sizes
+        lumped = _orbit_matrix(full, alpha, beta).toarray()
+        assert np.allclose(lumped, expected, rtol=1e-14, atol=0.0)
+
+
+_EDGE_TILTS = [(a, b) for a in (-2.0, 2.0) for b in (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("length", range(2, 13, 2))
+def test_orbit_roots_match_the_full_matrix(length):
+    # the root on the orbit matrix and the root on the full matrix, each
+    # certified, agree within both enclosures and four ulps
+    for tilt in (*_STENCIL, *_BRIDGE_GRID, (0.1, -0.05), *_EDGE_TILTS):
+        full = largest_eigenvalue(build_deformed(length, *tilt))
+        lumped = scgf_value(length, *tilt)
+        bound = full.residual + lumped.residual + 4 * ulp(abs(full.lambda_value))
+        assert abs(lumped.lambda_value - full.lambda_value) <= bound, tilt
+
+
+def test_nonfinite_gauged_weights_refused():
+    with pytest.raises(ValueError, match="non-finite gauged move weights"):
+        _orbit_matrix(build_deformed(4), 2000.0, 0.0)

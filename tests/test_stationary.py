@@ -17,7 +17,6 @@ from raisepeel.stationary import (
     _certify,
     _chain,
     _lu_mod,
-    _orbits,
     _solve_lumped,
     _solve_padic,
     diamond_current_formula,
@@ -107,9 +106,7 @@ ORBIT_COUNTS = {2: 1, 4: 2, 6: 4, 8: 9, 10: 21, 12: 56, 14: 155, 16: 469, 18: 14
 
 @pytest.mark.parametrize("length,count", sorted(ORBIT_COUNTS.items()))
 def test_orbit_counts(length, count):
-    st = _chain(length)
-    orbit = _orbits(st.rotate, st.reflect)
-    assert sorted(set(orbit.tolist())) == list(range(count))
+    assert sorted(set(_chain(length).orbit.tolist())) == list(range(count))
 
 
 @pytest.mark.parametrize("length", range(2, 17, 2))
@@ -181,7 +178,7 @@ def bfs_orbits(states):
 @pytest.mark.parametrize("length", range(2, 17, 2))
 def test_orbit_labels_match_the_profile_walk(length):
     st = _chain(length)
-    assert _orbits(st.rotate, st.reflect).tolist() == bfs_orbits(st.states).tolist()
+    assert st.orbit.tolist() == bfs_orbits(st.states).tolist()
 
 
 @pytest.mark.parametrize("length", [2, 4, 6, 8])
@@ -245,7 +242,7 @@ def gth_lumped(target, orbit):
 @pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
 def test_padic_solve_matches_the_fraction_elimination(length):
     st = _chain(length)
-    for orbit in (_orbits(st.rotate, st.reflect), np.arange(len(st.states))):
+    for orbit in (st.orbit, np.arange(len(st.states))):
         assert _solve_lumped(st.target, orbit) == gth_lumped(st.target, orbit)
 
 
@@ -254,7 +251,7 @@ def lumped_system(length):
     matrix counts^T - L diag(sizes) without orbit 0's row and column, and
     minus orbit 0's column as the right-hand side."""
     st = _chain(length)
-    orbit = _orbits(st.rotate, st.reflect)
+    orbit = st.orbit
     matrix = orbit_counts(st.target, orbit).T - length * np.diag(np.bincount(orbit))
     return matrix[1:, 1:], -matrix[1:, 0]
 
@@ -283,7 +280,7 @@ def test_a_prime_dividing_a_pivot_moves_to_the_next_prime():
     numerators, den, prime, steps = _solve_padic(a, b, prime=29)
     assert prime == 23
     st = _chain(8)
-    expected = gth_weights(orbit_counts(st.target, _orbits(st.rotate, st.reflect)))
+    expected = gth_weights(orbit_counts(st.target, st.orbit))
     assert [F(n, den) for n in numerators] == expected[1:]
 
 
@@ -309,13 +306,12 @@ def test_a_wrong_digit_fails_the_lifting(monkeypatch):
 def test_corrupted_orbits_fail_the_certificate(monkeypatch):
     # merging two orbits breaks the lumping; the full-chain certificate,
     # not the solver, has to catch it
-    def merged(rotate, reflect):
-        orbit = _orbits(rotate, reflect).copy()
-        orbit[orbit == 1] = 0
-        orbit[orbit > 1] -= 1
-        return orbit
-
-    monkeypatch.setattr(raisepeel.stationary, "_orbits", merged)
+    table = _chain(6)
+    orbit = table.orbit.copy()
+    orbit[orbit == 1] = 0
+    orbit[orbit > 1] -= 1
+    merged = table._replace(orbit=orbit)
+    monkeypatch.setattr(raisepeel.stationary, "_chain", lambda length: merged)
     stationary_distribution.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="kernel residual"):
