@@ -6,11 +6,12 @@ the root of ``x^2 = x - 1``.  Numbers have one integer form: a scalar
 (``QFieldElement``) is ``(a + b*q) / den`` with Python ints ``a, b`` and
 ``den > 0``, ``gcd(a, b, den) = 1``, and a polynomial keeps the integer
 numerators of its coefficients over one common positive denominator.
-Every scalar operation and every polynomial sum, product and derivative
-is integer arithmetic with one gcd reduction per result, and so is
-division, which takes only a monic divisor with integer coefficients;
-evaluation and argument scaling are field arithmetic on the
-coefficients, and ``residues`` reduces the numerators mod a prime.
+Every scalar operation and every polynomial sum, product, derivative,
+evaluation and argument scaling is integer arithmetic with one gcd
+reduction per result, and so is division, which takes only a monic
+divisor with integer coefficients; evaluation runs Horner on the
+numerators with the point's denominator carried as powers, and
+``residues`` reduces the numerators mod a prime.
 Every identity is checked with zero tolerance.
 """
 
@@ -265,12 +266,11 @@ class Polynomial:
     ints, rational parts and q parts, lowest degree first, over one
     positive int denominator.  The form is canonical: trailing zero
     coefficients are trimmed and gcd(a, b, den) = 1, so equality, hashing
-    and the degree compare ints.  Sums, products and derivatives work on
-    the numerators and reduce once per result, as does division, whose
-    divisor must be monic with integer coefficients; evaluation and
-    argument scaling work on the coefficients as field elements.  The
-    constructor accepts ints, Fractions and field elements; ``coeffs``
-    reads the coefficients back as QFieldElements.
+    and the degree compare ints.  Sums, products, derivatives, evaluation
+    and argument scaling work on the numerators and reduce once per
+    result, as does division, whose divisor must be monic with integer
+    coefficients.  The constructor accepts ints, Fractions and field
+    elements; ``coeffs`` reads the coefficients back as QFieldElements.
 
     >>> x = Polynomial.x()
     >>> ((1 + x) ** 2)(Fraction(1, 2))
@@ -396,12 +396,22 @@ class Polynomial:
         return _power(self, n, Polynomial([1]))
 
     def __call__(self, x: Scalar) -> QFieldElement:
-        """Horner evaluation in the field."""
+        """Horner evaluation on the numerators, reduced once.
+
+        With x = (xa + xb*q)/xd and degree d, the sum over k of
+        (a[k] + b[k]*q) (xa + xb*q)^k xd^(d-k) is a + b*q in Z[q], and the
+        value is that over den * xd^d.
+        """
         x = QFieldElement.coerce(x)
-        acc = QFieldElement()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self:
+            return QFieldElement()
+        xa, xb, xd = x._a, x._b, x._den
+        a, b, scale = self._a[-1], self._b[-1], 1
+        for ca, cb in zip(reversed(self._a[:-1]), reversed(self._b[:-1])):
+            scale *= xd
+            # (a + b q)(xa + xb q) = a xa - b xb + (a xb + b xa + b xb) q
+            a, b = a * xa - b * xb + ca * scale, a * xb + b * (xa + xb) + cb * scale
+        return QFieldElement._reduced(a, b, self._den * scale)
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """The order-th derivative in one pass: x^k -> k!/(k-order)! x^(k-order)."""
@@ -411,9 +421,25 @@ class Polynomial:
                                      self._den)
 
     def scale_argument(self, c: Scalar) -> "Polynomial":
-        """Return p(c*x): the coefficient of x^k picks up c^k."""
+        """Return p(c*x): with c = (ca + cb*q)/cd and degree d, the
+        coefficient of x^k has the numerator (a[k] + b[k]*q) (ca + cb*q)^k
+        cd^(d-k) over den * cd^d; the powers grow one product at a time."""
         c = QFieldElement.coerce(c)
-        return Polynomial([coeff * c ** k for k, coeff in enumerate(self.coeffs)])
+        if not self:
+            return self
+        ca, cb, cd = c._a, c._b, c._den
+        n = len(self._a)
+        down = [1] * n
+        for k in range(n - 2, -1, -1):
+            down[k] = down[k + 1] * cd
+        a, b = [0] * n, [0] * n
+        pa, pb = 1, 0
+        for k, (x, y) in enumerate(zip(self._a, self._b)):
+            # (x + y q)(pa + pb q) cd^(d-k), with q^2 = q - 1
+            a[k] = (x * pa - y * pb) * down[k]
+            b[k] = (x * pb + y * (pa + pb)) * down[k]
+            pa, pb = pa * ca - pb * cb, pa * cb + pb * (ca + cb)
+        return Polynomial._from_ints(a, b, self._den * down[0])
 
     def reversed_coeffs(self) -> "Polynomial":
         """Return x^deg * p(1/x)."""

@@ -30,7 +30,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .qfield import Polynomial, QFieldElement, poch, rising_product
 from .profiles import diamond_current_formula, global_current_formula
@@ -66,13 +66,17 @@ def f_q_poly(n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError("system half-size must be >= 1")
-    pref = factorial(n) * poch(2 * THIRD - n, n)
+    # N! (2/3 - N)_N / [(2/3 - k)_N (N-k)! k!] and
+    # N! (2/3 - N)_N / [(-k - 2/3)_{N+1} (N-k-1)! k!], with every rising
+    # factorial (r/3)_m = rising_product(r, m, 3) / 3^m, so 3^N cancels
+    pref = factorial(n) * rising_product(2 - 3 * n, n, 3)
     coeffs = [Fraction(0)] * (3 * n + 1)
     for k in range(n + 1):
-        coeffs[3 * k] = pref / (poch(2 * THIRD - k, n) * factorial(n - k) * factorial(k))
+        coeffs[3 * k] = Fraction(pref, rising_product(2 - 3 * k, n, 3)
+                                 * factorial(n - k) * factorial(k))
     for k in range(n):
-        coeffs[3 * k + 2] = pref / (poch(-k - 2 * THIRD, n + 1) * factorial(n - k - 1)
-                                    * factorial(k))
+        coeffs[3 * k + 2] = Fraction(3 * pref, rising_product(-3 * k - 2, n + 1, 3)
+                                     * factorial(n - k - 1) * factorial(k))
     return Polynomial(coeffs)
 
 
@@ -87,13 +91,16 @@ def f_p_poly(n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError("system half-size must be >= 1")
-    pref = factorial(n) * poch(2 * THIRD, n)
+    # N! (2/3)_N / [(k - N + 2/3)_N k! (N-k)!] and
+    # N! (2/3)_N / [(k - N + 1/3)_{N+1} k! (N-k-1)!], on integers as in f_q_poly
+    pref = factorial(n) * rising_product(2, n, 3)
     coeffs = [Fraction(0)] * (3 * n + 1)
     for k in range(n + 1):
-        coeffs[3 * k] = pref / (poch(k - n + 2 * THIRD, n) * factorial(k) * factorial(n - k))
+        coeffs[3 * k] = Fraction(pref, rising_product(3 * (k - n) + 2, n, 3)
+                                 * factorial(k) * factorial(n - k))
     for k in range(n):
-        coeffs[3 * k + 1] = pref / (poch(k - n + THIRD, n + 1) * factorial(k)
-                                    * factorial(n - k - 1))
+        coeffs[3 * k + 1] = Fraction(3 * pref, rising_product(3 * (k - n) + 1, n + 1, 3)
+                                     * factorial(k) * factorial(n - k - 1))
     return Polynomial(coeffs)
 
 
@@ -150,8 +157,9 @@ class TQReport(_Verdict):
 
 
 def _transfer_factor(n: int, root_shift: QFieldElement | int) -> Polynomial:
-    """(1 - x*root_shift)^2N in x; T(x) = (1+x)^2N and phi(x) = (1-x)^2N at -1 and 1."""
-    return Polynomial([1, -root_shift]) ** (2 * n)
+    """(1 - x*root_shift)^2N in x, the binomial row scaled by -root_shift;
+    T(x) = (1+x)^2N and phi(x) = (1-x)^2N at -1 and 1."""
+    return Polynomial([comb(2 * n, k) for k in range(2 * n + 1)]).scale_argument(-root_shift)
 
 
 def tq_residual(n: int, which: str = "q") -> Polynomial:

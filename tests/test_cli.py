@@ -387,6 +387,17 @@ def test_tq_n3_reports_pinned():
     assert doc["checks"] == fixture
 
 
+@pytest.mark.parametrize("n", [1, 12, 40])
+def test_tq_all_checks_pinned(n):
+    # every report of `tq --n N --check all` at the smallest order, at the
+    # largest order verify-all runs by default, and at N = 40
+    fixture = json.loads((Path(__file__).parent / "data" / f"tq_n{n}.json").read_text())
+    code, doc = run_json(["tq", "--n", str(n), "--check", "all"])
+    assert code == 0
+    assert list(doc["checks"]) == list(fixture)
+    assert doc["checks"] == fixture
+
+
 def test_verify_all_out_file(tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(["verify-all", "--lmax", "2", "--nmax", "1",

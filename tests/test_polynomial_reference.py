@@ -370,3 +370,34 @@ def test_canonical_form_two_constructions(xs, ys):
         assert hash(other) == hash(p)
     assert p.degree == len(ref_trim(xs)) - 1
     assert bool(p) == bool(ref_trim(xs))
+
+
+# denominators past 2^64 in both parts
+HUGE = Pair(Fraction(3, 2 ** 64 + 13), Fraction(-5, 2 ** 65 + 1))
+EDGE_POLYNOMIALS = [
+    (),                                                # zero
+    (Pair(Fraction(-7, 3)),),                          # rational constant
+    (Pair(2, Fraction(1, 5)),),                        # constant with a q part
+    (Pair(1), Q, Pair(Fraction(1, 2), -1)),
+    (ZERO, ZERO, Pair(Fraction(4, 9), Fraction(2, 3))),
+]
+
+
+@pytest.mark.parametrize("xs", EDGE_POLYNOMIALS, ids=["zero", "rational", "q-constant",
+                                                      "quadratic", "monomial"])
+def test_evaluation_and_scaling_edge_cases(xs):
+    # the cases the strategies above do not force: zero and constant
+    # polynomials, x = 0, a point over a denominator past 2^64, scaling by
+    # zero and a constant scaled by a rational
+    p = poly(xs)
+    for point in (ZERO, ONE, HUGE, Pair(Fraction(1, 2 ** 64 + 1)), Q.inverse()):
+        assert_same(p(field(point)), ref_eval(xs, point))
+    assert_same(p(0), ref_eval(xs, ZERO))
+    assert_same(p(Fraction(-1, 2 ** 70)), ref_eval(xs, Pair(Fraction(-1, 2 ** 70))))
+    for scale in (ZERO, ONE, Pair(Fraction(-2, 3)), HUGE, Q ** -2):
+        scaled = p.scale_argument(field(scale))
+        assert pairs(scaled) == ref_scale(xs, scale)
+        assert scaled == poly(ref_scale(xs, scale))
+        assert scaled._den > 0 and gcd(scaled._den, *scaled._a, *scaled._b) == 1
+    assert p.scale_argument(0) == poly(ref_scale(xs, ZERO))
+    assert p.scale_argument(Fraction(5, 7)) == poly(ref_scale(xs, Pair(Fraction(5, 7))))

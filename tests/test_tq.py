@@ -4,14 +4,14 @@ import dataclasses
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import numpy as np
 import pytest
 
 import raisepeel.tq
 from raisepeel.cli import main
-from raisepeel.qfield import Polynomial, QFieldElement
+from raisepeel.qfield import Polynomial, QFieldElement, poch
 from raisepeel.tq import (
     a1_prime_seq,
     a1_second_seq,
@@ -23,6 +23,8 @@ from raisepeel.tq import (
     boundary_values,
     c_constant,
     derivative_worksheet,
+    f_p_poly,
+    f_q_poly,
     hypergeometric_check,
     lambda_alpha,
     lambda_alpha_formula,
@@ -51,6 +53,53 @@ def test_polynomials_small_orders():
         q = q_poly(n)
         rev = q.reversed_coeffs()
         assert p_poly(n) == rev * q.coeffs[0].inverse()
+
+
+def _f_q_by_pochhammer(n):
+    """f_Q coefficient by coefficient from Fraction rising factorials."""
+    third = F(1, 3)
+    pref = factorial(n) * poch(2 * third - n, n)
+    coeffs = [F(0)] * (3 * n + 1)
+    for k in range(n + 1):
+        coeffs[3 * k] = pref / (poch(2 * third - k, n) * factorial(n - k) * factorial(k))
+    for k in range(n):
+        coeffs[3 * k + 2] = pref / (poch(-k - 2 * third, n + 1) * factorial(n - k - 1)
+                                    * factorial(k))
+    return Polynomial(coeffs)
+
+
+def _f_p_by_pochhammer(n):
+    """f_P coefficient by coefficient from Fraction rising factorials."""
+    third = F(1, 3)
+    pref = factorial(n) * poch(2 * third, n)
+    coeffs = [F(0)] * (3 * n + 1)
+    for k in range(n + 1):
+        coeffs[3 * k] = pref / (poch(k - n + 2 * third, n) * factorial(k) * factorial(n - k))
+    for k in range(n):
+        coeffs[3 * k + 1] = pref / (poch(k - n + third, n + 1) * factorial(k)
+                                    * factorial(n - k - 1))
+    return Polynomial(coeffs)
+
+
+def _integer_form(poly):
+    return poly._a, poly._b, poly._den
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_closed_forms_match_their_pochhammer_formulas(n):
+    # the integer ratios of f_q_poly and f_p_poly against the Fraction
+    # formulas they replace, down to the stored integers
+    assert _integer_form(f_q_poly(n)) == _integer_form(_f_q_by_pochhammer(n))
+    assert _integer_form(f_p_poly(n)) == _integer_form(_f_p_by_pochhammer(n))
+
+
+@pytest.mark.parametrize("shift", [-1, 1, QFieldElement.gen(), QFieldElement.gen().inverse()],
+                         ids=["-1", "1", "q", "q^-1"])
+@pytest.mark.parametrize("n", range(1, 21))
+def test_transfer_factor_matches_repeated_products(n, shift):
+    # the scaled binomial row against (1 - shift x)^2N by powering
+    direct = Polynomial([1, -shift]) ** (2 * n)
+    assert _integer_form(raisepeel.tq._transfer_factor(n, shift)) == _integer_form(direct)
 
 
 @pytest.mark.parametrize("n", [*range(1, 41), 60])
