@@ -51,12 +51,14 @@ _STALL_LIMIT = 500
 _STRIDE = 8
 # Arnoldi basis size for the power iteration's start vector; a matrix of
 # at most this many rows gets an exact invariant subspace in one cycle.
-# numpy's products with a basis of this size stay on one OpenBLAS thread
-# up to n = 12870 (L = 16): the BLAS worker threads accrue no CPU time, as
-# /proc/self/task shows.  On the full L = 12 stencil matrices (2-core
-# x86-64, numpy 2.4) 24 vectors, 8 kept, take about 40 Arnoldi and 17
-# power matvecs a tilt; an explicit restart from the one Ritz vector took
-# about 60 and 14.
+# Every solve runs on an orbit matrix, of 56 rows at L = 12 to 1480 at
+# L = 18, and numpy's products with a basis of this size stay on one
+# OpenBLAS thread there: past its start-up the BLAS worker thread accrues
+# no CPU time, as /proc/self/task shows.  On the orbit matrices of the
+# Richardson stencil (2-core x86-64, numpy 2.4) 24 vectors, 8 kept, take
+# 40 Arnoldi and 17 power matvecs a tilt at L = 12 and 56 and 52 at
+# L = 18; keeping the one Ritz vector, an explicit restart from it, took
+# 47 and 16, and 70 and 52.
 _KRYLOV_DIM = 24
 _KRYLOV_KEEP = 8
 # relative Ritz residual at which the Arnoldi vector is taken, and the
@@ -223,34 +225,32 @@ def _krylov_seed(matrix: ColumnMatrix) -> np.ndarray | None:
     return seed / seed.max()
 
 
-def largest_eigenvalue(matrix: ColumnMatrix | np.ndarray) -> SCGFResult:
+def largest_eigenvalue(matrix: ColumnMatrix) -> SCGFResult:
     """Perron root of a square shifted-nonnegative matrix, certified.
 
-    A dense array is read by columns.  Power iteration runs on matrix +
-    shift*I, the shift clearing the diagonal sign.  The start is the
-    modulus of the Arnoldi Perron vector of that shifted, scaled matrix
-    (see _ritz_vector) when every entry is finite and nonzero, and ones
-    otherwise.  The Arnoldi eigenvalue is discarded, and iterations
-    counts power matvecs only.  Every _STRIDE matvecs the classical
-    two-sided quotient bounds min (Av)_i/v_i <= rho <= max (Av)_i/v_i are
-    read, and the root is returned when the enclosure first pinches below
-    _TOLERANCE at a lower bound where float64 resolves _TOLERANCE (an
-    exact start can round every quotient to one float, a width of zero
-    that proves nothing).  Since Av <= max-quotient * v componentwise, the
-    matrix is divided by the power of two just below the upper bound (the
-    row sums before the first check): the unnormalised steps between
-    checks grow the iterate at most twofold each, and no quotient loses a
-    digit.  A narrower enclosure counts as progress only while float64 can
-    still resolve _TOLERANCE at the root's lower bound; after a check
-    without progress, the next check comes one matvec later.  The root is
-    the midpoint of the first such enclosure narrower than _TOLERANCE, and
-    residual its width.  Without progress for _STALL_LIMIT matvecs
-    ("stalled"), or still open after _MAX_ITERATIONS, ConvergenceError is
-    raised; it names the narrowest enclosure seen, the row sums' included,
-    and a stall quotes that enclosure's width.
+    Power iteration runs on matrix + shift*I, the shift clearing the
+    diagonal sign.  The start is the modulus of the Arnoldi Perron vector
+    of that shifted, scaled matrix (see _ritz_vector) when every entry is
+    finite and nonzero, and ones otherwise.  The Arnoldi eigenvalue is
+    discarded, and iterations counts power matvecs only.  Every _STRIDE
+    matvecs the classical two-sided quotient bounds min (Av)_i/v_i <= rho
+    <= max (Av)_i/v_i are read, and the root is returned when the
+    enclosure first pinches below _TOLERANCE at a lower bound where
+    float64 resolves _TOLERANCE (an exact start can round every quotient
+    to one float, a width of zero that proves nothing).  Since Av <=
+    max-quotient * v componentwise, the matrix is divided by the power of
+    two just below the upper bound (the row sums before the first check):
+    the unnormalised steps between checks grow the iterate at most twofold
+    each, and no quotient loses a digit.  A narrower enclosure counts as
+    progress only while float64 can still resolve _TOLERANCE at the root's
+    lower bound; after a check without progress, the next check comes one
+    matvec later.  The root is the midpoint of the first such enclosure
+    narrower than _TOLERANCE, and residual its width.  Without progress
+    for _STALL_LIMIT matvecs ("stalled"), or still open after
+    _MAX_ITERATIONS, ConvergenceError is raised; it names the narrowest
+    enclosure seen, the row sums' included, and a stall quotes that
+    enclosure's width.
     """
-    if not isinstance(matrix, ColumnMatrix):
-        matrix = ColumnMatrix.from_dense(matrix)
     n = len(matrix.diagonal)
     on_diagonal = matrix.rows == np.arange(n)[:, None]
     if (matrix.weights[~on_diagonal] < 0.0).any():
@@ -445,16 +445,14 @@ def scgf_derivatives(length: int) -> tuple[float, float]:
 
     Central differences at steps FD_STEP and FD_STEP/2 combined by one
     Richardson step; the truncation error is then far below the eigenvalue
-    enclosure noise.  Each root is found on the orbit matrix.  Returns
+    enclosure noise.  Each root comes from scgf_value.  Returns
     (d/dalpha, d/dbeta), i.e. the global-avalanche and evacuated-tile
     currents.
     """
     def slope(tilts: list[tuple[float, float]]) -> float:
         """One Richardson step from the roots at one axis's tilts
         +FD_STEP, -FD_STEP, +FD_STEP/2 and -FD_STEP/2, in that order."""
-        lam = [largest_eigenvalue(_orbit_matrix(build_deformed(length, alpha, beta),
-                                                alpha, beta)).lambda_value
-               for alpha, beta in tilts]
+        lam = [scgf_value(length, alpha, beta).lambda_value for alpha, beta in tilts]
         wide = (lam[0] - lam[1]) / (2.0 * FD_STEP)
         narrow = (lam[2] - lam[3]) / FD_STEP
         return (4.0 * narrow - wide) / 3.0

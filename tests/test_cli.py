@@ -148,7 +148,9 @@ def test_scgf_fd_check_solves_the_origin_once(monkeypatch):
     monkeypatch.setattr(scgf_mod, "scgf_value", counted)
     code, doc = run_json(["scgf", "--length", "6", "--fd-check"])
     assert code == 0
-    assert calls == [(0.0, 0.0)]
+    # the origin once, then the Richardson stencil's eight tilts
+    steps = [scgf_mod.FD_STEP, -scgf_mod.FD_STEP, scgf_mod.FD_STEP / 2, -scgf_mod.FD_STEP / 2]
+    assert calls == [(0.0, 0.0), *((t, 0.0) for t in steps), *((0.0, t) for t in steps)]
     assert doc["fd_check"]["lambda_origin"] == doc["lambda"]
 
 
@@ -179,10 +181,12 @@ def run_scgf_process(*argv):
     return proc, time.perf_counter() - started
 
 
-# Perron roots of the full 70-state tilted generator at L=8, from mpmath
-# eigensolves at 50 digits of the dense matrix, made outside the package
+# Perron roots of the full 70-state tilted generator at L=8, with exact
+# weights e^(beta d), made outside the package: beta=-4 from an mpmath
+# eigensolve at 50 digits of the dense matrix, beta=10 from mpmath inverse
+# iteration at 120 digits, whose quotient bounds pinch below 1e-100
 ROOT_L8_BETA_MINUS_4 = -3.997314960332769789847
-ROOT_L8_BETA_10 = 392071.6560756244151628580
+ROOT_L8_BETA_10 = 111188.2336402796277938755588706
 
 
 def test_hard_negative_tilt_certifies_its_root():
@@ -197,7 +201,7 @@ def test_hard_negative_tilt_certifies_its_root():
 
 
 def test_float_resolution_tilt_is_refused_with_its_enclosure():
-    # at beta=10 the root is about 3.9e5, where float64 cannot resolve an
+    # at beta=10 the root is about 1.1e5, where float64 cannot resolve an
     # absolute width of 1e-13: exit 3, nothing on stdout, and a named
     # enclosure around the root
     proc, _ = run_scgf_process("--length", "8", "--beta", "10")
@@ -493,6 +497,9 @@ def test_usage_errors_exit_2(argv, capsys):
     (["xxz", "--length", "4", "--alpha", "nan"], "alpha = nan is not a finite tilt"),
     (["scgf", "--length", "4", "--alpha", "nan"], "(nan, 0.0) gives non-finite move weights"),
     (["scgf", "--length", "4", "--beta", "1000"], "(0.0, 1000.0) gives non-finite move weights"),
+    # the full weights reach e^800, past float64's range, but the gauged
+    # orbit weights only e^400: the full matrix's check is the one that refuses
+    (["scgf", "--length", "4", "--beta", "200"], "(0.0, 200.0) gives non-finite move weights"),
 ])
 def test_nonfinite_inputs_exit_2_before_solving(argv, message, capsys):
     code = main(argv)

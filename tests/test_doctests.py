@@ -36,8 +36,9 @@ def test_module_doctests(name):
 
 def test_package_has_no_assert():
     # python -O strips assert statements: a correctness check must raise
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(Path(raisepeel.__file__).parent.glob("*.py"))
+    package = Path(raisepeel.__file__).parent
+    found = [f"{path.relative_to(package)}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []

@@ -96,8 +96,6 @@ def test_scatter_product_matches_scipy(length):
 def test_negative_off_diagonal_rejected():
     m = np.array([[-1.0, 0.5], [-0.2, -1.0]])
     with pytest.raises(ValueError):
-        largest_eigenvalue(m)
-    with pytest.raises(ValueError):
         largest_eigenvalue(ColumnMatrix.from_dense(m))
 
 
@@ -354,7 +352,7 @@ def test_unresolvable_root_is_refused_promptly():
     # float64 exceeds _TOLERANCE, so its enclosure cannot pinch and no gain
     # counts
     base = build_deformed(6, 0.2, 0.1)
-    message = _refusal(1000.0 * base.toarray(),
+    message = _refusal(ColumnMatrix.from_dense(1000.0 * base.toarray()),
                        r"stalled at width \d.*float64 spacing \S+ at the shifted lower bound")
     assert _matvecs(message) <= _STALL_LIMIT
     # the narrowest enclosure and the certified root of the base matrix,
@@ -382,14 +380,14 @@ def test_negative_entry_in_any_block_refused(position):
     bad = build_deformed(4, 0.1 * position, 0.0).toarray()
     bad[0, 1] = -0.5
     with pytest.raises(ValueError, match="negative off-diagonal"):
-        largest_eigenvalue(bad)
+        largest_eigenvalue(ColumnMatrix.from_dense(bad))
 
 
 def test_block_shapes_and_row_sums_validated():
     with pytest.raises(ValueError, match="square"):
-        largest_eigenvalue(build_deformed(6).toarray()[:, :19])
+        largest_eigenvalue(ColumnMatrix.from_dense(build_deformed(6).toarray()[:, :19]))
     with pytest.raises(ValueError, match="row sums"):
-        largest_eigenvalue(np.array([[1e308, 1e308], [1.0, 1.0]]))
+        largest_eigenvalue(ColumnMatrix.from_dense(np.array([[1e308, 1e308], [1.0, 1.0]])))
 
 
 @pytest.mark.parametrize("length, tilt", [
