@@ -12,8 +12,8 @@ Every move conserves the balance (reflected) + (evacuated) + (net stored)
 = 1 tile, which is what ties the stationary peak density to the evacuated
 tile current.
 
-``apply_move`` is the reference for a single move.  ``enumerate_states``
-lists the profiles from their balanced step patterns in one numpy pass,
+``enumerate_states`` lists the profiles from their balanced step
+patterns in one numpy pass,
 and ``transition_table`` classifies site 0's move for every state in one
 numpy pass over the (states, sites) height array and gathers the other
 sites' targets through the shifted rotation, which commutes with the
@@ -32,7 +32,6 @@ and ``ConvergenceError`` is the one numerical refusal the routes raise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -54,31 +53,6 @@ _BYTES_PER_MOVE = 100
 _BYTES_PER_ENTRY = 48
 
 
-class MoveClass(Enum):
-    REFLECTION = "reflection"
-    ADSORPTION = "adsorption"
-    LOCAL_AVALANCHE = "local_avalanche"
-    GLOBAL_AVALANCHE = "global_avalanche"
-
-
-@dataclass(frozen=True)
-class TransitionRecord:
-    """Outcome of dropping a tile at one site.
-
-    delta_peak counts reflected tiles (0 or 1), delta_diamond evacuated
-    tiles, delta_global completed global avalanches (0 or 1), and
-    delta_tiles the net change of stored tiles, so that
-    delta_peak + delta_diamond + delta_tiles == 1 for every move.
-    """
-    site: int
-    move_class: MoveClass
-    target: HeightProfile
-    delta_peak: int
-    delta_diamond: int
-    delta_global: int
-    delta_tiles: int
-
-
 @dataclass(frozen=True)
 class EventCounters:
     """Cumulative tile bookkeeping along a trajectory started from the substrate.
@@ -93,19 +67,6 @@ class EventCounters:
     n_diamond: int = 0
     n_global: int = 0
     n_tiles: int = 0
-
-    def advanced(self, record: "TransitionRecord") -> "EventCounters":
-        return EventCounters(
-            self.n_total + 1,
-            self.n_peak + record.delta_peak,
-            self.n_diamond + record.delta_diamond,
-            self.n_global + record.delta_global,
-            self.n_tiles + record.delta_tiles,
-        )
-
-    @property
-    def balanced(self) -> bool:
-        return self.n_total == self.n_peak + self.n_diamond + self.n_tiles
 
 
 def substrate(length: int) -> HeightProfile:
@@ -136,82 +97,6 @@ def count_peaks(heights: HeightProfile) -> int:
     return sum(
         1 for i, h in enumerate(heights)
         if heights[i - 1] < h and heights[(i + 1) % length] < h)
-
-
-def local_minima(heights: HeightProfile) -> list[int]:
-    """Sites whose both neighbors are one step higher."""
-    length = len(heights)
-    return [i for i, h in enumerate(heights)
-            if heights[i - 1] > h and heights[(i + 1) % length] > h]
-
-
-def in_omega_global(heights: HeightProfile) -> bool:
-    """Whether the profile is one tile away from a global avalanche.
-
-    True when no valley sits at level 0 and exactly one valley sits at
-    level 1; dropping a tile into that valley lifts the whole profile off
-    the bottom and peels it by a full layer.
-    """
-    minima = local_minima(heights)
-    return (all(heights[i] != 0 for i in minima)
-            and sum(1 for i in minima if heights[i] == 1) == 1)
-
-
-def classify_move(heights: HeightProfile, site: int) -> MoveClass:
-    """Classify the outcome of a tile dropped at the given site."""
-    length = len(heights)
-    here = heights[site]
-    left = heights[site - 1]
-    right = heights[(site + 1) % length]
-    if left < here and right < here:
-        return MoveClass.REFLECTION
-    if left > here and right > here:
-        lifted = min(
-            min(heights[j] for j in range(length) if j != site), here + 2)
-        return (MoveClass.GLOBAL_AVALANCHE if lifted >= 2
-                else MoveClass.ADSORPTION)
-    return MoveClass.LOCAL_AVALANCHE
-
-
-def apply_move(heights: HeightProfile, site: int) -> TransitionRecord:
-    """Drop a tile at the given site and return the full move record."""
-    length = len(heights)
-    move = classify_move(heights, site)
-    before = tile_count(heights)
-
-    if move is MoveClass.REFLECTION:
-        return TransitionRecord(site, move, heights, 1, 0, 0, 0)
-
-    if move in (MoveClass.ADSORPTION, MoveClass.GLOBAL_AVALANCHE):
-        lifted = list(heights)
-        lifted[site] += 2
-        if move is MoveClass.ADSORPTION:
-            target = tuple(lifted)
-            return TransitionRecord(site, move, target, 0, 0, 0, 1)
-        target = tuple(h - 2 for h in lifted)
-        evacuated = 1 + before - tile_count(target)
-        if evacuated != length:
-            raise RuntimeError(f"global avalanche evacuated {evacuated} tiles, not L = {length}")
-        return TransitionRecord(site, move, target, 0, evacuated, 1, 1 - evacuated)
-
-    # avalanche along the slope: find where the height returns to the
-    # slope level and peel one layer off everything strictly in between
-    here = heights[site]
-    ascending = heights[(site + 1) % length] > here
-    step = 1 if ascending else -1
-    peeled = list(heights)
-    j = (site + step) % length
-    while heights[j] != here:
-        peeled[j] -= 2
-        j = (j + step) % length
-    target = tuple(peeled)
-    evacuated = 1 + before - tile_count(target)
-    return TransitionRecord(site, move, target, 0, evacuated, 0, 1 - evacuated)
-
-
-def transitions(heights: HeightProfile) -> list[TransitionRecord]:
-    """Records for a tile dropped at each of the L sites."""
-    return [apply_move(heights, site) for site in range(len(heights))]
 
 
 @lru_cache(maxsize=None)

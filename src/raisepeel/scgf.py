@@ -94,23 +94,9 @@ class ColumnMatrix:
     rows: np.ndarray
     weights: np.ndarray
 
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> ColumnMatrix:
-        """The columns of a square array."""
-        dense = np.asarray(matrix, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError("matrix must be square")
-        n = len(dense)
-        return cls(np.zeros(n), np.tile(np.arange(n), (n, 1)), dense.T)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.diagonal), len(self.diagonal))
-
-    def toarray(self) -> np.ndarray:
-        dense = np.diag(self.diagonal)
-        np.add.at(dense, (self.rows, np.arange(len(self.diagonal))[:, None]), self.weights)
-        return dense
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """M v: each column's weights, times its entry of v, summed into their rows."""

@@ -63,10 +63,6 @@ class StationaryVector:
     def vector(self) -> tuple[Fraction, ...]:
         return tuple(self.probabilities[s] for s in self.states)
 
-    @property
-    def smallest_integer(self) -> int:
-        return min(self.integer_form.values())
-
 
 def _chain(length: int) -> TransitionTable:
     """The ring's transition table, the one walk of the moves this layer reads."""

@@ -7,14 +7,7 @@ asserts the same condition, so the suite doubles as a readable report.
 import time
 from fractions import Fraction
 
-from raisepeel.profiles import (
-    MoveClass,
-    count_peaks,
-    enumerate_states,
-    in_omega_global,
-    tile_count,
-    transitions,
-)
+from raisepeel.profiles import count_peaks, enumerate_states, tile_count
 from raisepeel.scgf import scgf_derivatives, scgf_value
 from raisepeel.simulate import SimConfig, simulate
 from raisepeel.spinchain import (
@@ -44,6 +37,7 @@ from raisepeel.tq import (
     verify_tq,
     verify_wronskian,
 )
+from reference import in_omega_global, transitions
 
 F = Fraction
 

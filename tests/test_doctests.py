@@ -44,6 +44,30 @@ def test_package_has_no_assert():
     assert found == []
 
 
+def test_package_keeps_no_test_only_code():
+    # every top-level function and class is named (a load, an attribute or
+    # an import) somewhere in package code outside its own definition, so
+    # what only tests or demos call lives with them, as tests/reference.py
+    # does.  Methods are not checked: their names collide across classes
+    # (ColumnMatrix had a toarray, and spinchain.SectorOperator has one)
+    package = Path(raisepeel.__file__).parent
+    defined, named = [], set()
+    for path in sorted(package.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            is_def = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def:
+                defined.append((f"{path.relative_to(package)}:{top.lineno}", top))
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name is not None:
+                    named.add((name, top if is_def else None))
+    unused = [f"{where} {top.name}" for where, top in defined
+              if not any(name == top.name and owner is not top for name, owner in named)]
+    assert unused == []
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

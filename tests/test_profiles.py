@@ -1,10 +1,11 @@
 """State space, move classification, and single-event bookkeeping.
 
-The move oracles below were worked out by hand; the exhaustive
-suites then push the same invariants across every state and site for
-rings up to length 10, and the numpy transition table is checked against
-the reference move for every state and site up to length 12 and on a
-fixed-seed sample at lengths 14, 16 and 18.
+The move oracles below were worked out by hand for the reference move,
+``apply_move`` in tests/reference.py; the exhaustive suites then push
+the same invariants across every state and site for rings up to length
+10, and the numpy transition table is checked against the reference move
+for every state and site up to length 12 and on a fixed-seed sample at
+lengths 14, 16 and 18.
 """
 
 import ast
@@ -20,20 +21,23 @@ import raisepeel.simulate as simulate
 import raisepeel.stationary as stationary
 from raisepeel.profiles import (
     EventCounters,
-    MoveClass,
-    TransitionRecord,
-    apply_move,
-    classify_move,
     count_peaks,
     enumerate_states,
-    in_omega_global,
-    local_minima,
     substrate,
     tile_count,
     transition_table,
+)
+from reference import (
+    MoveClass,
+    TransitionRecord,
+    advanced,
+    apply_move,
+    check_profile,
+    classify_move,
+    in_omega_global,
+    local_minima,
     transitions,
 )
-from profile_rules import check_profile
 
 LENGTHS = (2, 4, 6, 8, 10)
 
@@ -218,11 +222,11 @@ def test_transition_records_shape():
 
 def test_event_counters():
     c = EventCounters(0, 0, 0, 0, 0)
-    c = c.advanced(apply_move((0, 1, 0, 1), 0))       # adsorption
-    c = c.advanced(apply_move((2, 1, 0, 1), 2))       # adsorption
+    c = advanced(c, apply_move((0, 1, 0, 1), 0))       # adsorption
+    c = advanced(c, apply_move((2, 1, 0, 1), 2))       # adsorption
     assert c.n_total == 2
     assert c.n_tiles == 2
-    assert c.balanced
+    assert c.n_total == c.n_peak + c.n_diamond + c.n_tiles
 
 
 # ---------------------------------------------------------------------------

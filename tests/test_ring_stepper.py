@@ -1,6 +1,7 @@
 """The ring steppers and the block-vectorized sampler against the
-reference path: apply_move on tuples, one event at a time.  The table
-stepper is also checked against the height stepper, its reference."""
+reference path: apply_move of tests/reference.py on tuples, one event at
+a time.  The table stepper is also checked against the height stepper,
+its reference."""
 
 import logging
 from bisect import bisect_left, bisect_right
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from raisepeel import simulate as simulate_mod
 from raisepeel.profiles import (
     EventCounters,
-    apply_move,
     count_peaks,
     enumerate_states,
     substrate,
@@ -29,7 +29,7 @@ from raisepeel.simulate import (
     _composed_rows,
     simulate,
 )
-from profile_rules import check_profile
+from reference import advanced, apply_move, check_profile
 
 
 def _assert_drop_matches(ring, state, site):
@@ -225,7 +225,7 @@ def _reference(cfg, block):
             break
         record = apply_move(state, site)
         state = record.target
-        counters = counters.advanced(record)
+        counters = advanced(counters, record)
         times.append(times[-1] + wait)
         peaks.append(count_peaks(state))
         trail.append(counters)

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigs
 
 import raisepeel.scgf as scgf_mod
-from raisepeel.profiles import apply_move, enumerate_states, transition_table
+from raisepeel.profiles import enumerate_states, transition_table
 from raisepeel.scgf import (
     _KRYLOV_DIM,
     FD_STEP,
@@ -31,11 +31,12 @@ from raisepeel.scgf import (
     scgf_value,
 )
 from raisepeel.stationary import diamond_current_formula, global_current_formula
+from reference import apply_move, from_dense, toarray
 
 
 def test_deformed_matrix_l2():
     alpha, beta = 0.3, 0.2
-    m = build_deformed(2, alpha, beta).toarray()
+    m = toarray(build_deformed(2, alpha, beta))
     states = enumerate_states(2)
     lo = states.index((0, 1))
     hi = states.index((2, 1))
@@ -64,7 +65,7 @@ def test_deformed_matches_generator_at_zero_tilt():
         m = build_deformed(length)
         gen = _reference_generator(length)
         assert m.weights.dtype == m.diagonal.dtype == np.float64
-        assert np.max(np.abs(m.toarray() - gen)) < 1e-14
+        assert np.max(np.abs(toarray(m) - gen)) < 1e-14
 
 
 def _reference_csr(length, alpha=0.0, beta=0.0):
@@ -87,7 +88,7 @@ def test_scatter_product_matches_scipy(length):
     for tilt in ((0.0, 0.0), (0.3, -0.2)):
         m = build_deformed(length, *tilt)
         reference = _reference_csr(length, *tilt)
-        assert np.array_equal(m.toarray(), reference.toarray())
+        assert np.array_equal(toarray(m), reference.toarray())
         for _ in range(3):
             v = rng.standard_normal(m.shape[0])
             assert np.max(np.abs(m @ v - reference @ v)) < 1e-12
@@ -96,7 +97,7 @@ def test_scatter_product_matches_scipy(length):
 def test_negative_off_diagonal_rejected():
     m = np.array([[-1.0, 0.5], [-0.2, -1.0]])
     with pytest.raises(ValueError):
-        largest_eigenvalue(ColumnMatrix.from_dense(m))
+        largest_eigenvalue(from_dense(m))
 
 
 def test_l2_closed_form():
@@ -158,7 +159,7 @@ def test_midpoint_convexity(length, axis):
 
 
 def _dense(matrix):
-    return matrix.toarray() if isinstance(matrix, ColumnMatrix) else np.asarray(matrix, float)
+    return toarray(matrix) if isinstance(matrix, ColumnMatrix) else np.asarray(matrix, float)
 
 
 def perron_gap(matrix):
@@ -352,7 +353,7 @@ def test_unresolvable_root_is_refused_promptly():
     # float64 exceeds _TOLERANCE, so its enclosure cannot pinch and no gain
     # counts
     base = build_deformed(6, 0.2, 0.1)
-    message = _refusal(ColumnMatrix.from_dense(1000.0 * base.toarray()),
+    message = _refusal(from_dense(1000.0 * toarray(base)),
                        r"stalled at width \d.*float64 spacing \S+ at the shifted lower bound")
     assert _matvecs(message) <= _STALL_LIMIT
     # the narrowest enclosure and the certified root of the base matrix,
@@ -377,17 +378,19 @@ def test_stall_at_float_resolution_is_reported_promptly():
 
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_negative_entry_in_any_block_refused(position):
-    bad = build_deformed(4, 0.1 * position, 0.0).toarray()
+    bad = toarray(build_deformed(4, 0.1 * position, 0.0))
     bad[0, 1] = -0.5
     with pytest.raises(ValueError, match="negative off-diagonal"):
-        largest_eigenvalue(ColumnMatrix.from_dense(bad))
+        largest_eigenvalue(from_dense(bad))
 
 
 def test_block_shapes_and_row_sums_validated():
+    # a ColumnMatrix is square by construction, so the non-square refusal
+    # is the test helper's, from_dense in tests/reference.py
     with pytest.raises(ValueError, match="square"):
-        largest_eigenvalue(ColumnMatrix.from_dense(build_deformed(6).toarray()[:, :19]))
+        largest_eigenvalue(from_dense(toarray(build_deformed(6))[:, :19]))
     with pytest.raises(ValueError, match="row sums"):
-        largest_eigenvalue(ColumnMatrix.from_dense(np.array([[1e308, 1e308], [1.0, 1.0]])))
+        largest_eigenvalue(from_dense(np.array([[1e308, 1e308], [1.0, 1.0]])))
 
 
 @pytest.mark.parametrize("length, tilt", [
@@ -543,9 +546,9 @@ def test_orbit_matrix_is_the_gauged_matrix_lumped(length):
     for alpha, beta in ((0.3, -0.2), (-2.0, 1.0)):
         full = build_deformed(length, alpha, beta)
         gauge = np.exp(-(alpha + beta * length) * table.shift / 4.0)
-        gauged = gauge[:, None] * full.toarray() / gauge
+        gauged = gauge[:, None] * toarray(full) / gauge
         expected = indicator.T @ gauged @ indicator / sizes
-        lumped = _orbit_matrix(full, alpha, beta).toarray()
+        lumped = toarray(_orbit_matrix(full, alpha, beta))
         assert np.allclose(lumped, expected, rtol=1e-14, atol=0.0)
 
 

@@ -25,6 +25,7 @@ from raisepeel.spinchain import (
     tl_generator_matrix,
     tl_relations_check,
 )
+from reference import toarray
 
 
 def test_sector_basis_l4():
@@ -198,7 +199,7 @@ def deformed_tl_operator(length, alpha, beta):
 def test_sector_operator_is_isospectral_to_the_tilted_generator(alpha, beta):
     spin_side = np.sort(np.linalg.eigvals(deformed_tl_operator(4, alpha, beta)).real)
     pdp_side = np.sort(np.linalg.eigvals(
-        build_deformed(4, alpha, beta).toarray()).real)
+        toarray(build_deformed(4, alpha, beta))).real)
     assert np.max(np.abs(spin_side - pdp_side)) < 1e-10
 
 
